@@ -17,7 +17,6 @@ residual, with step = the penalty parameter.
 from __future__ import annotations
 
 import copy
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -27,7 +26,7 @@ import scipy.sparse as sp
 
 from .operators import Identity
 from .problems import CompositeProblem, LeastSquaresLoss, NormKind
-from .projections import project_l1_ball
+from .projections import KERNELS
 from .scd import _block_slices, _stack
 from .solver import Solution, SolverConfig, SolveTrace, TraceRow, solve
 
@@ -59,14 +58,7 @@ def _prox(kind: NormKind, v, threshold):
     """prox of threshold * ||.|| at v."""
     if threshold == 0.0:
         return v.copy()
-    if kind is NormKind.L1:
-        return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-    if kind is NormKind.L2:
-        nv = math.sqrt(v @ v)
-        if nv <= threshold:
-            return np.zeros_like(v)
-        return (1.0 - threshold / nv) * v
-    return v - project_l1_ball(v, threshold)
+    return KERNELS[kind].prox(v, threshold)
 
 
 def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
@@ -323,15 +315,7 @@ def scd_direct_solve(problem: CompositeProblem, config: SolverConfig = None,
     """First-order reference: the dual inner solver applied to the original
     problem with the metric frozen at the loss's Lipschitz bound."""
     base = config if config is not None else SolverConfig()
-    cfg = SolverConfig(
-        alpha=base.alpha, backtrack_factor=base.backtrack_factor,
-        outer_tolerance=base.outer_tolerance, max_outer=base.max_outer,
-        lbfgs_memory=0, inner_tolerance=base.inner_tolerance,
-        continuation_restarts=base.continuation_restarts,
-        max_inner=base.max_inner, sigma_floor=base.sigma_floor,
-        warm_start=base.warm_start, metric_mode="fixed",
-        stall_iterations=base.stall_iterations,
-        record_iterates=base.record_iterates,
-    )
     problem = replace(problem, loss=_dense_loss(problem.loss))
-    return solve(problem, cfg, x0=x0)
+    # a metric that refuses every curvature pair stays sigma0 * I
+    sigma = max(problem.loss.lipschitz_bound(), base.sigma_floor)
+    return solve(problem, replace(base, lbfgs_memory=0, sigma0=sigma), x0=x0)

@@ -1,12 +1,14 @@
 """Dataset ingestion: LIBSVM text format and seeded synthetic generators.
 
 The parser accepts `label idx:val idx:val ...` lines with 1-based feature
-indices, tolerates blank lines and `#` comments, and reports malformed input
-with its line number. Binary labels are normalized to -1/+1 at load; label
-sets with more than two values are kept as-is for the multitask construction.
+indices, tolerates blank lines and `#` comments, and reports malformed input,
+including a nan or inf label or value, with its line number. Binary labels
+are normalized to -1/+1 at load; label sets with more than two values are
+kept as-is for the multitask construction.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -78,9 +80,12 @@ def read_libsvm(path, num_features=None) -> DatasetHandle:
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError:
                 raise ParseError(path, lineno, f"bad label field {parts[0]!r}")
+            if not math.isfinite(label):
+                raise ParseError(path, lineno, f"label {parts[0]!r} is not finite")
+            labels.append(label)
             prev = 0
             for token in parts[1:]:
                 idx_str, _, val_str = token.partition(":")
@@ -89,6 +94,8 @@ def read_libsvm(path, num_features=None) -> DatasetHandle:
                     val = float(val_str)
                 except ValueError:
                     raise ParseError(path, lineno, f"bad feature token {token!r}")
+                if not math.isfinite(val):
+                    raise ParseError(path, lineno, f"feature value in {token!r} is not finite")
                 if idx < 1:
                     raise ParseError(path, lineno, f"feature index {idx} is not 1-based")
                 if idx <= prev:

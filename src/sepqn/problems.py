@@ -7,8 +7,7 @@ dual feasible set of a term is the dual-norm ball of radius w_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +21,7 @@ from .operators import (
     as_csr,
     spectral_norm_estimate,
 )
+from .projections import KERNELS, NormKind
 
 __all__ = [
     "NormKind",
@@ -35,20 +35,8 @@ __all__ = [
 ]
 
 
-class NormKind(Enum):
-    L1 = "l1"
-    L2 = "l2"
-    LINF = "linf"
-
-
 def norm_value(kind: NormKind, u: np.ndarray) -> float:
-    if u.size == 0:
-        return 0.0
-    if kind is NormKind.L1:
-        return float(np.abs(u).sum())
-    if kind is NormKind.L2:
-        return float(np.linalg.norm(u))
-    return float(np.abs(u).max())
+    return KERNELS[kind].norm(u)
 
 
 def _matvec(data, x):
@@ -73,6 +61,33 @@ class SmoothLoss:
     labels: np.ndarray
     weights: np.ndarray
     ridge: float
+
+    def __init__(self, data, labels, weights=None, ridge=0.0):
+        """Validate once, so a bad dataset cannot surface mid-solve.
+
+        Weights default to 1/n; given weights must be finite and >= 0. Labels
+        and the stored data values must be finite.
+        """
+        n = data.shape[0]
+        labels = np.asarray(labels, dtype=np.float64).ravel()
+        weights = (np.full(n, 1.0 / n) if weights is None
+                   else np.asarray(weights, dtype=np.float64).ravel())
+        for name, values in (("label", labels), ("weight", weights)):
+            if values.shape[0] != n:
+                raise ValueError(f"{name} count {values.shape[0]} != sample count {n}")
+        stored = data.data if sp.issparse(data) else np.asarray(data)
+        for name, values in (("labels", labels), ("sample weights", weights),
+                             ("data values", stored)):
+            # min and max propagate nan, so no temporary the size of the data
+            if values.size and not (np.isfinite(values.min())
+                                    and np.isfinite(values.max())):
+                raise ValueError(f"{name} must be finite; found nan or inf")
+        if (weights < 0).any():
+            raise ValueError(f"sample weights must be >= 0; smallest is {weights.min()}")
+        self.data = data
+        self.labels = labels
+        self.weights = weights
+        self.ridge = float(ridge)
 
     @property
     def n_samples(self) -> int:
@@ -126,25 +141,13 @@ class LogisticLoss(SmoothLoss):
     """
 
     def __init__(self, data, labels, weights=None, ridge=0.0):
-        labels = np.asarray(labels, dtype=np.float64).ravel()
-        if labels.shape[0] != data.shape[0]:
-            raise ValueError(
-                f"label count {labels.shape[0]} != sample count {data.shape[0]}"
-            )
-        bad = ~np.isin(labels, (-1.0, 1.0))
+        super().__init__(data, labels, weights, ridge)
+        bad = ~np.isin(self.labels, (-1.0, 1.0))
         if bad.any():
             raise ValueError(
                 f"logistic labels must be -1/+1; offending values: "
-                f"{np.unique(labels[bad])[:5]}"
+                f"{np.unique(self.labels[bad])[:5]}"
             )
-        self.data = data
-        self.labels = labels
-        n = data.shape[0]
-        if weights is None:
-            self.weights = np.full(n, 1.0 / n)
-        else:
-            self.weights = np.asarray(weights, dtype=np.float64).ravel()
-        self.ridge = float(ridge)
 
     def _margins(self, x):
         return self.labels * _matvec(self.data, x)
@@ -174,21 +177,6 @@ class LogisticLoss(SmoothLoss):
 
 class LeastSquaresLoss(SmoothLoss):
     """g(x) = sum_i w_i (a_i'x - y_i)^2 + ridge/2 ||x||^2, weights default 1/n."""
-
-    def __init__(self, data, labels, weights=None, ridge=0.0):
-        labels = np.asarray(labels, dtype=np.float64).ravel()
-        if labels.shape[0] != data.shape[0]:
-            raise ValueError(
-                f"label count {labels.shape[0]} != sample count {data.shape[0]}"
-            )
-        self.data = data
-        self.labels = labels
-        n = data.shape[0]
-        if weights is None:
-            self.weights = np.full(n, 1.0 / n)
-        else:
-            self.weights = np.asarray(weights, dtype=np.float64).ravel()
-        self.ridge = float(ridge)
 
     def value(self, x):
         r = _matvec(self.data, x) - self.labels

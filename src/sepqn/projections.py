@@ -1,4 +1,9 @@
-"""Per-term dual updates: projections onto dual-norm balls.
+"""Norm kinds and their kernels; per-term dual updates on dual-norm balls.
+
+`KERNELS[kind]` is the one home of every numerical decision that depends on a
+penalty's norm: the norm itself, its dual norm, the projection onto a dual
+ball, and the prox. The problem layer, the dual solver and the baselines all
+read it, so a new norm kind is added here and nowhere else.
 
 With the penalty weight folded into each term, a term's dual variable lives in
 the dual-norm ball of radius equal to that weight: the l1 penalty pairs with a
@@ -10,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .problems import NormKind, RegularizerTerm, norm_value
-
 __all__ = [
+    "NormKind",
+    "NormKernels",
+    "KERNELS",
     "DualBlock",
     "project_box",
     "project_l2_ball",
@@ -25,6 +33,24 @@ __all__ = [
     "dual_to_psi_certificate",
     "projection_cost",
 ]
+
+
+class NormKind(Enum):
+    L1 = "l1"
+    L2 = "l2"
+    LINF = "linf"
+
+
+def norm_l1(u):
+    return float(np.abs(u).sum())
+
+
+def norm_l2(u):
+    return math.sqrt(u @ u)
+
+
+def norm_linf(u):
+    return float(np.abs(u).max()) if u.size else 0.0
 
 
 def project_box(v, radius):
@@ -73,16 +99,34 @@ def project_l1_ball(v, radius):
     return out
 
 
-_PROJECTORS = {
-    NormKind.L1: project_box,
-    NormKind.L2: project_l2_ball,
-    NormKind.LINF: project_l1_ball,
-}
+def prox_l1(v, threshold):
+    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
-_DUAL_NORM = {
-    NormKind.L1: lambda z: float(np.abs(z).max()) if z.size else 0.0,
-    NormKind.L2: lambda z: float(np.linalg.norm(z)),
-    NormKind.LINF: lambda z: float(np.abs(z).sum()),
+
+def prox_l2(v, threshold):
+    nv = math.sqrt(v @ v)
+    if nv <= threshold:
+        return np.zeros_like(v)
+    return (1.0 - threshold / nv) * v
+
+
+def prox_linf(v, threshold):
+    return v - project_l1_ball(v, threshold)
+
+
+class NormKernels(NamedTuple):
+    """The raw kernels of one norm kind; none of them validates its input."""
+
+    norm: Callable        # ||u||
+    dual_norm: Callable   # ||z||_*, the gauge of the dual ball
+    project: Callable     # (v, radius) -> projection onto {||z||_* <= radius}
+    prox: Callable        # (v, threshold > 0) -> prox of threshold * ||.|| at v
+
+
+KERNELS = {
+    NormKind.L1: NormKernels(norm_l1, norm_linf, project_box, prox_l1),
+    NormKind.L2: NormKernels(norm_l2, norm_l2, project_l2_ball, prox_l2),
+    NormKind.LINF: NormKernels(norm_linf, norm_l1, project_l1_ball, prox_linf),
 }
 
 
@@ -95,7 +139,7 @@ class DualBlock:
     kind: NormKind
 
     def feasible(self, tolerance=0.0) -> bool:
-        return _DUAL_NORM[self.kind](self.z) <= self.weight + tolerance
+        return KERNELS[self.kind].dual_norm(self.z) <= self.weight + tolerance
 
 
 def dual_step(block: DualBlock, gradient_block, step) -> DualBlock:
@@ -107,7 +151,7 @@ def dual_step(block: DualBlock, gradient_block, step) -> DualBlock:
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
     candidate = block.z - step * np.asarray(gradient_block, dtype=np.float64)
-    projected = _PROJECTORS[block.kind](candidate, block.weight)
+    projected = KERNELS[block.kind].project(candidate, block.weight)
     return DualBlock(projected, block.weight, block.kind)
 
 
@@ -115,17 +159,19 @@ def dual_feasible(block: DualBlock, tolerance=0.0) -> bool:
     return block.feasible(tolerance)
 
 
-def dual_to_psi_certificate(term: RegularizerTerm, z, x) -> float:
+def dual_to_psi_certificate(term, z, x) -> float:
     """Fenchel gap of one term: psi(Wx + b) - z'(Wx + b), >= 0 for feasible z.
 
+    `term` is a `RegularizerTerm` (anything with kind, weight and image(x)).
     Zero exactly when z supports the penalty at Wx + b, which is the per-term
     optimality certificate the inner solver sums for its stopping test.
     """
     z = np.asarray(z, dtype=np.float64)
-    if _DUAL_NORM[term.kind](z) > term.weight + 1e-9 * (1.0 + term.weight):
+    kernels = KERNELS[term.kind]
+    if kernels.dual_norm(z) > term.weight + 1e-9 * (1.0 + term.weight):
         raise ValueError("dual point lies outside the term's feasible ball")
     u = term.image(x)
-    return term.weight * norm_value(term.kind, u) - float(z @ u)
+    return term.weight * kernels.norm(u) - float(z @ u)
 
 
 def projection_cost(kind: NormKind, q: int) -> int:

@@ -30,41 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lbfgs import LbfgsMetric
-from .problems import NormKind, norm_value
-from .projections import (
-    DualBlock,
-    dual_step,
-    project_box,
-    project_l1_ball,
-    project_l2_ball,
-    projection_cost,
-)
+from .projections import KERNELS, DualBlock, projection_cost
 
-# raw per-kind kernels for the hot loop; semantics match projections.py
-_PROJECT_RAW = {
-    NormKind.L1: project_box,
-    NormKind.L2: project_l2_ball,
-    NormKind.LINF: project_l1_ball,
-}
-
-
-def _norm_l1(u):
-    return float(np.abs(u).sum())
-
-
-def _norm_l2(u):
-    return math.sqrt(u @ u)
-
-
-def _norm_linf(u):
-    return float(np.abs(u).max()) if u.size else 0.0
-
-
-_NORM_RAW = {
-    NormKind.L1: _norm_l1,
-    NormKind.L2: _norm_l2,
-    NormKind.LINF: _norm_linf,
-}
+# the hot loop's per-kind kernels, read on every solve_surrogate call; kept as
+# tables of their own so a wrapper installed here sees only this loop's calls
+_PROJECT_RAW = {kind: k.project for kind, k in KERNELS.items()}
+_NORM_RAW = {kind: k.norm for kind, k in KERNELS.items()}
 
 __all__ = [
     "DualState",
@@ -132,13 +103,46 @@ def _blocks(terms, arrays):
     )
 
 
+def _recovery(metric, x_k, grad_k, terms):
+    """The primal recovery kernel at z, with the per-term kernels bound once.
+
+    recover(z) returns xhat = x_k - H^{-1}(grad - sum W_i' z_i), the stacked
+    images u = (W_i xhat + b_i), the constant-free negated dual value
+    -D(z) = -(grad'd + 1/2 d'Hd - z'u) with d = xhat - x_k, the displacement
+    d, and the pull-back r = grad - sum W_i' z_i. H d = -r exactly, so
+    d'Hd = -d'r.
+    """
+    t_apply = [t.op._apply for t in terms]
+    pull = list(zip([t.op._apply_transpose for t in terms], _block_slices(terms)))
+    offset = _stack([t.offset for t in terms])
+
+    def recover(z):
+        r = grad_k.copy()
+        for tapply, sl in pull:
+            r -= tapply(z[sl])
+        d = -metric.inv_apply(r)
+        xhat = x_k + d
+        u = _stack([apply(xhat) for apply in t_apply]) + offset
+        dneg = -(float(grad_k @ d) - 0.5 * float(d @ r) - float(z @ u))
+        return xhat, u, dneg, d, r
+
+    return recover
+
+
+def _recover_at(metric, x_k, grad_k, terms, duals):
+    terms = tuple(terms)
+    zs = _warm_arrays(duals, terms)
+    shapes = [z.shape for z in zs]
+    if shapes != [(t.op.output_dim,) for t in terms]:
+        raise ValueError(f"dual blocks of shapes {shapes} do not fit the terms")
+    recover = _recovery(metric, np.asarray(x_k, dtype=np.float64),
+                        np.asarray(grad_k, dtype=np.float64), terms)
+    return recover(_stack(zs))
+
+
 def recover_primal(metric: LbfgsMetric, x_k, grad_k, terms, duals) -> np.ndarray:
     """Reduced-Lagrangian minimizer xhat = x_k - H^{-1}(grad - sum W_i' z_i)."""
-    zs = _warm_arrays(duals, terms)
-    r = np.array(grad_k, dtype=np.float64)
-    for term, z in zip(terms, zs):
-        r -= term.op.apply_transpose(z)
-    return x_k - metric.inv_apply(r)
+    return _recover_at(metric, x_k, grad_k, terms, duals)[0]
 
 
 def dual_objective(metric: LbfgsMetric, x_k, grad_k, terms, duals, g_value=0.0) -> float:
@@ -147,16 +151,7 @@ def dual_objective(metric: LbfgsMetric, x_k, grad_k, terms, duals, g_value=0.0) 
     Includes the model's constant term only when g_value is supplied; the
     solver uses differences, where the constant cancels.
     """
-    zs = _warm_arrays(duals, terms)
-    r = np.array(grad_k, dtype=np.float64)
-    for term, z in zip(terms, zs):
-        r -= term.op.apply_transpose(z)
-    d = -metric.inv_apply(r)
-    xhat = x_k + d
-    # quadratic model at xhat: H d = -r exactly, so d'Hd = -d'r
-    model = g_value + float(grad_k @ d) - 0.5 * float(d @ r)
-    lin = sum(float(z @ (t.op.apply(xhat) + t.offset)) for t, z in zip(terms, zs))
-    return -(model - lin)
+    return _recover_at(metric, x_k, grad_k, terms, duals)[2] - g_value
 
 
 def _operator_norm(op):
@@ -219,8 +214,6 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
 
     # unwrapped per-term kernels: attribute lookups and wrapper objects are
     # too slow for a loop that runs tens of thousands of times
-    t_apply = [t.op._apply for t in terms]
-    t_tapply = [t.op._apply_transpose for t in terms]
     t_weight = [t.weight for t in terms]
     t_project = [_PROJECT_RAW[t.kind] for t in terms]
     t_norm = [_NORM_RAW[t.kind] for t in terms]
@@ -228,19 +221,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     # the dual blocks live stacked in one vector, so the elementwise steps
     # run once over all terms; the kernels see each term's slice
     t_slice = _block_slices(terms)
-    offset = _stack([t.offset for t in terms])
-
-    def recover(z):
-        # returns xhat, stacked images u, constant-free -D(z), displacement,
-        # pull-back
-        r = grad_k.copy()
-        for i in rng_terms:
-            r -= t_tapply[i](z[t_slice[i]])
-        d = -metric.inv_apply(r)
-        xhat = x_k + d
-        u = _stack([t_apply[i](xhat) for i in rng_terms]) + offset
-        dneg = -(float(grad_k @ d) - 0.5 * float(d @ r) - float(z @ u))
-        return xhat, u, dneg, d, r
+    recover = _recovery(metric, x_k, grad_k, terms)
 
     def certificate(z, u):
         total = 0.0
@@ -249,7 +230,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             total += weight * norm(ui) + float(z[sl] @ ui)
         return total
 
-    zs =_warm_arrays(warm_duals, terms)
+    zs = _warm_arrays(warm_duals, terms)
     if len(zs) != n_terms:
         raise ValueError(
             f"warm duals carry {len(zs)} blocks for {n_terms} terms"

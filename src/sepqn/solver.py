@@ -60,20 +60,15 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     outer_tolerance: float = 1e-8       # relative objective change
     max_outer: int = 500
-    lbfgs_memory: int = 10
+    lbfgs_memory: int = 10              # 0 keeps the metric fixed at sigma0 * I
     inner_tolerance: float = None       # default max(1e-10, 0.1 * outer_tolerance)
     continuation_restarts: int = 3
     max_inner: int = 2000
     sigma0: float = 1.0
     sigma_floor: float = 1e-8
     warm_start: bool = True
-    metric_mode: str = "lbfgs"          # "lbfgs" | "fixed" (scd-direct)
     stall_iterations: int = 3
     record_iterates: bool = False
-    # anneal beta toward 1 after this many consecutive unit steps, so the
-    # aggressive seed decay tapers off once the metric stops being rejected;
-    # 0 disables and leaves beta driven by failures alone
-    beta_success_anneal: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 0.5):
@@ -82,8 +77,6 @@ class SolverConfig:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.metric_mode not in ("lbfgs", "fixed"):
-            raise ValueError(f"unknown metric_mode {self.metric_mode!r}")
         if self.continuation_restarts < 1:
             raise ValueError("continuation_restarts must be >= 1")
 
@@ -152,7 +145,12 @@ def line_search(problem, x_k, delta, gamma_k, config, f_value=None):
     """Largest t in {1, c, c^2, ...} meeting the sufficient-descent test.
 
     Returns (t, f(x + t*delta), probes). Every probe is one data pass.
+    A non-finite gamma_k means the direction or the data overflowed, which
+    no step length can mend, so it raises SolverError before any probe.
     """
+    if not np.isfinite(gamma_k):
+        raise SolverError(f"gamma is not finite ({gamma_k}); the search direction "
+                          "overflowed, check the data scale")
     if gamma_k > 0:
         raise ValueError(f"gamma must be <= 0 for a descent direction, got {gamma_k}")
     if f_value is None:
@@ -178,15 +176,6 @@ def unit_step_tail(trace: SolveTrace) -> bool:
     return all(r.step == 1.0 for r in rows[-tail:])
 
 
-def _make_metric(problem, config):
-    if config.metric_mode == "fixed":
-        sigma = problem.loss.lipschitz_bound()
-        return LbfgsMetric(problem.dim, capacity=0, sigma=max(sigma, config.sigma_floor),
-                           sigma_floor=config.sigma_floor)
-    return LbfgsMetric(problem.dim, capacity=config.lbfgs_memory,
-                       sigma=config.sigma0, sigma_floor=config.sigma_floor)
-
-
 def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> Solution:
     cfg = config if config is not None else SolverConfig()
     p = problem.dim
@@ -194,7 +183,8 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     if x.shape != (p,):
         raise ValueError(f"x0 must have length {p}")
 
-    metric = _make_metric(problem, cfg)
+    metric = LbfgsMetric(p, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0,
+                         sigma_floor=cfg.sigma_floor)
     eps_inner = cfg.resolved_inner_tolerance()
     t0 = time.perf_counter()
 
@@ -209,7 +199,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         trace.iterates.append(x.copy())
     duals = None
     stall = 0
-    unit_run = 0
     status = "max_outer"
 
     for k in range(cfg.max_outer):
@@ -260,18 +249,15 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         s = x_new - x
         y_vec = grad_new - grad
         accepted = False
-        if cfg.metric_mode == "lbfgs" and float(s @ y_vec) > 0.0:
+        if float(s @ y_vec) > 0.0:
             accepted = metric.push_pair(s, y_vec)
             if accepted:
                 metric.adapt_h0(t, s, y_vec)
-        if cfg.metric_mode == "lbfgs":
-            if t == 1.0:
-                unit_run += 1
-                if cfg.beta_success_anneal and unit_run >= cfg.beta_success_anneal:
-                    metric.beta = 2.0 / (1.0 + 1.0 / metric.beta)
-                    unit_run = 0
-            else:
-                unit_run = 0
+        # anneal beta toward 1 on each unit step, so the aggressive seed decay
+        # tapers off once the metric stops being rejected; a fixed metric
+        # (no pair memory) keeps its beta
+        if t == 1.0 and metric.capacity:
+            metric.beta = 2.0 / (1.0 + 1.0 / metric.beta)
 
         work = inner.work + (probes + 1) * problem.loss.pass_cost
         trace.rows.append(TraceRow(

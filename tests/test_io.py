@@ -52,6 +52,20 @@ def test_parse_bad_label_reports_line_number(tmp_path):
     assert exc.value.line_number == 1
 
 
+@pytest.mark.parametrize("text, line", [
+    ("+1 1:1\n1 1:nan 2:inf\n", 2),
+    ("-1 1:1 2:-inf\n", 1),
+    ("+1 1:1\n-1 2:1\nnan 1:1\n", 3),
+    ("inf 1:2\n", 1),
+])
+def test_parse_rejects_non_finite_with_line_number(tmp_path, text, line):
+    path = tmp_path / "bad.svm"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="not finite") as exc:
+        read_libsvm(path)
+    assert exc.value.line_number == line
+
+
 def test_parse_non_monotone_indices_error(tmp_path):
     path = tmp_path / "bad.svm"
     path.write_text("+1 3:1 2:4\n")

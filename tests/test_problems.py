@@ -34,6 +34,50 @@ def test_logistic_rejects_bad_labels(rng):
         LogisticLoss(a, np.array([1.0, 0.0, 1.0, -1.0]))
 
 
+def _bad_inputs(cause):
+    a = np.ones((4, 3))
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    w = np.full(4, 0.25)
+    if cause == "negative weight":
+        w[1] = -1.0
+    elif cause == "nan weight":
+        w[2] = np.nan
+    elif cause == "inf weight":
+        w[0] = np.inf
+    elif cause == "nan label":
+        y[3] = np.nan
+    elif cause == "inf label":
+        y[0] = -np.inf
+    elif cause == "nan dense value":
+        a[1, 2] = np.nan
+    elif cause == "inf sparse value":
+        a[2, 0] = np.inf
+        a = sp.csr_matrix(a)
+    return a, y, w
+
+
+@pytest.mark.parametrize("loss_cls", [LogisticLoss, LeastSquaresLoss])
+@pytest.mark.parametrize("cause, message", [
+    ("negative weight", "weights must be >= 0"),
+    ("nan weight", "weights must be finite"),
+    ("inf weight", "weights must be finite"),
+    ("nan label", "labels must be finite"),
+    ("inf label", "labels must be finite"),
+    ("nan dense value", "data values must be finite"),
+    ("inf sparse value", "data values must be finite"),
+])
+def test_loss_rejects_bad_inputs_at_construction(loss_cls, cause, message):
+    a, y, w = _bad_inputs(cause)
+    with pytest.raises(ValueError, match=message):
+        loss_cls(a, y, weights=w)
+
+
+def test_loss_accepts_zero_weights_and_huge_finite_values():
+    a = np.array([[1e300, 0.0], [-1e300, 1.0]])
+    loss = LeastSquaresLoss(a, np.array([0.5, -2.0]), weights=np.array([0.0, 1.0]))
+    assert np.array_equal(loss.weights, [0.0, 1.0])
+
+
 def test_logistic_stable_at_large_margins(rng):
     a = np.array([[1000.0], [-1000.0]])
     y = np.array([1.0, -1.0])

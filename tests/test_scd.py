@@ -347,3 +347,18 @@ def test_non_converged_result_flagged(rng):
     res = solve_surrogate(metric, x, grad, terms, tolerance=1e-14, max_inner=3)
     assert not res.converged
     assert res.inner_iterations == 3
+
+
+def test_hot_loop_tables_hold_the_kernel_table_entries():
+    # the benchmark tracer wraps the hot loop's tables; they must hold the
+    # very kernels of the shared table, and NormKind must have one identity
+    import sepqn.problems
+    import sepqn.projections
+    from sepqn import scd
+    from sepqn.projections import KERNELS
+
+    assert sepqn.problems.NormKind is sepqn.projections.NormKind
+    assert set(KERNELS) == set(NormKind)
+    for kind in NormKind:
+        assert scd._PROJECT_RAW[kind] is KERNELS[kind].project
+        assert scd._NORM_RAW[kind] is KERNELS[kind].norm

@@ -123,6 +123,37 @@ def test_line_search_underflow_raises():
     assert exc.value.probes > 30
 
 
+@pytest.mark.parametrize("bad_gamma", [-np.inf, np.nan])
+def test_line_search_rejects_non_finite_gamma(bad_gamma):
+    prob = logistic_toy(seed=1, n=50, p=10)
+    with pytest.raises(SolverError, match="gamma is not finite"):
+        line_search(prob, np.zeros(prob.dim), -np.ones(prob.dim), bad_gamma,
+                    SolverConfig())
+
+
+def test_overflowing_feature_raises_solver_error():
+    # a 1e300 feature overflows the margins, so gamma comes out -inf; no step
+    # length can mend that, so the solve stops with SolverError instead of
+    # backtracking to an underflow
+    handle, _ = sepqn.synth_dataset(seed=0, n=200, p=20, sparsity=0.5)
+    a = handle.matrix.toarray()
+    a[:, 3] = 1e300
+    prob = make_builtin("l1-logistic", a, handle.labels, lam=0.01)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="gamma"):
+        solve(prob, SolverConfig(max_outer=50))
+
+
+def test_zero_memory_keeps_metric_fixed_at_sigma0():
+    prob = logistic_toy(seed=4, n=120, p=15)
+    sol = solve(prob, SolverConfig(max_outer=30, lbfgs_memory=0, sigma0=3.5))
+    assert sol.trace.iterations > 1
+    assert any(r.step == 1.0 for r in sol.trace.rows)
+    for r in sol.trace.rows:
+        assert r.sigma == 3.5
+        assert r.beta == 2.0
+        assert not r.curvature_accepted
+
+
 def test_shrunken_metric_forces_fractional_step_then_sigma_increase(rng):
     # scripted scenario: a deliberately tiny seed makes the unit step fail,
     # and the adaptation then raises sigma for the next iteration
