@@ -92,6 +92,20 @@ def check_lbfgs_roundtrip():
         assert np.linalg.norm(w - v) <= 1e-9 * np.linalg.norm(v)
 
 
+def check_spectral_bound():
+    rng = np.random.default_rng(10)
+    # p > 2m, p <= 2m, and rank-deficient pairs y = c s
+    for p, count, curved in ((15, 4, False), (6, 5, False), (5, 3, True)):
+        metric = LbfgsMetric(p, capacity=count, sigma=0.7)
+        while metric.pair_count < count:
+            s = rng.standard_normal(p)
+            metric.push_pair(s, (2.0 + rng.random()) * s if curved
+                             else s + 0.3 * rng.standard_normal(p))
+        want = np.linalg.eigvalsh(np.linalg.inv(metric.materialize_dense())).max()
+        got = metric.inv_norm_estimate()
+        assert abs(got - want) <= 1e-9 * want, f"p={p}: {got} vs {want}"
+
+
 def check_seed_ordering():
     rng = np.random.default_rng(5)
     p = 8
@@ -150,6 +164,7 @@ CHECKS = [
     ("gradient-finite-difference", check_gradient_finite_difference),
     ("dual-projections-feasible-firm", check_dual_projections),
     ("lbfgs-apply-roundtrip", check_lbfgs_roundtrip),
+    ("lbfgs-spectral-bound", check_spectral_bound),
     ("seed-scale-ordering", check_seed_ordering),
     ("theta-recursion-bound", check_theta_recursion_bound),
     ("surrogate-prox-oracle", check_surrogate_prox_oracle),

@@ -1,10 +1,10 @@
 """Limited-memory BFGS metric with an adaptive scalar seed matrix.
 
-The metric tracks curvature pairs (s, y) with s'y > 0 and exposes both
-directions of the quadratic model: H^{-1} v through the two-loop recursion and
-H v through the compact outer-product representation. Both views describe the
-same sequence of BFGS updates of sigma * I, so they are exact inverses of each
-other up to roundoff.
+The curvature pairs (s, y) with s'y > 0 are kept once, as the rows of W =
+(s_1, y_1, s_2, y_2, ...), oldest first, next to their Gram matrix W W'. Both
+directions use the compact form of Byrd, Nocedal & Schnabel (1994): two GEMVs
+with W around a small middle matrix that folds in sigma, is rebuilt only when
+the pairs or sigma change, and yields the exact top eigenvalue of H^{-1}.
 
 The seed scale sigma is adapted between outer iterations: a rejected unit step
 inflates it, and a shrink factor beta (annealed toward 1 on each inflation)
@@ -15,12 +15,16 @@ it has just measured.
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
-import scipy.linalg
 
 __all__ = ["LbfgsMetric"]
+
+
+def _inverse(ss, sy, yy):
+    """Inverse of [[ss, sy], [sy', yy]], rows and columns in the s/y row order."""
+    a = np.empty((2 * len(ss), 2 * len(ss)))
+    a[0::2, 0::2], a[0::2, 1::2], a[1::2, 0::2], a[1::2, 1::2] = ss, sy, sy.T, yy
+    return np.linalg.inv(a)
 
 
 class LbfgsMetric:
@@ -37,69 +41,69 @@ class LbfgsMetric:
         self.sigma_floor = float(sigma_floor)
         self.beta = 2.0
         self.floor_hits = 0
-        self._s = deque(maxlen=self.capacity or None)
-        self._y = deque(maxlen=self.capacity or None)
-        self._rho = deque(maxlen=self.capacity or None)
-        self._compact = None
+        self._count = 0
+        self._rows = np.empty((2 * self.capacity, self.dim))   # s_1, y_1, s_2, ...
+        self._gram = np.empty((2 * self.capacity, 2 * self.capacity))
+        self._middle = None
 
     @property
     def pair_count(self) -> int:
-        return len(self._s)
+        return self._count
 
     def push_pair(self, s, y) -> bool:
         """Store (s, y) iff s'y > 0, evicting the oldest pair at capacity."""
-        if self.capacity == 0:
-            return False
-        s = np.asarray(s, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        s, y = np.asarray(s, dtype=np.float64), np.asarray(y, dtype=np.float64)
         if s.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("pair vectors must have the metric's dimension")
-        sy = float(s @ y)
-        if sy <= 0.0:
+        if self.capacity == 0 or float(s @ y) <= 0.0:
             return False
-        self._s.append(s.copy())
-        self._y.append(y.copy())
-        self._rho.append(1.0 / sy)
-        self._compact = None
+        rows, gram = self._rows, self._gram
+        if self._count == self.capacity:
+            flat = rows.reshape(-1)  # a 1-d shift runs in place, without a temporary
+            flat[:-2 * self.dim] = flat[2 * self.dim:]
+            gram[:-2, :-2] = gram[2:, 2:]
+            self._count -= 1
+        new = 2 * self._count
+        rows[new], rows[new + 1] = s, y
+        cross = rows[:new + 2] @ rows[new:new + 2].T
+        gram[:new + 2, new:new + 2] = cross
+        gram[new:new + 2, :new + 2] = cross.T
+        self._count += 1
+        self._middle = None
         return True
 
-    def inv_apply(self, v) -> np.ndarray:
-        """H^{-1} v via the two-loop recursion, O(M p)."""
-        q = np.array(v, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError("vector length must equal the metric dimension")
-        m = len(self._s)
-        alphas = np.empty(m)
-        for i in range(m - 1, -1, -1):
-            alphas[i] = self._rho[i] * float(self._s[i] @ q)
-            q -= alphas[i] * self._y[i]
-        q /= self.sigma
-        for i in range(m):
-            b = self._rho[i] * float(self._y[i] @ q)
-            q += (alphas[i] - b) * self._s[i]
-        return q
+    def _middles(self):
+        """(M_inv, M_fwd): with S'Y = L + R, L strictly lower, D = diag(S'Y),
+        M_fwd = -[[S'S / sigma, L / sigma], [L' / sigma, -D]]^{-1} and its
+        Woodbury counterpart M_inv = [[0, -sigma R], [-sigma R', -sigma^2 D -
+        sigma Y'Y]]^{-1}."""
+        if self._middle is None:
+            k, sigma = self._count, self.sigma
+            g = self._gram[:2 * k, :2 * k]
+            ss, sy, yy = g[0::2, 0::2], g[0::2, 1::2], g[1::2, 1::2]
+            d, low = np.diag(np.diag(sy)), np.tril(sy, -1)
+            self._middle = (
+                _inverse(np.zeros((k, k)), sigma * (low - sy), -sigma * (sigma * d + yy)),
+                -_inverse(ss / sigma, low / sigma, -d))
+        return self._middle
 
-    def _compact_blocks(self):
-        if self._compact is None:
-            S = np.column_stack(self._s)
-            Y = np.column_stack(self._y)
-            SY = S.T @ Y
-            D = np.diag(np.diag(SY))
-            L = np.tril(SY, -1)
-            mid = np.block([[self.sigma * (S.T @ S), L], [L.T, -D]])
-            U = np.concatenate([self.sigma * S, Y], axis=1)
-            self._compact = (U, scipy.linalg.lu_factor(mid))
-        return self._compact
-
-    def apply(self, v) -> np.ndarray:
-        """H v via the compact representation, O(M p + M^2)."""
+    def _compact(self, v, inverse):
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError("vector length must equal the metric dimension")
-        if not self._s:
-            return self.sigma * v
-        U, lu = self._compact_blocks()
-        return self.sigma * v - U @ scipy.linalg.lu_solve(lu, U.T @ v)
+        out = v / self.sigma if inverse else self.sigma * v
+        if self._count:
+            w = self._rows[:2 * self._count]
+            out += (self._middles()[0 if inverse else 1] @ (w @ v)) @ w
+        return out
+
+    def inv_apply(self, v) -> np.ndarray:
+        """H^{-1} v = v / sigma + W' M_inv W v, O(M p)."""
+        return self._compact(v, inverse=True)
+
+    def apply(self, v) -> np.ndarray:
+        """H v = sigma v + W' M_fwd W v, O(M p)."""
+        return self._compact(v, inverse=False)
 
     def adapt_h0(self, t_k, s, y):
         """Rescale the seed matrix from the latest step length and pair.
@@ -126,7 +130,7 @@ class LbfgsMetric:
         if self.sigma < self.sigma_floor:
             self.sigma = self.sigma_floor
             self.floor_hits += 1
-        self._compact = None
+        self._middle = None
         return self
 
     def materialize_dense(self) -> np.ndarray:
@@ -136,28 +140,23 @@ class LbfgsMetric:
         cols = [self.apply(col) for col in np.eye(self.dim)]
         return np.column_stack(cols)
 
-    def inv_norm_estimate(self, iterations=30, seed=0) -> float:
-        """Largest eigenvalue of H^{-1}, from below, deterministic power iteration."""
-        if not self._s:
+    def inv_norm_estimate(self) -> float:
+        """Exact largest eigenvalue of H^{-1}: W' M_inv W shares its nonzero
+        eigenvalues with C' M_inv C for any C C' = W W', and past p = 2M, W
+        has a null space, where H^{-1} is 1 / sigma."""
+        if not self._count:
             return 1.0 / self.sigma
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.dim)
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(max(1, iterations)):
-            w = self.inv_apply(v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            est = float(v @ w)
-            v = w / nw
-        return est
+        k2 = 2 * self._count
+        if self.dim <= k2:
+            factor, floor = self._rows[:k2], -np.inf
+        else:
+            lam, vec = np.linalg.eigh(self._gram[:k2, :k2])
+            factor, floor = vec * np.sqrt(np.maximum(lam, 0.0)), 0.0
+        top = np.linalg.eigh(factor.T @ self._middles()[0] @ factor)[0][-1]
+        return 1.0 / self.sigma + max(float(top), floor)
 
     @property
-    def inv_apply_cost(self) -> int:
-        return (4 * len(self._s) + 2) * self.dim
+    def inv_apply_cost(self) -> int:  # multiply-adds, either direction
+        return (4 * self._count + 2) * self.dim + 4 * self._count ** 2
 
-    @property
-    def apply_cost(self) -> int:
-        m = len(self._s)
-        return (4 * m + 2) * self.dim + 4 * m * m
+    apply_cost = inv_apply_cost

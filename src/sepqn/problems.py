@@ -65,8 +65,8 @@ class SmoothLoss:
     def __init__(self, data, labels, weights=None, ridge=0.0):
         """Validate once, so a bad dataset cannot surface mid-solve.
 
-        Weights default to 1/n; given weights must be finite and >= 0. Labels
-        and the stored data values must be finite.
+        Weights default to 1/n; given weights must be finite and >= 0, and so
+        must the ridge. Labels and the stored data values must be finite.
         """
         n = data.shape[0]
         labels = np.asarray(labels, dtype=np.float64).ravel()
@@ -84,6 +84,8 @@ class SmoothLoss:
                 raise ValueError(f"{name} must be finite; found nan or inf")
         if (weights < 0).any():
             raise ValueError(f"sample weights must be >= 0; smallest is {weights.min()}")
+        if not (np.isfinite(ridge) and ridge >= 0):
+            raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
         self.data = data
         self.labels = labels
         self.weights = weights
@@ -204,7 +206,8 @@ class RegularizerTerm:
     """One penalty w * ||W x + b|| in the chosen norm.
 
     A zero weight is allowed and makes the term vacuous (its dual ball
-    collapses to the origin); negative weights are rejected.
+    collapses to the origin); negative or non-finite weights and non-finite
+    offsets are rejected.
     """
 
     kind: NormKind
@@ -213,8 +216,8 @@ class RegularizerTerm:
     offset: np.ndarray = None
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"term weight must be >= 0, got {self.weight}")
+        if not (np.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"term weight must be finite and >= 0, got {self.weight}")
         if self.offset is None:
             object.__setattr__(self, "offset", np.zeros(self.op.output_dim))
         else:
@@ -224,6 +227,8 @@ class RegularizerTerm:
                     f"offset length {off.shape[0]} != operator output dim "
                     f"{self.op.output_dim}"
                 )
+            if not np.isfinite(off).all():
+                raise ValueError("term offset entries must be finite; found nan or inf")
             object.__setattr__(self, "offset", off)
 
     def image(self, x) -> np.ndarray:

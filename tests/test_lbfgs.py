@@ -254,12 +254,58 @@ def test_inv_norm_estimate_empty():
     assert LbfgsMetric(4, sigma=4.0).inv_norm_estimate() == pytest.approx(0.25)
 
 
+def top_inverse_eigenvalue(m):
+    return np.linalg.eigvalsh(np.linalg.inv(m.materialize_dense())).max()
+
+
 def test_inv_norm_estimate_with_history(rng):
     p = 6
     m = LbfgsMetric(p, sigma=1.3)
     for s, y in random_pairs(rng, p, 4):
         m.push_pair(s, y)
-    oracle = np.linalg.eigvalsh(np.linalg.inv(m.materialize_dense())).max()
-    est = m.inv_norm_estimate(iterations=200)
-    assert est <= oracle * (1 + 1e-9)
-    assert est >= oracle * 0.9
+    assert m.inv_norm_estimate() == pytest.approx(top_inverse_eigenvalue(m), rel=1e-9)
+
+
+@pytest.mark.parametrize("p, capacity, pushes", [
+    (30, 4, 4),    # p > 2m: W has a null space, where H^{-1} is 1 / sigma
+    (6, 4, 4),     # p <= 2m: W spans the whole space
+    (5, 3, 7),     # p <= 2m after evictions
+])
+def test_inv_norm_estimate_is_exact(rng, p, capacity, pushes):
+    for sigma in (0.05, 1.0, 40.0):
+        m = LbfgsMetric(p, capacity=capacity, sigma=sigma)
+        for s, y in random_pairs(rng, p, pushes):
+            m.push_pair(s, y)
+        assert m.inv_norm_estimate() == pytest.approx(top_inverse_eigenvalue(m),
+                                                      rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [3, 4, 12])
+def test_inv_norm_estimate_exact_for_rank_deficient_pairs(rng, p):
+    # y = c s makes W rank-deficient; when every c exceeds sigma, 1 / sigma
+    # is the top eigenvalue of H^{-1} iff the s vectors leave a direction out
+    for scales in ((4.0, 5.0), (0.5, 8.0), (3.0, 3.0, 6.0), (3.0, 4.0, 5.0, 6.0)):
+        m = LbfgsMetric(p, capacity=len(scales), sigma=2.0)
+        for c in scales:
+            s = rng.standard_normal(p)
+            assert m.push_pair(s, c * s)
+        assert m.inv_norm_estimate() == pytest.approx(top_inverse_eigenvalue(m),
+                                                      rel=1e-9)
+
+
+def test_both_directions_match_oracles_after_eviction_and_seed_change(rng):
+    p, capacity = 9, 3
+    pairs = random_pairs(rng, p, 7)
+    m = LbfgsMetric(p, capacity=capacity, sigma=1.4)
+    for s, y in pairs:
+        m.push_pair(s, y)
+    assert m.pair_count == capacity
+    kept = pairs[-capacity:]
+    m.adapt_h0(0.5, *kept[-1])
+    assert m.sigma != 1.4
+    fwd = dense_bfgs_oracle(kept, m.sigma, p)
+    inv = dense_inverse_oracle(kept, m.sigma, p)
+    for _ in range(10):
+        v = rng.standard_normal(p)
+        for got, want in ((m.apply(v), fwd @ v), (m.inv_apply(v), inv @ v)):
+            assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))

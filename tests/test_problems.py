@@ -199,6 +199,24 @@ def test_term_rejects_negative_weight():
         RegularizerTerm(NormKind.L1, -0.5, Identity(3))
 
 
+@pytest.mark.parametrize("weight, offset, message", [
+    (np.nan, None, "weight must be finite"),
+    (np.inf, None, "weight must be finite"),
+    (1.0, [0.0, np.nan, 0.0], "offset entries must be finite"),
+    (1.0, [0.0, 0.0, -np.inf], "offset entries must be finite"),
+])
+def test_term_rejects_non_finite_inputs_at_construction(weight, offset, message):
+    with pytest.raises(ValueError, match=message):
+        RegularizerTerm(NormKind.L1, weight, Identity(3), offset=offset)
+
+
+@pytest.mark.parametrize("loss_cls", [LogisticLoss, LeastSquaresLoss])
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-3])
+def test_loss_rejects_bad_ridge_at_construction(loss_cls, ridge):
+    with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+        loss_cls(np.eye(2), np.array([1.0, -1.0]), ridge=ridge)
+
+
 def test_term_zero_weight_is_vacuous():
     term = RegularizerTerm(NormKind.L1, 0.0, Identity(3))
     assert term.value(np.ones(3)) == 0.0

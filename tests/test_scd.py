@@ -362,3 +362,70 @@ def test_hot_loop_tables_hold_the_kernel_table_entries():
     for kind in NormKind:
         assert scd._PROJECT_RAW[kind] is KERNELS[kind].project
         assert scd._NORM_RAW[kind] is KERNELS[kind].norm
+
+
+def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
+    """One solve_surrogate run that also reports each iteration's gap and the
+    number of metric.apply calls it made. Single L1 term only."""
+    from sepqn import scd
+
+    (term,) = terms
+    recovered = []   # (z, u) per recovery
+    certified = []   # u per gap certificate, the entry gap first
+    make_recovery = scd._recovery
+
+    def recording_recovery(*args):
+        recover = make_recovery(*args)
+
+        def wrapped(z):
+            out = recover(z)
+            recovered.append((z, out[1]))
+            return out
+
+        return wrapped
+
+    norm = scd._NORM_RAW[NormKind.L1]
+
+    def recording_norm(u):
+        certified.append(u if u.base is None else u.base)
+        return norm(u)
+
+    applies = []
+    apply = metric.apply
+
+    def counting_apply(v):
+        applies.append(1)
+        return apply(v)
+
+    monkeypatch.setattr(scd, "_recovery", recording_recovery)
+    monkeypatch.setitem(scd._NORM_RAW, NormKind.L1, recording_norm)
+    monkeypatch.setattr(metric, "apply", counting_apply)
+    res = solve_surrogate(metric, x, grad, terms, **kwargs)
+    monkeypatch.undo()
+    gaps = []
+    for u in certified[1:]:
+        z = next(z for z, seen in recovered if seen is u)
+        gaps.append(term.weight * norm(u) + float(z @ u))
+    assert len(gaps) == res.inner_iterations
+    return res, gaps, len(applies)
+
+
+@pytest.mark.parametrize("tolerance, max_inner, converges", [
+    (1e-9, 8000, True),
+    (1e-14, 40, False),
+])
+def test_residual_only_at_stop_candidates(monkeypatch, rng, tolerance, max_inner,
+                                          converges):
+    p = 10
+    metric = metric_with_pairs(rng, p, 1.0, 4)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    terms = l1_terms(p, 0.2)
+    res, gaps, applies = _instrumented_surrogate(
+        monkeypatch, metric, x, grad, terms, tolerance=tolerance, max_inner=max_inner)
+    assert res.converged == converges
+    assert 1 <= applies <= sum(gap <= tolerance for gap in gaps) + 1
+    # the returned residual belongs to the returned point
+    pull = grad - sum(t.op.apply_transpose(v) for t, v in zip(terms, res.duals.aux_v))
+    want = np.linalg.norm(metric.apply(res.direction) + pull)
+    assert res.residual == pytest.approx(want, rel=1e-9, abs=1e-13)
