@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .operators import Identity
 from .problems import CompositeProblem, LeastSquaresLoss, NormKind
 from .projections import KERNELS
-from .scd import _block_slices, _stack
+from .scd import _stack, _term_blocks
 from .solver import Solution, SolverConfig, SolveTrace, TraceRow, solve
 
 __all__ = [
@@ -54,11 +54,11 @@ class BaselineConfig:
     record_iterates: bool = False
 
 
-def _prox(kind: NormKind, v, threshold):
-    """prox of threshold * ||.|| at v."""
+def _prox(kind: NormKind, v, threshold, *seg):
+    """prox of threshold * ||.|| at v, on each segment when seg holds starts."""
     if threshold == 0.0:
         return v.copy()
-    return KERNELS[kind].prox(v, threshold)
+    return KERNELS[kind].prox(v, threshold, *seg)
 
 
 def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
@@ -183,7 +183,7 @@ def _dense_gram(data, weights):
 
 def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
                x0=None) -> Solution:
-    """Consensus-splitting ADMM with one block per penalty term.
+    """Consensus-splitting ADMM over the dual loop's term blocks.
 
     The x-update minimizes a fixed quadratic majorizer of the loss plus the
     augmented coupling terms through a cached dense factorization; for least
@@ -215,24 +215,22 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     factor = scipy.linalg.cho_factor(gram + rho * q_total)
 
     # the blocks u_i and d_i live stacked in one vector, so the elementwise
-    # updates run once over all terms; the raw kernels see each term's slice
-    t_apply = [t.op._apply for t in terms]
-    t_tapply = [t.op._apply_transpose for t in terms]
-    t_slice = _block_slices(terms)
+    # updates run once over all terms; the kernels see one slice per term block
+    blocks = _term_blocks(terms)
     q_dims = sum(t.op.output_dim for t in terms)
     offset = _stack([t.offset for t in terms])
 
     def images_of(x):
-        return _stack([apply(x) for apply in t_apply]) + offset
+        return _stack([b.image(x) for b in blocks]) + offset
 
     def sq_norm(vec):
         # summed per block, as the residuals are defined
-        return sum(float(vec[sl] @ vec[sl]) for sl in t_slice)
+        return sum(float(vec[b.sl] @ vec[b.sl]) for b in blocks)
 
     def pull_back(vec):
         out = np.zeros(p)
-        for tapply, sl in zip(t_tapply, t_slice):
-            out += tapply(vec[sl])
+        for b in blocks:
+            out += b.transpose(vec[b.sl])
         return out
 
     work = loss.pass_cost + sum(3 * t.op.apply_cost for t in terms) + 2 * p * p
@@ -251,17 +249,15 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     for k in range(cfg.max_iterations):
         rhs = gram @ x - grad
         target = u - d - offset
-        for tapply, sl in zip(t_tapply, t_slice):
-            rhs += rho * tapply(target[sl])
+        for b in blocks:
+            rhs += rho * b.transpose(target[b.sl])
         x = scipy.linalg.cho_solve(factor, rhs)
 
         images = images_of(x)
         u_old = u
         shifted = images + d
-        u = _stack([
-            _prox(t.kind, shifted[sl], t.weight / rho)
-            for t, sl in zip(terms, t_slice)
-        ])
+        u = _stack([_prox(b.kind, shifted[b.sl], b.weight / rho, *b.seg)
+                    for b in blocks])
         r_vec = images - u
         d = d + r_vec
 
@@ -271,8 +267,8 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         g_val, grad = loss.value_grad(x)
         epochs += 1
         # problem.penalty(x), from the images of this very x
-        f_val = g_val + sum(t.value_of_image(images[sl])
-                            for t, sl in zip(terms, t_slice))
+        f_val = g_val + sum(b.weight * KERNELS[b.kind].norm(images[b.sl], *b.seg)
+                            for b in blocks)
 
         img_norm = float(np.sqrt(sq_norm(images)))
         u_norm = float(np.sqrt(sq_norm(u)))

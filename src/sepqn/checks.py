@@ -11,9 +11,9 @@ from .baselines import BaselineConfig, fista_solve
 from .data import synth_dataset
 from .lbfgs import LbfgsMetric
 from .operators import ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack
-from .problems import LogisticLoss, NormKind, make_builtin
+from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin
 from .projections import DualBlock, dual_feasible, dual_step
-from .scd import solve_surrogate
+from .scd import _term_blocks, solve_surrogate
 from .solver import SolverConfig, solve
 
 __all__ = ["run_all", "CHECKS"]
@@ -147,6 +147,30 @@ def check_surrogate_prox_oracle():
         assert np.linalg.norm(res.direction - want) <= 1e-8
 
 
+def check_term_blocks():
+    # the dirty multitask model's row groups run fused, as one block; the same
+    # terms over ExplicitSparse operators run one by one
+    handle, _ = synth_dataset(seed=7, n=60, p=8)
+    prob = make_builtin("multitask-dirty-logistic", handle.matrix,
+                        np.arange(60) % 3.0, lam=0.02, group_weight=0.05)
+    plain = tuple(RegularizerTerm(t.kind, t.weight, ExplicitSparse(t.op.to_sparse()))
+                  for t in prob.terms)
+    assert [len(b.terms) for b in _term_blocks(prob.terms)] == [1, 8]
+    assert len(_term_blocks(plain)) == len(plain)
+    rng = np.random.default_rng(11)
+    p = prob.dim
+    metric = LbfgsMetric(p, capacity=3, sigma=0.8)
+    while metric.pair_count < 3:
+        s = rng.standard_normal(p)
+        metric.push_pair(s, s + 0.4 * rng.standard_normal(p))
+    x, g = rng.standard_normal(p), rng.standard_normal(p)
+    fused, ref = (solve_surrogate(metric, x, g, terms, tolerance=0.0, max_inner=300)
+                  for terms in (prob.terms, plain))
+    err = np.linalg.norm(fused.direction - ref.direction)
+    assert err <= 1e-9 * (1.0 + np.linalg.norm(ref.direction)), f"direction off by {err}"
+    assert abs(fused.gap_estimate - ref.gap_estimate) <= 1e-6 * ref.gap_estimate
+
+
 def check_solver_monotone_trace():
     handle, _ = synth_dataset(seed=9, n=120, p=30)
     prob = make_builtin("l1-logistic", handle.matrix, handle.labels, lam=2.0 / handle.n)
@@ -168,6 +192,7 @@ CHECKS = [
     ("seed-scale-ordering", check_seed_ordering),
     ("theta-recursion-bound", check_theta_recursion_bound),
     ("surrogate-prox-oracle", check_surrogate_prox_oracle),
+    ("term-blocks", check_term_blocks),
     ("solver-monotone-and-consensus", check_solver_monotone_trace),
 ]
 

@@ -113,6 +113,24 @@ class SmoothLoss:
     def lipschitz_bound(self) -> float:
         raise NotImplementedError
 
+    def _value(self, x):
+        """g(x) and the per-sample term its gradient reuses.
+
+        `value` and `value_grad` both take g from here, which keeps them
+        bitwise equal; a loss supplies `_sample_losses(x)`, the per-sample
+        losses and that term.
+        """
+        losses, state = self._sample_losses(x)
+        v = float(self.weights @ losses)
+        if self.ridge:
+            v += 0.5 * self.ridge * float(x @ x)
+        return v, state
+
+    def _plus_ridge(self, x, g):
+        if self.ridge:
+            g = g + self.ridge * x
+        return np.asarray(g, dtype=np.float64)
+
     def _rmatvec(self, u):
         # A'u. A sparse matrix's .T builds a new view object on every access,
         # which with its dispatch costs about a sixth of the matvec itself at
@@ -151,26 +169,17 @@ class LogisticLoss(SmoothLoss):
                 f"{np.unique(self.labels[bad])[:5]}"
             )
 
-    def _margins(self, x):
-        return self.labels * _matvec(self.data, x)
+    def _sample_losses(self, x):
+        t = self.labels * _matvec(self.data, x)
+        return np.logaddexp(0.0, -t), t
 
     def value(self, x):
-        t = self._margins(x)
-        v = float(self.weights @ np.logaddexp(0.0, -t))
-        if self.ridge:
-            v += 0.5 * self.ridge * float(x @ x)
-        return v
+        return self._value(x)[0]
 
     def value_grad(self, x):
-        t = self._margins(x)
-        v = float(self.weights @ np.logaddexp(0.0, -t))
-        if self.ridge:
-            v += 0.5 * self.ridge * float(x @ x)
+        v, t = self._value(x)
         coeff = self.weights * self.labels * expit(-t)
-        g = -self._rmatvec(coeff)
-        if self.ridge:
-            g = g + self.ridge * x
-        return v, np.asarray(g, dtype=np.float64)
+        return v, self._plus_ridge(x, -self._rmatvec(coeff))
 
     def lipschitz_bound(self):
         # per-sample curvature of log(1+e^-t) is at most 1/4
@@ -180,22 +189,16 @@ class LogisticLoss(SmoothLoss):
 class LeastSquaresLoss(SmoothLoss):
     """g(x) = sum_i w_i (a_i'x - y_i)^2 + ridge/2 ||x||^2, weights default 1/n."""
 
-    def value(self, x):
+    def _sample_losses(self, x):
         r = _matvec(self.data, x) - self.labels
-        v = float(self.weights @ (r * r))
-        if self.ridge:
-            v += 0.5 * self.ridge * float(x @ x)
-        return v
+        return r * r, r
+
+    def value(self, x):
+        return self._value(x)[0]
 
     def value_grad(self, x):
-        r = _matvec(self.data, x) - self.labels
-        v = float(self.weights @ (r * r))
-        if self.ridge:
-            v += 0.5 * self.ridge * float(x @ x)
-        g = 2.0 * self._rmatvec(self.weights * r)
-        if self.ridge:
-            g = g + self.ridge * x
-        return v, np.asarray(g, dtype=np.float64)
+        v, r = self._value(x)
+        return v, self._plus_ridge(x, 2.0 * self._rmatvec(self.weights * r))
 
     def lipschitz_bound(self):
         return 2.0 * self._weighted_norm_sq() + self.ridge

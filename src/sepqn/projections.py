@@ -3,7 +3,9 @@
 `KERNELS[kind]` is the one home of every numerical decision that depends on a
 penalty's norm: the norm itself, its dual norm, the projection onto a dual
 ball, and the prox. The problem layer, the dual solver and the baselines all
-read it, so a new norm kind is added here and nowhere else.
+read it, so a new norm kind is added here and nowhere else. The l1 and l2
+kernels also act on a vector split into segments, one per group of a fused
+run of group terms, in one call.
 
 With the penalty weight folded into each term, a term's dual variable lives in
 the dual-norm ball of radius equal to that weight: the l1 penalty pairs with a
@@ -24,6 +26,7 @@ __all__ = [
     "NormKind",
     "NormKernels",
     "KERNELS",
+    "SEGMENTED",
     "DualBlock",
     "project_box",
     "project_l2_ball",
@@ -41,23 +44,31 @@ class NormKind(Enum):
     LINF = "linf"
 
 
-def norm_l1(u):
+def norm_l1(u, starts=None):
     return float(np.abs(u).sum())
 
 
-def norm_l2(u):
-    return math.sqrt(u @ u)
+def _segment_norms(u, starts):
+    return np.sqrt(np.add.reduceat(u * u, starts))
+
+
+def norm_l2(u, starts=None):
+    if starts is None:
+        return math.sqrt(u @ u)
+    return float(_segment_norms(u, starts).sum())
 
 
 def norm_linf(u):
     return float(np.abs(u).max()) if u.size else 0.0
 
 
-def project_box(v, radius):
+def project_box(v, radius, starts=None):
     return np.clip(v, -radius, radius)
 
 
-def project_l2_ball(v, radius):
+def project_l2_ball(v, radius, starts=None):
+    if starts is not None:
+        return _project_l2_segments(v, radius, starts)
     nv = math.sqrt(v @ v)
     if nv <= radius:
         return v.copy()
@@ -69,6 +80,23 @@ def project_l2_ball(v, radius):
     while nv > radius:
         out *= radius / nv
         nv = math.sqrt(out @ out)
+    return out
+
+
+def _project_l2_segments(v, radius, starts):
+    if radius == 0.0:
+        return np.zeros_like(v)
+    sizes = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = v.size - starts[-1]
+    out = v.copy()
+    norms = _segment_norms(out, starts)
+    # the first pass projects; later ones trim ulp-level overshoot, which
+    # would break strict feasibility and firmness. A segment inside the ball
+    # is scaled by radius/radius, exactly 1
+    while norms.max() > radius:
+        out *= (radius / np.maximum(norms, radius)).repeat(sizes)
+        norms = _segment_norms(out, starts)
     return out
 
 
@@ -99,11 +127,14 @@ def project_l1_ball(v, radius):
     return out
 
 
-def prox_l1(v, threshold):
+def prox_l1(v, threshold, starts=None):
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def prox_l2(v, threshold):
+def prox_l2(v, threshold, starts=None):
+    if starts is not None:
+        # v minus its projection onto each segment's threshold ball
+        return v - _project_l2_segments(v, threshold, starts)
     nv = math.sqrt(v @ v)
     if nv <= threshold:
         return np.zeros_like(v)
@@ -115,7 +146,15 @@ def prox_linf(v, threshold):
 
 
 class NormKernels(NamedTuple):
-    """The raw kernels of one norm kind; none of them validates its input."""
+    """The raw kernels of one norm kind; none of them validates its input.
+
+    For the kinds in SEGMENTED, norm, project and prox take optional segment
+    starts as their last argument: increasing offsets, the first 0, of
+    non-empty segments that cover the vector. The norm is then the sum of
+    the segment norms, and project and prox act on each segment alone, all
+    with the one radius or threshold. Without starts the vector is one
+    segment.
+    """
 
     norm: Callable        # ||u||
     dual_norm: Callable   # ||z||_*, the gauge of the dual ball
@@ -128,6 +167,11 @@ KERNELS = {
     NormKind.L2: NormKernels(norm_l2, norm_l2, project_l2_ball, prox_l2),
     NormKind.LINF: NormKernels(norm_linf, norm_l1, project_l1_ball, prox_linf),
 }
+
+# kinds whose kernels take segment starts: l1 is separable and ignores them,
+# and l2 segments cost one reduction; an l1-ball projection would need a sort
+# per segment, so sup-norm terms keep one kernel call each
+SEGMENTED = frozenset({NormKind.L1, NormKind.L2})
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,16 @@ and the negated dual objective is smooth with Lipschitz gradient
 (W_1 xhat(z) + b_1, ..., W_N xhat(z) + b_N), so an accelerated projected
 gradient scheme applies. The iteration keeps two feasible sequences: z takes
 the aggressive steps delta/theta, v is the averaged solution sequence, and the
-extrapolation point y blends them. Per-term steps are independent, so the
-block updates could run in parallel without changing the result.
+extrapolation point y blends them.
+
+The dual loop runs over term blocks, not terms. Every dual vector is stacked
+in one array, so the elementwise steps run once over all terms. A maximal
+run of group-selector terms with one l1 or l2 norm, one weight and disjoint
+indices is one block: one gather for its images, one scatter for its
+pull-back, and one segmented kernel call for its projection and its norm.
+Each other term is a block of its own. The blocks are built once per
+solve_surrogate call; the first dual step, the work model and the per-term
+shape of the returned duals are those of the terms.
 
 Stopping is certified by the summed per-term Fenchel gap at the recovered
 primal point plus the surrogate stationarity residual ||H d + r||, both below
@@ -28,11 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lbfgs import LbfgsMetric
-from .projections import KERNELS, DualBlock, projection_cost
+from .operators import GroupSelector
+from .projections import KERNELS, SEGMENTED, DualBlock, NormKind, projection_cost
 
 # the hot loop's per-kind kernels, read on every solve_surrogate call; kept as
 # tables of their own so a wrapper installed here sees only this loop's calls
@@ -74,16 +84,21 @@ class InnerResult:
     rounds: tuple = ()     # (entry_gap, final_gap, iterations) per continuation round
 
 
-def _warm_arrays(warm, terms):
+def _warm_stack(warm, terms):
+    """The warm duals as one stacked vector; zeros when there are none."""
     if warm is None:
-        return [np.zeros(t.op.output_dim) for t in terms]
+        return np.zeros(sum(t.op.output_dim for t in terms))
     if isinstance(warm, DualState):
-        return [np.array(v, dtype=np.float64) for v in warm.aux_v]
-    out = []
-    for item in warm:
-        z = item.z if isinstance(item, DualBlock) else item
-        out.append(np.array(z, dtype=np.float64))
-    return out
+        zs = [np.asarray(v, dtype=np.float64) for v in warm.aux_v]
+    else:
+        zs = [np.asarray(item.z if isinstance(item, DualBlock) else item,
+                         dtype=np.float64) for item in warm]
+    if len(zs) != len(terms):
+        raise ValueError(f"warm duals carry {len(zs)} blocks for {len(terms)} terms")
+    shapes = [z.shape for z in zs]
+    if shapes != [(t.op.output_dim,) for t in terms]:
+        raise ValueError(f"dual blocks of shapes {shapes} do not fit the terms")
+    return np.concatenate(zs) if zs else np.zeros(0)
 
 
 def _stack(parts):
@@ -105,8 +120,72 @@ def _blocks(terms, arrays):
     )
 
 
-def _recovery(metric, x_k, grad_k, terms):
-    """The primal recovery kernel at z, with the per-term kernels bound once.
+class TermBlock(NamedTuple):
+    """Consecutive terms that take one kernel call per step.
+
+    A run of two or more terms over `GroupSelector`s with one norm kind from
+    SEGMENTED, one weight and pairwise-disjoint indices is fused: its image
+    gathers x at the concatenated indices, its transpose scatters back, which
+    is exact because no index repeats, and `seg` passes each term's segment
+    start to the norm kernels. Every other term is a block of one that calls
+    its operator's own kernels, with `seg` empty.
+    """
+
+    kind: NormKind
+    weight: float
+    terms: tuple
+    sl: slice              # where the block sits in a stacked vector
+    seg: tuple             # () or (segment starts,), the kernels' last argument
+    image: Callable        # x -> W x, offsets left out
+    transpose: Callable    # u -> W'u
+
+
+def _fused(run, sl):
+    idx = np.concatenate([t.op.indices for t in run])
+    starts = np.cumsum([0] + [t.op.output_dim for t in run[:-1]])
+    dim = run[0].op.input_dim
+
+    def image(x):
+        return x[idx]
+
+    def transpose(u):
+        out = np.zeros(dim)
+        out[idx] = u
+        return out
+
+    return TermBlock(run[0].kind, run[0].weight, tuple(run), sl, (starts,),
+                     image, transpose)
+
+
+def _term_blocks(terms):
+    """The terms as blocks, in order, each maximal run of fusable terms fused."""
+    runs = []
+    taken = None  # the indices the last run covers, while it can grow
+    for t in terms:
+        fusable = isinstance(t.op, GroupSelector) and t.kind in SEGMENTED
+        if (fusable and taken is not None and t.kind is runs[-1][0].kind
+                and t.weight == runs[-1][0].weight and not taken[t.op.indices].any()):
+            runs[-1].append(t)
+        else:
+            runs.append([t])
+            taken = np.zeros(t.op.input_dim, dtype=bool) if fusable else None
+        if taken is not None:
+            taken[t.op.indices] = True
+    blocks, lo = [], 0
+    for run in runs:
+        sl = slice(lo, lo + sum(t.op.output_dim for t in run))
+        lo = sl.stop
+        if len(run) > 1:
+            blocks.append(_fused(run, sl))
+        else:
+            (t,) = run
+            blocks.append(TermBlock(t.kind, t.weight, (t,), sl, (),
+                                    t.op._apply, t.op._apply_transpose))
+    return blocks
+
+
+def _recovery(metric, x_k, grad_k, blocks):
+    """The primal recovery kernel at z, with the blocks' kernels bound once.
 
     recover(z) returns xhat = x_k - H^{-1}(grad - sum W_i' z_i), the stacked
     images u = (W_i xhat + b_i), the constant-free negated dual value
@@ -114,17 +193,17 @@ def _recovery(metric, x_k, grad_k, terms):
     d, and the pull-back r = grad - sum W_i' z_i. H d = -r exactly, so
     d'Hd = -d'r.
     """
-    t_apply = [t.op._apply for t in terms]
-    pull = list(zip([t.op._apply_transpose for t in terms], _block_slices(terms)))
-    offset = _stack([t.offset for t in terms])
+    images = [b.image for b in blocks]
+    pull = [(b.transpose, b.sl) for b in blocks]
+    offset = _stack([t.offset for b in blocks for t in b.terms])
 
     def recover(z):
         r = grad_k.copy()
-        for tapply, sl in pull:
-            r -= tapply(z[sl])
+        for transpose, sl in pull:
+            r -= transpose(z[sl])
         d = -metric.inv_apply(r)
         xhat = x_k + d
-        u = _stack([apply(xhat) for apply in t_apply]) + offset
+        u = _stack([image(xhat) for image in images]) + offset
         dneg = -(float(grad_k @ d) - 0.5 * float(d @ r) - float(z @ u))
         return xhat, u, dneg, d, r
 
@@ -133,13 +212,10 @@ def _recovery(metric, x_k, grad_k, terms):
 
 def _recover_at(metric, x_k, grad_k, terms, duals):
     terms = tuple(terms)
-    zs = _warm_arrays(duals, terms)
-    shapes = [z.shape for z in zs]
-    if shapes != [(t.op.output_dim,) for t in terms]:
-        raise ValueError(f"dual blocks of shapes {shapes} do not fit the terms")
+    z = _warm_stack(duals, terms)
     recover = _recovery(metric, np.asarray(x_k, dtype=np.float64),
-                        np.asarray(grad_k, dtype=np.float64), terms)
-    return recover(_stack(zs))
+                        np.asarray(grad_k, dtype=np.float64), _term_blocks(terms))
+    return recover(z)
 
 
 def recover_primal(metric: LbfgsMetric, x_k, grad_k, terms, duals) -> np.ndarray:
@@ -192,7 +268,6 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     x_k = np.asarray(x_k, dtype=np.float64)
     grad_k = np.asarray(grad_k, dtype=np.float64)
     terms = tuple(terms)
-    n_terms = len(terms)
     p = x_k.shape[0]
 
     work = 0.0
@@ -204,41 +279,27 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     )
     proj_cost = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
 
-    if n_terms == 0:
-        xhat = x_k - metric.inv_apply(grad_k)
-        work += recover_cost
-        state = DualState((), (), 1.0, step_delta or 1.0, 0)
-        return InnerResult(
-            direction=xhat - x_k, duals=state, inner_iterations=0,
-            gap_estimate=0.0, residual=0.0, converged=True, entry_gap=0.0,
-            step_delta=state.step_delta, backtracks=0, work=work,
-        )
-
-    # unwrapped per-term kernels: attribute lookups and wrapper objects are
-    # too slow for a loop that runs tens of thousands of times
-    t_weight = [t.weight for t in terms]
-    t_project = [_PROJECT_RAW[t.kind] for t in terms]
-    t_norm = [_NORM_RAW[t.kind] for t in terms]
-    rng_terms = range(n_terms)
     # the dual blocks live stacked in one vector, so the elementwise steps
-    # run once over all terms; the kernels see each term's slice
-    t_slice = _block_slices(terms)
-    recover = _recovery(metric, x_k, grad_k, terms)
+    # run once over all terms; the kernels see one slice per term block, and
+    # are bound once because attribute lookups and wrapper objects are too
+    # slow for a loop that runs tens of thousands of times
+    blocks = _term_blocks(terms)
+    b_project = [(_PROJECT_RAW[b.kind], b.sl, (b.weight,) + b.seg) for b in blocks]
+    b_norm = [(_NORM_RAW[b.kind], b.sl, b.weight, b.seg) for b in blocks]
+    recover = _recovery(metric, x_k, grad_k, blocks)
+
+    def project(w):
+        return _stack([proj(w[sl], *args) for proj, sl, args in b_project])
 
     def certificate(z, u):
         total = 0.0
-        for sl, weight, norm in zip(t_slice, t_weight, t_norm):
+        for norm, sl, weight, seg in b_norm:
             ui = u[sl]
-            total += weight * norm(ui) + float(z[sl] @ ui)
+            total += weight * norm(ui, *seg) + float(z[sl] @ ui)
         return total
 
-    zs = _warm_arrays(warm_duals, terms)
-    if len(zs) != n_terms:
-        raise ValueError(
-            f"warm duals carry {len(zs)} blocks for {n_terms} terms"
-        )
     # defensive projection: warm duals from a different weight stay feasible
-    z = _stack([t_project[i](zs[i], t_weight[i]) for i in rng_terms])
+    z = project(_warm_stack(warm_duals, terms))
     v = z.copy()
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
@@ -267,8 +328,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             entry_gap = certificate(y, u_y)
 
         while True:
-            w = z - (delta / theta) * u_y
-            z_new = _stack([t_project[i](w[t_slice[i]], t_weight[i]) for i in rng_terms])
+            z_new = project(z - (delta / theta) * u_y)
             v_new = one_m_theta * v + theta * z_new
             xhat_v, u_v, dneg_v, d_v, r_v = recover(v_new)
             work += recover_cost + proj_cost
@@ -300,13 +360,13 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     gap, d, r, xhat, z, v, theta = best
     if not converged:
         residual = stationarity(d, r)
+    t_slice = _block_slices(terms)
     state = DualState(_blocks(terms, [z[sl] for sl in t_slice]),
                       tuple(v[sl] for sl in t_slice), theta, delta, iterations)
     return InnerResult(
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
         gap_estimate=gap, residual=residual, converged=converged,
-        entry_gap=entry_gap if entry_gap is not None else gap,
-        step_delta=delta, backtracks=backtracks, work=work,
+        entry_gap=entry_gap, step_delta=delta, backtracks=backtracks, work=work,
     )
 
 

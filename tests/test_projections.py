@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from sepqn.operators import Identity
 from sepqn.problems import NormKind, RegularizerTerm
 from sepqn.projections import (
+    KERNELS,
+    SEGMENTED,
     DualBlock,
     dual_feasible,
     dual_step,
@@ -165,3 +167,31 @@ def test_certificate_nonnegative_for_feasible_duals(seed, kind):
         DualBlock(rng.standard_normal(5) * weight, weight, kind), np.zeros(5), 0.0
     ).z
     assert dual_to_psi_certificate(term, z, x) >= -1e-12
+
+
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.sampled_from(sorted(SEGMENTED, key=lambda k: k.value)),
+       st.sampled_from([0.0, 0.05, 0.5, 3.0]))
+def test_segmented_kernels_match_per_segment_calls(sizes, seed, kind, radius):
+    # a fused run of group terms calls each kernel once with segment starts;
+    # that must be the per-segment calls of the one-segment kernel
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(sum(sizes)) * rng.choice([1e-3, 1.0, 1e3])
+    starts = np.cumsum([0] + sizes[:-1])
+    k = KERNELS[kind]
+    pieces = np.split(v, starts[1:])
+    want = sum(k.norm(piece) for piece in pieces)
+    assert k.norm(v, starts) == pytest.approx(want, rel=1e-13)
+    projected = np.split(k.project(v, radius, starts), starts[1:])
+    for piece, got in zip(pieces, projected):
+        assert np.allclose(got, k.project(piece, radius), rtol=1e-13, atol=0.0)
+        # feasible by the segmented norm itself, and to an ulp by the dot
+        assert k.dual_norm(got) <= radius * (1.0 + 4e-16)
+        if kind is NormKind.L2:
+            assert k.norm(got, np.array([0])) <= radius
+    if radius > 0:
+        proxed = np.split(k.prox(v, radius, starts), starts[1:])
+        for piece, got in zip(pieces, proxed):
+            assert np.allclose(got, k.prox(piece, radius), rtol=1e-12,
+                               atol=1e-15 * np.abs(piece).max())

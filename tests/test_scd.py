@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import sepqn
+from sepqn import scd
 from sepqn.lbfgs import LbfgsMetric
-from sepqn.operators import FirstDifference, Identity
-from sepqn.problems import NormKind, RegularizerTerm
+from sepqn.operators import ExplicitSparse, FirstDifference, GroupSelector, Identity
+from sepqn.problems import NormKind, RegularizerTerm, make_builtin
 from sepqn.scd import (
     DualState,
     continuation_solve,
@@ -429,3 +431,65 @@ def test_residual_only_at_stop_candidates(monkeypatch, rng, tolerance, max_inner
     pull = grad - sum(t.op.apply_transpose(v) for t, v in zip(terms, res.duals.aux_v))
     want = np.linalg.norm(metric.apply(res.direction) + pull)
     assert res.residual == pytest.approx(want, rel=1e-9, abs=1e-13)
+
+
+def _explicit(terms):
+    """The same terms over ExplicitSparse operators, which are never fused."""
+    return tuple(RegularizerTerm(t.kind, t.weight, ExplicitSparse(t.op.to_sparse()),
+                                 t.offset) for t in terms)
+
+
+def _assert_same_surrogate(terms, blocks, seed=0):
+    """The fused terms give the direction and gap of their unfused copy."""
+    assert [len(b.terms) for b in scd._term_blocks(terms)] == blocks
+    rng = np.random.default_rng(seed)
+    p = terms[0].op.input_dim
+    metric = metric_with_pairs(rng, p, 0.8, 4)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    # a fixed budget: the segmented kernels round differently, and a stop
+    # test would decide at the tolerance's noise floor
+    fused = solve_surrogate(metric, x, grad, terms, tolerance=0.0, max_inner=300)
+    plain = solve_surrogate(metric, x, grad, _explicit(terms), tolerance=0.0,
+                            max_inner=300)
+    scale = 1.0 + np.linalg.norm(plain.direction)
+    assert np.linalg.norm(fused.direction - plain.direction) <= 1e-9 * scale
+    assert fused.gap_estimate == pytest.approx(plain.gap_estimate, rel=1e-6)
+    assert len(fused.duals.blocks) == len(terms)
+    for t, block in zip(terms, fused.duals.blocks):
+        assert block.z.shape == (t.op.output_dim,) and block.feasible(1e-12)
+
+
+@pytest.mark.parametrize("model, kwargs, blocks", [
+    ("sparse-group-logistic", {"groups": 6}, [1, 6]),
+    ("multitask-dirty-logistic", {}, [1, 12]),
+])
+def test_fused_group_terms_match_explicit_operators(model, kwargs, blocks):
+    handle, _ = sepqn.synth_dataset(seed=4, n=90, p=12)
+    labels = handle.labels
+    if model.startswith("multitask"):
+        labels = np.arange(handle.n) % 3.0
+    prob = make_builtin(model, handle.matrix, labels, lam=0.02, group_weight=0.05,
+                        **kwargs)
+    _assert_same_surrogate(prob.terms, blocks)
+
+
+def test_only_fusable_runs_are_fused():
+    p = 14
+
+    def group(kind, weight, idx):
+        return RegularizerTerm(kind, weight, GroupSelector(idx, p))
+
+    terms = (
+        RegularizerTerm(NormKind.L1, 0.1, Identity(p)),
+        group(NormKind.L2, 0.2, range(0, 4)),
+        group(NormKind.L2, 0.2, range(4, 8)),
+        group(NormKind.L2, 0.2, range(6, 10)),    # overlaps the last: new run
+        group(NormKind.L2, 0.3, range(10, 14)),   # another weight: new run
+        group(NormKind.L2, 0.3, [0, 13]),         # overlaps index 13
+        group(NormKind.L1, 0.3, range(1, 5)),     # another kind
+        group(NormKind.L1, 0.3, range(5, 9)),
+        group(NormKind.LINF, 0.2, range(0, 3)),   # sup-norm runs are not fused
+        group(NormKind.LINF, 0.2, range(3, 6)),
+    )
+    _assert_same_surrogate(terms, [1, 2, 1, 1, 1, 2, 1, 1], seed=1)
