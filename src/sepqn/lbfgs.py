@@ -45,6 +45,7 @@ class LbfgsMetric:
         self._rows = np.empty((2 * self.capacity, self.dim))   # s_1, y_1, s_2, ...
         self._gram = np.empty((2 * self.capacity, 2 * self.capacity))
         self._middle = None
+        self._spectrum = None
 
     @property
     def pair_count(self) -> int:
@@ -70,6 +71,7 @@ class LbfgsMetric:
         gram[new:new + 2, :new + 2] = cross.T
         self._count += 1
         self._middle = None
+        self._spectrum = None
         return True
 
     def _middles(self):
@@ -131,6 +133,7 @@ class LbfgsMetric:
             self.sigma = self.sigma_floor
             self.floor_hits += 1
         self._middle = None
+        self._spectrum = None
         return self
 
     def materialize_dense(self) -> np.ndarray:
@@ -140,20 +143,30 @@ class LbfgsMetric:
         cols = [self.apply(col) for col in np.eye(self.dim)]
         return np.column_stack(cols)
 
+    def inv_spectrum(self):
+        """(lowest, highest) eigenvalue of H^{-1}, exact, cached until the
+        pairs or sigma change: W' M_inv W shares its nonzero eigenvalues with
+        C' M_inv C for any C C' = W W', and past p = 2M, W has a null space,
+        where H^{-1} is 1 / sigma."""
+        if self._spectrum is None:
+            lo = hi = 0.0
+            if self._count:
+                k2 = 2 * self._count
+                if self.dim <= k2:
+                    factor, null = self._rows[:k2], False
+                else:
+                    lam, vec = np.linalg.eigh(self._gram[:k2, :k2])
+                    factor, null = vec * np.sqrt(np.maximum(lam, 0.0)), True
+                eig = np.linalg.eigh(factor.T @ self._middles()[0] @ factor)[0]
+                lo, hi = float(eig[0]), float(eig[-1])
+                if null:
+                    lo, hi = min(lo, 0.0), max(hi, 0.0)
+            self._spectrum = (1.0 / self.sigma + lo, 1.0 / self.sigma + hi)
+        return self._spectrum
+
     def inv_norm_estimate(self) -> float:
-        """Exact largest eigenvalue of H^{-1}: W' M_inv W shares its nonzero
-        eigenvalues with C' M_inv C for any C C' = W W', and past p = 2M, W
-        has a null space, where H^{-1} is 1 / sigma."""
-        if not self._count:
-            return 1.0 / self.sigma
-        k2 = 2 * self._count
-        if self.dim <= k2:
-            factor, floor = self._rows[:k2], -np.inf
-        else:
-            lam, vec = np.linalg.eigh(self._gram[:k2, :k2])
-            factor, floor = vec * np.sqrt(np.maximum(lam, 0.0)), 0.0
-        top = np.linalg.eigh(factor.T @ self._middles()[0] @ factor)[0][-1]
-        return 1.0 / self.sigma + max(float(top), floor)
+        """Exact largest eigenvalue of H^{-1}."""
+        return self.inv_spectrum()[1]
 
     @property
     def inv_apply_cost(self) -> int:  # multiply-adds, either direction

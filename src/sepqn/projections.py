@@ -48,14 +48,37 @@ def norm_l1(u, starts=None):
     return float(np.abs(u).sum())
 
 
+def _l2(v):
+    nv = math.sqrt(v @ v)
+    if nv == math.inf:
+        # v'v overflowed: square v / max|v| instead
+        top = float(np.abs(v).max())
+        if top < math.inf:
+            w = v / top
+            nv = top * math.sqrt(w @ w)
+    return nv
+
+
 def _segment_norms(u, starts):
     return np.sqrt(np.add.reduceat(u * u, starts))
 
 
+def _rescaled_segment_norms(u, starts):
+    # each segment divided by its max|u| before squaring, for when u * u
+    # overflows
+    top = np.maximum.reduceat(np.abs(u), starts)
+    top[(top == 0.0) | (top == np.inf)] = 1.0
+    sizes = np.diff(np.append(starts, u.size))
+    return top * _segment_norms(u / top.repeat(sizes), starts)
+
+
 def norm_l2(u, starts=None):
     if starts is None:
-        return math.sqrt(u @ u)
-    return float(_segment_norms(u, starts).sum())
+        return _l2(u)
+    total = float(_segment_norms(u, starts).sum())
+    if total == math.inf:
+        total = float(_rescaled_segment_norms(u, starts).sum())
+    return total
 
 
 def norm_linf(u):
@@ -69,7 +92,7 @@ def project_box(v, radius, starts=None):
 def project_l2_ball(v, radius, starts=None):
     if starts is not None:
         return _project_l2_segments(v, radius, starts)
-    nv = math.sqrt(v @ v)
+    nv = _l2(v)
     if nv <= radius:
         return v.copy()
     if radius == 0.0:
@@ -91,12 +114,17 @@ def _project_l2_segments(v, radius, starts):
     sizes[-1] = v.size - starts[-1]
     out = v.copy()
     norms = _segment_norms(out, starts)
+    top = norms.max()
+    if top == np.inf:
+        norms = _rescaled_segment_norms(out, starts)
+        top = norms.max()
     # the first pass projects; later ones trim ulp-level overshoot, which
     # would break strict feasibility and firmness. A segment inside the ball
     # is scaled by radius/radius, exactly 1
-    while norms.max() > radius:
+    while top > radius:
         out *= (radius / np.maximum(norms, radius)).repeat(sizes)
         norms = _segment_norms(out, starts)
+        top = norms.max()
     return out
 
 
@@ -135,7 +163,7 @@ def prox_l2(v, threshold, starts=None):
     if starts is not None:
         # v minus its projection onto each segment's threshold ball
         return v - _project_l2_segments(v, threshold, starts)
-    nv = math.sqrt(v @ v)
+    nv = _l2(v)
     if nv <= threshold:
         return np.zeros_like(v)
     return (1.0 - threshold / nv) * v

@@ -14,7 +14,11 @@ and the negated dual objective is smooth with Lipschitz gradient
 (W_1 xhat(z) + b_1, ..., W_N xhat(z) + b_N), so an accelerated projected
 gradient scheme applies. The iteration keeps two feasible sequences: z takes
 the aggressive steps delta/theta, v is the averaged solution sequence, and the
-extrapolation point y blends them.
+extrapolation point y blends them. The momentum is restarted by the
+gradient-mapping test of O'Donoghue & Candes (2015, "Adaptive restart for
+accelerated gradient schemes"): when (y - v_new)'(v_new - v) > 0, the step
+from y points against the last move of v, so theta is reset to 1 and z = v =
+v_new. The test costs one dot product per step; the resets are counted.
 
 The dual loop runs over term blocks, not terms. Every dual vector is stacked
 in one array, so the elementwise steps run once over all terms. A maximal
@@ -30,7 +34,9 @@ primal point plus the surrogate stationarity residual ||H d + r||, both below
 the inner tolerance. The residual is evaluated only at stop candidates, the
 iterates whose gap meets the tolerance, and once more for the iterate a run
 returns when it hits max_inner. The step size delta is backtracked against the
-standard upper quadratic bound and regrown by 1.1 on success.
+standard upper quadratic bound and regrown by 1.1 on success, up to
+lambda_max(H) / max_i ||W_i||^2: L >= ||W_i||^2 lambda_min(H^{-1}) for each
+term, so that cap is above every step 1 / L allows.
 """
 from __future__ import annotations
 
@@ -81,6 +87,7 @@ class InnerResult:
     step_delta: float
     backtracks: int
     work: float
+    momentum_resets: int
     rounds: tuple = ()     # (entry_gap, final_gap, iterations) per continuation round
 
 
@@ -249,6 +256,14 @@ def initial_step_delta(metric: LbfgsMetric, terms) -> float:
     return 1.0 / lip
 
 
+def _step_delta_cap(metric: LbfgsMetric, terms) -> float:
+    """lambda_max(H) / max ||W_i||^2, an upper bound on 1 / L for the dual
+    gradient: L >= ||W_i||^2 * lambda_min(H^{-1}) for every term."""
+    top = max((_operator_norm(t.op) for t in terms), default=0.0)
+    low = top * top * metric.inv_spectrum()[0]
+    return 1.0 / low if low > 0.0 else math.inf
+
+
 def _next_theta(theta):
     return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
 
@@ -271,11 +286,12 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     p = x_k.shape[0]
 
     work = 0.0
+    stack_len = sum(t.op.output_dim for t in terms)
     recover_cost = (
         metric.inv_apply_cost
         + sum(2 * t.op.apply_cost for t in terms)
         + p
-        + sum(t.op.output_dim for t in terms)
+        + stack_len
     )
     proj_cost = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
 
@@ -304,6 +320,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
     delta_floor = delta * 1e-18
+    delta_cap = _step_delta_cap(metric, terms)
 
     def stationarity(d, r):
         # ||H d + r||, the surrogate stationarity residual at a recovered point
@@ -315,6 +332,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     entry_gap = None
     best = None  # (gap, d, r, xhat, z, v, theta)
     backtracks = 0
+    resets = 0
     iterations = 0
     converged = False
 
@@ -338,7 +356,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
                 break
             delta *= 0.5
             backtracks += 1
-        delta *= 1.1
+        delta = min(delta * 1.1, delta_cap)
 
         iterations = j + 1
         gap = certificate(v_new, u_v)
@@ -346,8 +364,15 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         if best is None or gap < best[0]:
             best = (gap, d_v, r_v, xhat_v, z_new, v_new, theta)
 
-        z, v = z_new, v_new
-        theta = _next_theta(theta)
+        # gradient-mapping restart, one dot product over the stack
+        work += stack_len
+        if float((y - v_new) @ (v_new - v)) > 0.0:
+            theta = 1.0
+            z = v = v_new
+            resets += 1
+        else:
+            z, v = z_new, v_new
+            theta = _next_theta(theta)
 
         # the residual can change the stop decision only once the gap is met
         if gap <= tolerance:
@@ -367,6 +392,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
         gap_estimate=gap, residual=residual, converged=converged,
         entry_gap=entry_gap, step_delta=delta, backtracks=backtracks, work=work,
+        momentum_resets=resets,
     )
 
 
@@ -386,6 +412,7 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
     total_iters = 0
     total_work = 0.0
     total_bt = 0
+    total_resets = 0
     result = None
     for r in range(restarts):
         round_tol = tolerance * (10.0 ** (restarts - 1 - r))
@@ -396,6 +423,7 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
         total_iters += result.inner_iterations
         total_work += result.work
         total_bt += result.backtracks
+        total_resets += result.momentum_resets
         rounds.append((result.entry_gap, result.gap_estimate, result.inner_iterations))
         duals = result.duals
         delta = result.step_delta
@@ -406,6 +434,7 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
         inner_iterations=total_iters,
         work=total_work,
         backtracks=total_bt,
+        momentum_resets=total_resets,
         converged=result.gap_estimate <= tolerance,
         entry_gap=rounds[0][0],
         rounds=tuple(rounds),

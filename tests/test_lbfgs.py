@@ -293,6 +293,26 @@ def test_inv_norm_estimate_exact_for_rank_deficient_pairs(rng, p):
                                                       rel=1e-9)
 
 
+@pytest.mark.parametrize("p, capacity, pushes", [(30, 4, 4), (6, 4, 4), (5, 3, 7)])
+def test_inv_spectrum_is_exact_and_follows_the_metric(rng, p, capacity, pushes):
+    def dense_spectrum(m):
+        eig = np.linalg.eigvalsh(np.linalg.inv(m.materialize_dense()))
+        return eig[0], eig[-1]
+
+    m = LbfgsMetric(p, capacity=capacity, sigma=0.7)
+    assert m.inv_spectrum() == (1.0 / 0.7, 1.0 / 0.7)
+    pairs = random_pairs(rng, p, pushes + 1)
+    for s, y in pairs[:-1]:
+        m.push_pair(s, y)
+    for _ in range(2):  # a new pair, then a new sigma, must refresh it
+        lo, hi = m.inv_spectrum()
+        want_lo, want_hi = dense_spectrum(m)
+        assert lo == pytest.approx(want_lo, rel=1e-8)
+        assert hi == pytest.approx(want_hi, rel=1e-9) and hi == m.inv_norm_estimate()
+        m.push_pair(*pairs[-1])
+        m.adapt_h0(0.5, *pairs[-1])
+
+
 def test_both_directions_match_oracles_after_eviction_and_seed_change(rng):
     p, capacity = 9, 3
     pairs = random_pairs(rng, p, 7)

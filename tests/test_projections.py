@@ -195,3 +195,35 @@ def test_segmented_kernels_match_per_segment_calls(sizes, seed, kind, radius):
         for piece, got in zip(pieces, proxed):
             assert np.allclose(got, k.prox(piece, radius), rtol=1e-12,
                                atol=1e-15 * np.abs(piece).max())
+
+
+def _safe_l2(v):
+    top = np.abs(v).max()
+    return top * np.linalg.norm(v / top) if top > 0 else 0.0
+
+
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.integers(min_value=0, max_value=300),
+       st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+       st.booleans())
+def test_l2_kernels_exact_at_any_magnitude(sizes, seed, exponent, radius, segmented):
+    # v'v overflows past 1e154; norms and projections must not
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(sum(sizes)) * 10.0 ** exponent
+    starts = np.cumsum([0] + sizes[:-1]) if segmented else None
+    pieces = np.split(v, starts[1:]) if segmented else [v]
+    k = KERNELS[NormKind.L2]
+    norms = [_safe_l2(piece) for piece in pieces]
+    with np.errstate(over="ignore"):
+        got_norm = k.norm(v, starts) if segmented else k.norm(v)
+        out = k.project(v, radius, starts) if segmented else k.project(v, radius)
+    assert got_norm == pytest.approx(sum(norms), rel=1e-13)
+    assert np.all(np.isfinite(out))
+    for piece, nv, got in zip(pieces, norms, np.split(out, starts[1:]) if segmented
+                              else [out]):
+        assert np.linalg.norm(got) <= radius * (1.0 + 4e-16)
+        # inside the ball the point stays; outside it lands on the boundary
+        # along its own direction
+        want = piece if nv <= radius else piece * (radius / nv)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-300)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,7 @@ def test_surrogate_fused_toy_matches_dual_grid_oracle(rng):
     res = solve_surrogate(metric, x, grad, (term,), tolerance=1e-12,
                           max_inner=20000)
     assert np.linalg.norm(res.direction - oracle_dir) <= 1e-4
+    assert res.momentum_resets > 0
 
 
 def test_theta_sequence_bound():
@@ -307,6 +310,59 @@ def test_continuation_rounds_start_from_previous_gap():
     for (e0, g0, _), (e1, g1, _) in zip(rounds, rounds[1:]):
         # warm start: next round opens at the previous round's final gap
         assert e1 <= g0 * (1 + 1e-9) + 1e-15
+
+
+def test_continuation_sums_momentum_resets_over_rounds():
+    rng_local = np.random.default_rng(7)
+    p = 40
+    metric = LbfgsMetric(p, capacity=0, sigma=0.7)
+    x = rng_local.standard_normal(p)
+    grad = rng_local.standard_normal(p)
+    terms = (RegularizerTerm(NormKind.L1, 0.3, FirstDifference(p)),)
+    res = continuation_solve(metric, x, grad, terms, tolerance=1e-12,
+                             max_inner=120, restarts=3)
+    duals, delta, resets = None, None, []
+    for tol, _ in zip((1e-10, 1e-11, 1e-12), res.rounds):
+        one = solve_surrogate(metric, x, grad, terms, warm_duals=duals,
+                              tolerance=tol, max_inner=120, step_delta=delta)
+        duals, delta = one.duals, one.step_delta
+        resets.append(one.momentum_resets)
+    assert res.momentum_resets == sum(resets) > 0
+
+
+def test_momentum_restart_keeps_sparse_group_surrogate_short():
+    # without the restart this surrogate is still short of 1e-10 after 2000
+    # inner iterations; with it, it converges in 46
+    handle, _ = sepqn.synth_dataset(seed=0, n=200, p=40)
+    prob = make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                        lam=0.01, group_weight=0.01, groups=8)
+    x = np.zeros(40)
+    _, grad = prob.loss.value_grad(x)
+    metric = LbfgsMetric(40, capacity=0, sigma=0.25)
+    res = solve_surrogate(metric, x, grad, prob.terms, tolerance=1e-10,
+                          max_inner=2000)
+    assert res.converged
+    assert res.inner_iterations <= 100
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_step_regrowth_stays_below_its_bound(seed):
+    # the step regrows by 1.1 on every accepted step; on this slowly
+    # converging surrogate it used to reach 1e150 and overflow the l2 kernels
+    handle, _ = sepqn.synth_dataset(seed=4, n=90, p=12)
+    prob = make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                        lam=0.02, group_weight=0.05, groups=6)
+    rng = np.random.default_rng(seed)
+    metric = metric_with_pairs(rng, 12, 0.8, 4)
+    x = rng.standard_normal(12)
+    grad = rng.standard_normal(12)
+    # lambda_max(H) / max ||W_i||^2, every W_i here of norm 1
+    bound = np.linalg.eigvalsh(metric.materialize_dense()).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_surrogate(metric, x, grad, prob.terms, tolerance=1e-10,
+                              max_inner=5000)
+    assert res.step_delta <= bound * (1.0 + 1e-9)
 
 
 def test_warm_start_reduces_total_inner_iterations():
