@@ -7,8 +7,9 @@ u_i = W_i x + b_i; its x-update solves a cached dense factorization of a fixed
 quadratic majorizer (exact for least squares). scd_direct_solve runs the
 accelerated dual machinery on the original problem with the metric frozen at
 the loss's Lipschitz bound, i.e. proximal gradient with a dual-computed prox.
-ADMM and scd-direct evaluate the loss on a dense copy of the data when that
-copy takes no more memory than the sparse arrays it mirrors.
+Every solver here runs its data passes on the storage the loss chose at
+construction (a dense array for a design whose CSR arrays are no smaller), so
+the baselines and `solve` multiply through the same matrix.
 
 Trace column reuse: FISTA records sigma = current curvature estimate and
 beta = momentum; ADMM records sigma = primal residual and beta = dual
@@ -16,7 +17,6 @@ residual, with step = the penalty parameter.
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, replace
 
@@ -156,24 +156,6 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
     return Solution(x=x, objective=f_x, trace=trace, duals=None)
 
 
-def _dense_loss(loss):
-    """The loss over a dense copy of its data when that copy is no larger.
-
-    A dense matvec runs on BLAS, about three times faster than CSR at
-    n=2000, p=200 on one core; a matrix whose CSR arrays take at least as
-    many bytes as a dense copy gains that at no more than twice the memory.
-    """
-    data = loss.data
-    if not sp.issparse(data):
-        return loss
-    m = data.tocsr()
-    if m.data.nbytes + m.indices.nbytes < 8 * m.shape[0] * m.shape[1]:
-        return loss
-    dense = copy.copy(loss)
-    dense.data = m.toarray()
-    return dense
-
-
 def _dense_gram(data, weights):
     """A' diag(w) A as a dense array."""
     if sp.issparse(data):
@@ -197,7 +179,7 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         raise UnsupportedStructure(
             f"admm's dense factorization is guarded to p <= 5000, got {p}"
         )
-    loss = _dense_loss(problem.loss)
+    loss = problem.loss
     terms = problem.terms
     t0 = time.perf_counter()
 
@@ -311,7 +293,6 @@ def scd_direct_solve(problem: CompositeProblem, config: SolverConfig = None,
     """First-order reference: the dual inner solver applied to the original
     problem with the metric frozen at the loss's Lipschitz bound."""
     base = config if config is not None else SolverConfig()
-    problem = replace(problem, loss=_dense_loss(problem.loss))
     # a metric that refuses every curvature pair stays sigma0 * I
     sigma = max(problem.loss.lipschitz_bound(), base.sigma_floor)
     return solve(problem, replace(base, lbfgs_memory=0, sigma0=sigma), x0=x0)

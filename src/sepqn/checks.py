@@ -67,6 +67,24 @@ def check_gradient_finite_difference():
         assert abs(fd - g[j]) <= 1e-6 * max(1.0, abs(g[j]))
 
 
+def check_loss_storage_and_margins():
+    # a full CSR design is stored dense and agrees with CSR arithmetic; a
+    # gradient after a value at an equal x is a fresh loss's, bit for bit
+    handle, _ = synth_dataset(seed=6, n=50, p=9)
+    loss = LogisticLoss(handle.matrix, handle.labels)
+    assert isinstance(loss.data, np.ndarray), type(loss.data)
+    csr = LogisticLoss(handle.matrix, handle.labels)
+    csr.data = handle.matrix  # the same loss over the CSR it was given
+    x = np.random.default_rng(12).standard_normal(9)
+    (v, g), (v_csr, g_csr) = loss.value_grad(x), csr.value_grad(x)
+    assert abs(v - v_csr) <= 1e-14, f"value off by {abs(v - v_csr)}"
+    assert np.abs(g - g_csr).max() <= 1e-14, f"gradient off by {np.abs(g - g_csr).max()}"
+    loss.value(x)
+    v_memo, g_memo = loss.value_grad(x.copy())
+    v_fresh, g_fresh = LogisticLoss(handle.matrix, handle.labels).value_grad(x)
+    assert v_memo == v_fresh and np.array_equal(g_memo, g_fresh)
+
+
 def check_dual_projections():
     rng = np.random.default_rng(3)
     for kind in NormKind:
@@ -186,6 +204,7 @@ CHECKS = [
     ("adjoint-identity", check_adjoint_identity),
     ("sparse-matvec-oracle", check_sparse_matvec_oracle),
     ("gradient-finite-difference", check_gradient_finite_difference),
+    ("loss-storage-and-margins", check_loss_storage_and_margins),
     ("dual-projections-feasible-firm", check_dual_projections),
     ("lbfgs-apply-roundtrip", check_lbfgs_roundtrip),
     ("lbfgs-spectral-bound", check_spectral_bound),

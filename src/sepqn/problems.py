@@ -43,6 +43,23 @@ def _matvec(data, x):
     return data @ x
 
 
+def _stored(data):
+    """The design in the storage its passes run fastest in.
+
+    A sparse matrix whose CSR arrays take at least as many bytes as a dense
+    float64 copy becomes that copy, C-ordered: a dense matvec runs on BLAS,
+    about three times faster than CSR at n=2000, p=200 on one core, and the
+    copy is no larger than the CSR it replaces. Any other sparse matrix
+    becomes canonical CSR, and a dense one a float64 array.
+    """
+    if not sp.issparse(data):
+        return np.asarray(data, dtype=np.float64)
+    m = data.tocsr()
+    if m.data.nbytes + m.indices.nbytes >= 8 * m.shape[0] * m.shape[1]:
+        return m.toarray().astype(np.float64, copy=False)
+    return as_csr(data)
+
+
 def _nnz(data) -> int:
     if sp.issparse(data):
         return int(data.nnz)
@@ -54,7 +71,10 @@ class SmoothLoss:
 
     `value` and `value_grad` compute the objective value with identical
     arithmetic, so a value-only probe and a full gradient pass agree bitwise.
-    One call of either touches the data exactly once.
+    A `value` makes one data product, A x, and a `value_grad` adds A'c; a
+    call at the bitwise-same x as the call before it reuses that call's A x.
+    The constructor picks the design's storage once (see `_stored`), so every
+    solver runs its passes on the same matrix.
     """
 
     data: np.ndarray | sp.spmatrix
@@ -75,7 +95,8 @@ class SmoothLoss:
         for name, values in (("label", labels), ("weight", weights)):
             if values.shape[0] != n:
                 raise ValueError(f"{name} count {values.shape[0]} != sample count {n}")
-        stored = data.data if sp.issparse(data) else np.asarray(data)
+        data = _stored(data)
+        stored = data.data if sp.issparse(data) else data
         for name, values in (("labels", labels), ("sample weights", weights),
                              ("data values", stored)):
             # min and max propagate nan, so no temporary the size of the data
@@ -117,10 +138,10 @@ class SmoothLoss:
         """g(x) and the per-sample term its gradient reuses.
 
         `value` and `value_grad` both take g from here, which keeps them
-        bitwise equal; a loss supplies `_sample_losses(x)`, the per-sample
-        losses and that term.
+        bitwise equal; a loss supplies `_sample_losses(ax)`, the per-sample
+        losses and that term from the margins A x.
         """
-        losses, state = self._sample_losses(x)
+        losses, state = self._sample_losses(self._margins(x))
         v = float(self.weights @ losses)
         if self.ridge:
             v += 0.5 * self.ridge * float(x @ x)
@@ -130,6 +151,20 @@ class SmoothLoss:
         if self.ridge:
             g = g + self.ridge * x
         return np.asarray(g, dtype=np.float64)
+
+    def _margins(self, x):
+        # A x, reused when called again over the same data at a bitwise-equal
+        # x: the point a line search accepts is the array its last probe
+        # evaluated, so the gradient there skips one data product. The key
+        # is a copy of x's bits, so -0.0 and 0.0 differ and a caller that
+        # mutates x in place gets fresh margins
+        bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+        memo = self.__dict__.get("_margins_memo")
+        if memo is not None and memo[0] is self.data and np.array_equal(memo[1], bits):
+            return memo[2]
+        ax = _matvec(self.data, x)
+        self._margins_memo = (self.data, bits.copy(), ax)
+        return ax
 
     def _rmatvec(self, u):
         # A'u. A sparse matrix's .T builds a new view object on every access,
@@ -169,8 +204,8 @@ class LogisticLoss(SmoothLoss):
                 f"{np.unique(self.labels[bad])[:5]}"
             )
 
-    def _sample_losses(self, x):
-        t = self.labels * _matvec(self.data, x)
+    def _sample_losses(self, ax):
+        t = self.labels * ax
         return np.logaddexp(0.0, -t), t
 
     def value(self, x):
@@ -189,8 +224,8 @@ class LogisticLoss(SmoothLoss):
 class LeastSquaresLoss(SmoothLoss):
     """g(x) = sum_i w_i (a_i'x - y_i)^2 + ridge/2 ||x||^2, weights default 1/n."""
 
-    def _sample_losses(self, x):
-        r = _matvec(self.data, x) - self.labels
+    def _sample_losses(self, ax):
+        r = ax - self.labels
         return r * r, r
 
     def value(self, x):
@@ -324,7 +359,8 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
     p x r coefficient matrix column-major (task k occupies x[k*p:(k+1)*p]),
     and sums the per-task logistic losses.
     """
-    data = as_csr(data) if sp.issparse(data) else np.asarray(data, dtype=np.float64)
+    if not sp.issparse(data):
+        data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64).ravel()
     p = data.shape[1]
 
@@ -376,7 +412,7 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
         r = len(tasks)
         n = data.shape[0]
         block = data if sp.issparse(data) else sp.csr_matrix(data)
-        big = as_csr(sp.block_diag([block] * r, format="csr"))
+        big = sp.block_diag([block] * r, format="csr")
         y_all = np.concatenate([y for y, _ in tasks])
         weights = np.full(n * r, 1.0 / n)  # each task contributes its own mean
         loss = LogisticLoss(big, y_all, weights=weights, ridge=ridge)

@@ -7,8 +7,12 @@ length against the sufficient-descent test
     f(x + t*d) <= f(x) + alpha * t * gamma,    gamma = grad'd + Psi(x+d) - Psi(x),
 
 harvests the curvature pair when s'y > 0, and rescales the LBFGS seed matrix.
-Data passes are counted as one per gradient evaluation and one per line-search
-probe; inner dual iterations touch only the surrogate and cost no passes.
+`epochs` counts loss evaluations: one per gradient and one per line-search
+probe; inner dual iterations touch only the surrogate and cost none. The
+gradient at the point the line search just accepted reuses that probe's
+margins A x, so a unit-step iteration makes two data products, A(x+d) and
+A'c. The loss chose its data's storage once, at construction, for every
+solver.
 """
 from __future__ import annotations
 
@@ -93,7 +97,7 @@ class TraceRow:
     step: float
     gamma: float
     inner_iterations: int
-    epochs: int               # cumulative data passes
+    epochs: int               # cumulative loss evaluations (gradients + probes)
     seconds: float            # cumulative wall time
     sigma: float
     beta: float

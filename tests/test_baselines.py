@@ -6,7 +6,6 @@ import sepqn
 from sepqn.baselines import (
     BaselineConfig,
     UnsupportedStructure,
-    _dense_loss,
     admm_solve,
     fista_solve,
     scd_direct_solve,
@@ -198,25 +197,8 @@ def test_scd_direct_never_stores_pairs():
     assert betas == {2.0}
 
 
-def test_dense_copy_only_when_no_larger(rng):
-    y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
-    full = sp.csr_matrix(rng.standard_normal((60, 8)))
-    loss = LogisticLoss(full, y)
-    dense = _dense_loss(loss)
-    assert isinstance(dense.data, np.ndarray) and sp.issparse(loss.data)
-    x = rng.standard_normal(8)
-    v_sparse, g_sparse = loss.value_grad(x)
-    v_dense, g_dense = dense.value_grad(x)
-    assert abs(v_sparse - v_dense) <= 1e-14
-    assert np.allclose(g_sparse, g_dense, rtol=0.0, atol=1e-14)
-    # a tenth full: the CSR arrays are smaller than a dense copy
-    thin = LogisticLoss(sp.random(60, 8, density=0.1, format="csr",
-                                  random_state=1), y)
-    assert _dense_loss(thin) is thin
-
-
 def test_admm_same_run_from_full_csr_and_dense_storage():
-    # synth data is a full Gaussian stored as CSR, which admm copies to dense
+    # synth data is a full Gaussian stored as CSR, which the loss stores dense
     handle, _ = sepqn.synth_dataset(seed=2, n=200, p=20)
     lam = 2.0 / handle.n
     cfg = BaselineConfig(kind="admm", tolerance=1e-9, max_iterations=20000)

@@ -165,18 +165,105 @@ def test_least_squares_curvature_below_lipschitz_bound(rng):
         assert top >= bound * (1 - 1e-4)
 
 
+def _thin_csr(rng, n, p, density=0.3):
+    # sparse enough that the loss keeps it as CSR
+    return sp.random(n, p, density=density, format="csr", random_state=rng,
+                     data_rvs=rng.standard_normal)
+
+
 def test_gradient_follows_replaced_data(rng):
-    # the loss keeps one transposed view of its data; a new matrix gets its own
-    a = sp.csr_matrix(rng.standard_normal((12, 4)))
-    b = sp.csr_matrix(rng.standard_normal((12, 4)))
+    # the loss keeps one transposed view of its data and the margins of its
+    # last call; a new matrix gets its own
+    a, b = _thin_csr(rng, 12, 4), _thin_csr(rng, 12, 4)
     y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
     x = rng.standard_normal(4)
     loss = LogisticLoss(a, y)
     loss.value_grad(x)
     loss.data = b
-    _, g = loss.value_grad(x)
-    _, want = LogisticLoss(b, y).value_grad(x)
-    assert np.array_equal(g, want)
+    v, g = loss.value_grad(x)
+    fresh = LogisticLoss(b, y)
+    assert sp.issparse(fresh.data)
+    want_v, want = fresh.value_grad(x)
+    assert v == want_v and np.array_equal(g, want)
+
+
+def test_dense_copy_only_when_no_larger(rng):
+    # the loss picks the storage: a full CSR becomes a dense array whose
+    # value and gradient agree with CSR arithmetic
+    y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
+    full = sp.csr_matrix(rng.standard_normal((60, 8)))
+    loss = LogisticLoss(full, y)
+    csr = LogisticLoss(full, y)
+    csr.data = full
+    assert isinstance(loss.data, np.ndarray) and loss.data.flags.c_contiguous
+    x = rng.standard_normal(8)
+    v_sparse, g_sparse = csr.value_grad(x)
+    v_dense, g_dense = loss.value_grad(x)
+    assert abs(v_sparse - v_dense) <= 1e-14
+    assert np.allclose(g_sparse, g_dense, rtol=0.0, atol=1e-14)
+    # a tenth full: the CSR arrays are smaller than a dense copy
+    thin = LogisticLoss(sp.random(60, 8, density=0.1, format="csr",
+                                  random_state=1), y)
+    assert sp.isspmatrix_csr(thin.data)
+
+
+def test_multitask_block_diagonal_design_stays_csr():
+    # r copies of a full block on the diagonal fill 1/r of the big matrix
+    handle, _ = synth_dataset(seed=7, n=30, p=6)
+    prob = make_builtin("multitask-dirty-logistic", handle.matrix,
+                        np.arange(30) % 3.0, lam=0.02, group_weight=0.05)
+    assert sp.isspmatrix_csr(prob.loss.data)
+    assert prob.loss.data.shape == (90, 18)
+
+
+def _equal_copy(loss, x, b):
+    return x.copy()
+
+
+def _next_float(loss, x, b):
+    x2 = x.copy()
+    x2[3] = np.nextafter(x2[3], np.inf)
+    return x2
+
+
+def _signed_zero(loss, x, b):
+    # equal as floats, but not bit for bit
+    x[0], x2 = 0.0, x.copy()
+    x2[0] = -0.0
+    loss.value(x)
+    return x2
+
+
+def _replaced_data(loss, x, b):
+    loss.data = b
+    return x.copy()
+
+
+def _mutated_in_place(loss, x, b):
+    # the memo keeps a copy of x, so a caller reusing its buffer is safe
+    x *= 2.0
+    return x
+
+
+@pytest.mark.parametrize("make", [LogisticLoss, LeastSquaresLoss])
+@pytest.mark.parametrize("change, products", [
+    (_equal_copy, 0), (_next_float, 1), (_signed_zero, 1),
+    (_replaced_data, 1), (_mutated_in_place, 1),
+])
+def test_margin_memo(rng, matvec_calls, make, change, products):
+    # a value_grad right after a value reuses its A x only at the same data
+    # and the bitwise-same x, and is a fresh loss's (v, g) either way
+    a, b = rng.standard_normal((30, 6)), rng.standard_normal((30, 6))
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    x = rng.standard_normal(6)
+    loss = make(a, y)
+    loss.value(x)
+    x_next = change(loss, x, b)
+    before = len(matvec_calls)
+    v, g = loss.value_grad(x_next)
+    assert len(matvec_calls) - before == products
+    want_v, want_g = make(loss.data, y).value_grad(x_next)
+    assert v == want_v and np.array_equal(g, want_g)
 
 
 def test_psi_value_l1():

@@ -270,6 +270,17 @@ def test_epoch_accounting():
         assert rows[-1].epochs == 1 + 2 * len(rows)
 
 
+@pytest.mark.parametrize("seed, backtracks", [(0, False), (9, True)])
+def test_accepted_step_reuses_probe_margins(matvec_calls, seed, backtracks):
+    # the gradient at the accepted point takes A x from the line search's
+    # last probe, so each outer iteration saves one data product, whether
+    # that probe was the unit step or a backtracked one
+    prob = logistic_toy(seed=seed, n=100, p=15)
+    sol = solve(prob, SolverConfig(max_outer=40))
+    assert any(r.step < 1.0 for r in sol.trace.rows) == backtracks
+    assert len(matvec_calls) == sol.trace.epochs - sol.trace.iterations
+
+
 def test_non_finite_objective_raises():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     loss = LeastSquaresLoss(a, np.array([1.0, -1.0]))
