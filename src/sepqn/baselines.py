@@ -17,6 +17,7 @@ residual, with step = the penalty parameter.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -24,13 +25,16 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .lbfgs import SIGMA_FLOOR
 from .operators import Identity
 from .problems import CompositeProblem, LeastSquaresLoss, NormKind
 from .projections import KERNELS
 from .scd import _stack, _term_blocks
-from .solver import Solution, SolverConfig, SolveTrace, TraceRow, solve
+from .solver import Solution, SolverConfig, SolveTrace, TraceRow, _check_settings, solve
 
 __all__ = [
+    "ABS_TOLERANCE",
+    "STALL_ITERATIONS",
     "BaselineConfig",
     "UnsupportedStructure",
     "fista_solve",
@@ -43,15 +47,23 @@ class UnsupportedStructure(ValueError):
     """The problem's penalty layout is outside this baseline's contract."""
 
 
+ABS_TOLERANCE = 1e-12   # absolute part of admm's residual tolerances
+STALL_ITERATIONS = 3    # fista stops after this many small objective changes in a row
+
+
 @dataclass
 class BaselineConfig:
     kind: str = "fista"            # "fista" | "admm"
     max_iterations: int = 20000
     tolerance: float = 1e-10       # relative: objective change (fista), residuals (admm)
     rho: float = 1.0               # admm penalty parameter
-    abs_tolerance: float = 1e-12
-    stall_iterations: int = 3
-    record_iterates: bool = False
+
+    def __post_init__(self):
+        _check_settings(self, (
+            ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("tolerance", self.tolerance >= 0, ">= 0"),
+            ("rho", math.isfinite(self.rho) and self.rho > 0, "finite and > 0"),
+        ))
 
 
 def _prox(kind: NormKind, v, threshold, *seg):
@@ -90,10 +102,7 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
     f_x = problem.objective(x)
     epochs = 1
     trace = SolveTrace(initial_objective=f_x)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
 
-    x_prev = x.copy()
     y = x.copy()
     momentum = 1.0
     stall = 0
@@ -139,14 +148,12 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
             dir_h_dir=0.0, dual_shift=0.0, curvature_accepted=False,
             inner_converged=True,
         ))
-        if cfg.record_iterates:
-            trace.iterates.append(x_new.copy())
 
         rel = abs(f_x - f_new) / max(1.0, abs(f_x))
-        x_prev, x, f_x = x, x_new, f_new
+        x, f_x = x_new, f_new
         if rel <= cfg.tolerance:
             stall += 1
-            if stall >= cfg.stall_iterations:
+            if stall >= STALL_ITERATIONS:
                 status = "converged"
                 break
         else:
@@ -224,8 +231,6 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     epochs = 1
     f_val = g_val + problem.penalty(x)
     trace = SolveTrace(initial_objective=f_val)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
     status = "max_iterations"
 
     for k in range(cfg.max_iterations):
@@ -255,9 +260,9 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         img_norm = float(np.sqrt(sq_norm(images)))
         u_norm = float(np.sqrt(sq_norm(u)))
         dual_agg = pull_back(d)
-        eps_pri = np.sqrt(max(q_dims, 1)) * cfg.abs_tolerance \
+        eps_pri = np.sqrt(max(q_dims, 1)) * ABS_TOLERANCE \
             + cfg.tolerance * max(img_norm, u_norm)
-        eps_dual = np.sqrt(p) * cfg.abs_tolerance \
+        eps_dual = np.sqrt(p) * ABS_TOLERANCE \
             + cfg.tolerance * rho * float(np.linalg.norm(dual_agg))
 
         trace.rows.append(TraceRow(
@@ -268,8 +273,6 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             gap_estimate=0.0, dir_h_dir=0.0, dual_shift=0.0,
             curvature_accepted=False, inner_converged=True,
         ))
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
 
         if r_norm <= eps_pri and s_norm <= eps_dual:
             status = "converged"
@@ -294,5 +297,5 @@ def scd_direct_solve(problem: CompositeProblem, config: SolverConfig = None,
     problem with the metric frozen at the loss's Lipschitz bound."""
     base = config if config is not None else SolverConfig()
     # a metric that refuses every curvature pair stays sigma0 * I
-    sigma = max(problem.loss.lipschitz_bound(), base.sigma_floor)
+    sigma = max(problem.loss.lipschitz_bound(), SIGMA_FLOOR)
     return solve(problem, replace(base, lbfgs_memory=0, sigma0=sigma), x0=x0)

@@ -15,9 +15,10 @@ SEPQN_OUT_DIR environment variable, falling back to ./runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import checks
 from .baselines import BaselineConfig, admm_solve, fista_solve, scd_direct_solve
 from .bench import AXES, cost_ratios, run_axis
 from .data import read_libsvm, synth_dataset, write_libsvm
-from .problems import BUILTIN_MODELS, make_builtin
+from .problems import BUILTIN_LAYOUTS, BUILTIN_MODELS, make_builtin
 from .solver import SolverConfig, solve
 
 __all__ = ["RunSpec", "run", "main", "TRACE_COLUMNS"]
@@ -34,6 +35,22 @@ TRACE_COLUMNS = ("iter", "objective", "step", "inner_iters", "epochs",
                  "seconds", "sigma", "beta")
 
 SOLVER_KINDS = ("sepqn", "fista", "admm", "scd-direct")
+
+
+# flags that set a config field; each default lives in its config alone
+SOLVER_FLAGS = (
+    ("--max-outer", "max_outer", int),
+    ("--outer-tol", "outer_tolerance", float),
+    ("--inner-tol", "inner_tolerance", float),
+    ("--max-inner", "max_inner", int),
+    ("--restarts", "continuation_restarts", int),
+    ("--memory", "lbfgs_memory", int),
+)
+BASELINE_FLAGS = (
+    ("--baseline-iters", "max_iterations", int),
+    ("--baseline-tol", "tolerance", float),
+    ("--rho", "rho", float),
+)
 
 
 @dataclass
@@ -52,17 +69,8 @@ class RunSpec:
     synth_sparsity: float = 0.5
     out_dir: str = None
     timing: bool = False
-    # solver knobs
-    max_outer: int = 500
-    outer_tolerance: float = 1e-8
-    inner_tolerance: float = None
-    max_inner: int = 2000
-    restarts: int = 3
-    memory: int = 10
-    alpha: float = 1e-4
-    baseline_iterations: int = 20000
-    baseline_tolerance: float = 1e-10
-    rho: float = 1.0
+    solver_config: SolverConfig = field(default_factory=SolverConfig)
+    baseline_config: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
         if self.model not in BUILTIN_MODELS:
@@ -70,17 +78,17 @@ class RunSpec:
         for s in self.solvers:
             if s not in SOLVER_KINDS:
                 raise ValueError(f"unknown solver {s!r}; expected {SOLVER_KINDS}")
-        for name in ("lam", "fused_weight", "group_weight", "ridge", "rho"):
+        for name in ("lam", "fused_weight", "group_weight", "ridge"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"hyperparameter {name} must be positive, got {v}")
         if self.data_path is not None and not os.path.exists(self.data_path):
             raise FileNotFoundError(self.data_path)
 
-    def resolved_out_dir(self):
-        if self.out_dir:
-            return self.out_dir
-        return os.environ.get("SEPQN_OUT_DIR", "runs")
+
+def _out_dir(path):
+    """path, else $SEPQN_OUT_DIR, else ./runs."""
+    return path or os.environ.get("SEPQN_OUT_DIR", "runs")
 
 
 def _load_problem(spec: RunSpec):
@@ -91,40 +99,27 @@ def _load_problem(spec: RunSpec):
             seed=spec.seed, n=spec.synth_n, p=spec.synth_p,
             sparsity=spec.synth_sparsity,
         )
+    layout = BUILTIN_LAYOUTS[spec.model]
     kwargs = {"lam": spec.lam, "ridge": spec.ridge}
-    if spec.model in ("fused-sparse-logistic", "fused-sparse-group-logistic"):
+    if "fused" in layout:
         kwargs["fused_weight"] = spec.fused_weight if spec.fused_weight is not None else spec.lam
-    if spec.model in ("sparse-group-logistic", "fused-sparse-group-logistic",
-                      "multitask-dirty-logistic"):
+    if "groups" in layout:
         kwargs["group_weight"] = spec.group_weight if spec.group_weight is not None else spec.lam
-    if spec.model in ("sparse-group-logistic", "fused-sparse-group-logistic"):
         kwargs["groups"] = spec.num_groups
     return make_builtin(spec.model, handle.matrix, handle.labels, **kwargs), handle
 
 
-def _solver_config(spec: RunSpec) -> SolverConfig:
-    return SolverConfig(
-        alpha=spec.alpha, outer_tolerance=spec.outer_tolerance,
-        max_outer=spec.max_outer, lbfgs_memory=spec.memory,
-        inner_tolerance=spec.inner_tolerance, max_inner=spec.max_inner,
-        continuation_restarts=spec.restarts,
-    )
-
-
 def _run_one(spec: RunSpec, solver, problem):
+    cfg = spec.solver_config
     if solver == "sepqn":
-        return solve(problem, _solver_config(spec))
+        return solve(problem, cfg)
     if solver == "scd-direct":
-        cfg = _solver_config(spec)
-        cfg.outer_tolerance = min(cfg.outer_tolerance, 1e-10)
-        cfg.max_outer = max(cfg.max_outer, 30000)
-        cfg.continuation_restarts = 1
-        cfg.max_inner = min(cfg.max_inner, 200)
-        return scd_direct_solve(problem, cfg)
-    base = BaselineConfig(
-        kind=solver, max_iterations=spec.baseline_iterations,
-        tolerance=spec.baseline_tolerance, rho=spec.rho,
-    )
+        return scd_direct_solve(problem, replace(
+            cfg, outer_tolerance=min(cfg.outer_tolerance, 1e-10),
+            max_outer=max(cfg.max_outer, 30000), continuation_restarts=1,
+            max_inner=min(cfg.max_inner, 200),
+        ))
+    base = replace(spec.baseline_config, kind=solver)
     if solver == "fista":
         return fista_solve(problem, base)
     return admm_solve(problem, base)
@@ -159,7 +154,7 @@ def write_summary(path, entries):
 
 def run(spec: RunSpec) -> int:
     """Execute one RunSpec, write artifacts, return a process exit status."""
-    out = spec.resolved_out_dir()
+    out = _out_dir(spec.out_dir)
     os.makedirs(out, exist_ok=True)
     try:
         problem, handle = _load_problem(spec)
@@ -227,7 +222,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     axes = AXES if args.axis == "all" else (args.axis,)
-    out = args.out or os.environ.get("SEPQN_OUT_DIR", "runs")
+    out = _out_dir(args.out)
     os.makedirs(out, exist_ok=True)
     status = 0
     rows = ["axis,size,outer_iterations,mean_work,ratio"]
@@ -267,45 +262,42 @@ def _cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+def _config(args, cls, flags):
+    """cls built from the flags given; the others keep cls's defaults."""
+    return cls(**{name: getattr(args, name) for _, name, _ in flags
+                  if hasattr(args, name)})
+
+
 def _spec_from_args(args, solvers) -> RunSpec:
-    return RunSpec(
-        model=args.model, data_path=args.data, solvers=solvers,
-        lam=args.lam, fused_weight=args.fused_weight,
-        group_weight=args.group_weight, num_groups=args.num_groups,
-        ridge=args.ridge, seed=args.seed, synth_n=args.synth_n,
-        synth_p=args.synth_p, synth_sparsity=args.synth_sparsity,
-        out_dir=args.out, timing=args.timing, max_outer=args.max_outer,
-        outer_tolerance=args.outer_tol, inner_tolerance=args.inner_tol,
-        max_inner=args.max_inner, restarts=args.restarts, memory=args.memory,
-        baseline_iterations=args.baseline_iters,
-        baseline_tolerance=args.baseline_tol, rho=args.rho,
+    given = {f.name: getattr(args, f.name) for f in fields(RunSpec)
+             if hasattr(args, f.name)}
+    given.update(
+        solvers=solvers,
+        solver_config=_config(args, SolverConfig, SOLVER_FLAGS),
+        baseline_config=_config(args, BaselineConfig, BASELINE_FLAGS),
     )
+    return RunSpec(**given)
 
 
 def _add_problem_args(p):
-    p.add_argument("--model", default="l1-logistic", choices=BUILTIN_MODELS)
-    p.add_argument("--data", default=None, help="LIBSVM file (default: synthetic)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--fused-weight", type=float, default=None)
-    p.add_argument("--group-weight", type=float, default=None)
-    p.add_argument("--num-groups", type=int, default=10)
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--synth-n", type=int, default=500)
-    p.add_argument("--synth-p", type=int, default=100)
-    p.add_argument("--synth-sparsity", type=float, default=0.5)
-    p.add_argument("--out", default=None, help="output dir (default $SEPQN_OUT_DIR or ./runs)")
-    p.add_argument("--timing", action="store_true",
-                   help="write wall-clock seconds into trace CSVs")
-    p.add_argument("--max-outer", type=int, default=500)
-    p.add_argument("--outer-tol", type=float, default=1e-8)
-    p.add_argument("--inner-tol", type=float, default=None)
-    p.add_argument("--max-inner", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--memory", type=int, default=10)
-    p.add_argument("--baseline-iters", type=int, default=20000)
-    p.add_argument("--baseline-tol", type=float, default=1e-10)
-    p.add_argument("--rho", type=float, default=1.0)
+    # an absent flag sets no attribute, so RunSpec's or the config's default holds
+    arg = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    arg("--model", choices=BUILTIN_MODELS)
+    arg("--data", dest="data_path", help="LIBSVM file (default: synthetic)")
+    arg("--lambda", dest="lam", type=float)
+    arg("--fused-weight", type=float)
+    arg("--group-weight", type=float)
+    arg("--num-groups", type=int)
+    arg("--ridge", type=float)
+    arg("--seed", type=int)
+    arg("--synth-n", type=int)
+    arg("--synth-p", type=int)
+    arg("--synth-sparsity", type=float)
+    arg("--out", dest="out_dir", help="output dir (default $SEPQN_OUT_DIR or ./runs)")
+    arg("--timing", action="store_true", help="write wall-clock seconds into trace CSVs")
+    for cls, flags in ((SolverConfig, SOLVER_FLAGS), (BaselineConfig, BASELINE_FLAGS)):
+        for flag, name, kind in flags:
+            arg(flag, dest=name, type=kind, help=f"sets {cls.__name__}.{name}")
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,13 @@ it has just measured.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["LbfgsMetric"]
+__all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
+
+SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
 
 
 def _inverse(ss, sy, yy):
@@ -28,11 +32,14 @@ def _inverse(ss, sy, yy):
 
 
 class LbfgsMetric:
-    def __init__(self, dim, capacity=10, sigma=1.0, sigma_floor=1e-8):
+    def __init__(self, dim, capacity=10, sigma=1.0, sigma_floor=SIGMA_FLOOR):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # a nan sigma would pass a plain `<= 0` test and stall the dual loop
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+        if not (math.isfinite(sigma_floor) and sigma_floor >= 0):
+            raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.dim = int(dim)

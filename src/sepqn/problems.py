@@ -31,6 +31,7 @@ __all__ = [
     "LeastSquaresLoss",
     "CompositeProblem",
     "make_builtin",
+    "BUILTIN_LAYOUTS",
     "BUILTIN_MODELS",
 ]
 
@@ -275,9 +276,6 @@ class RegularizerTerm:
     def value(self, x) -> float:
         return self.weight * norm_value(self.kind, self.image(x))
 
-    def value_of_image(self, u) -> float:
-        return self.weight * norm_value(self.kind, u)
-
 
 @dataclass(frozen=True, eq=False)
 class CompositeProblem:
@@ -308,13 +306,18 @@ class CompositeProblem:
         return self.loss.value(x) + self.penalty(x)
 
 
-BUILTIN_MODELS = (
-    "l1-logistic",
-    "fused-sparse-logistic",
-    "sparse-group-logistic",
-    "fused-sparse-group-logistic",
-    "multitask-dirty-logistic",
-)
+# the term families each built-in logistic model adds to its l1 term: "fused"
+# an l1 norm of consecutive differences, "groups" l2 norms of groups, and
+# "tasks" one-vs-all tasks, whose groups each hold one feature across tasks
+BUILTIN_LAYOUTS = {
+    "l1-logistic": (),
+    "fused-sparse-logistic": ("fused",),
+    "sparse-group-logistic": ("groups",),
+    "fused-sparse-group-logistic": ("fused", "groups"),
+    "multitask-dirty-logistic": ("tasks", "groups"),
+}
+
+BUILTIN_MODELS = tuple(BUILTIN_LAYOUTS)
 
 
 def _require_positive(name, value):
@@ -354,60 +357,30 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
     """Construct one of the named benchmark models over (data, labels).
 
     `lam` weights the elementwise l1 penalty, `fused_weight` the l1 norm of
-    consecutive differences, and `group_weight` the per-group l2 norms. The
-    multitask model interprets multiclass labels one-vs-all, vectorizes the
-    p x r coefficient matrix column-major (task k occupies x[k*p:(k+1)*p]),
-    and sums the per-task logistic losses.
+    consecutive differences, and `group_weight` the per-group l2 norms, each
+    for the models whose `BUILTIN_LAYOUTS` entry has that family. `groups`
+    is a group count or index lists. The multitask model interprets
+    multiclass labels one-vs-all, vectorizes the p x r coefficient matrix
+    column-major (task k occupies x[k*p:(k+1)*p]), sums the per-task
+    logistic losses, and groups each feature across tasks, so it reads no
+    `groups`.
     """
+    layout = BUILTIN_LAYOUTS.get(model_name)
+    if layout is None:
+        raise ValueError(
+            f"unknown model {model_name!r}; expected one of {', '.join(BUILTIN_MODELS)}"
+        )
     if not sp.issparse(data):
         data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64).ravel()
     p = data.shape[1]
-
-    if model_name == "l1-logistic":
-        lam = _require_positive("lam", lam)
-        loss = LogisticLoss(data, labels, ridge=ridge)
-        return CompositeProblem(loss, (RegularizerTerm(NormKind.L1, lam, Identity(p)),))
-
-    if model_name == "fused-sparse-logistic":
-        lam = _require_positive("lam", lam)
+    lam = _require_positive("lam", lam)
+    if "fused" in layout:
         fused_weight = _require_positive("fused_weight", fused_weight)
-        loss = LogisticLoss(data, labels, ridge=ridge)
-        terms = (
-            RegularizerTerm(NormKind.L1, lam, Identity(p)),
-            RegularizerTerm(NormKind.L1, fused_weight, FirstDifference(p)),
-        )
-        return CompositeProblem(loss, terms)
-
-    if model_name == "sparse-group-logistic":
-        lam = _require_positive("lam", lam)
+    if "groups" in layout:
         group_weight = _require_positive("group_weight", group_weight)
-        loss = LogisticLoss(data, labels, ridge=ridge)
-        terms = [RegularizerTerm(NormKind.L1, lam, Identity(p))]
-        for g in _resolve_groups(groups, p):
-            terms.append(
-                RegularizerTerm(NormKind.L2, group_weight, GroupSelector(g, p))
-            )
-        return CompositeProblem(loss, tuple(terms))
 
-    if model_name == "fused-sparse-group-logistic":
-        lam = _require_positive("lam", lam)
-        fused_weight = _require_positive("fused_weight", fused_weight)
-        group_weight = _require_positive("group_weight", group_weight)
-        loss = LogisticLoss(data, labels, ridge=ridge)
-        terms = [
-            RegularizerTerm(NormKind.L1, lam, Identity(p)),
-            RegularizerTerm(NormKind.L1, fused_weight, FirstDifference(p)),
-        ]
-        for g in _resolve_groups(groups, p):
-            terms.append(
-                RegularizerTerm(NormKind.L2, group_weight, GroupSelector(g, p))
-            )
-        return CompositeProblem(loss, tuple(terms))
-
-    if model_name == "multitask-dirty-logistic":
-        lam = _require_positive("lam", lam)
-        group_weight = _require_positive("group_weight", group_weight)
+    if "tasks" in layout:
         tasks = _one_vs_all(labels)
         r = len(tasks)
         n = data.shape[0]
@@ -417,14 +390,15 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
         weights = np.full(n * r, 1.0 / n)  # each task contributes its own mean
         loss = LogisticLoss(big, y_all, weights=weights, ridge=ridge)
         dim = p * r
-        terms = [RegularizerTerm(NormKind.L1, lam, Identity(dim))]
-        for j in range(p):
-            row = j + p * np.arange(r)  # feature j across all tasks
-            terms.append(
-                RegularizerTerm(NormKind.L2, group_weight, GroupSelector(row, dim))
-            )
-        return CompositeProblem(loss, tuple(terms))
+        index_sets = [j + p * np.arange(r) for j in range(p)]
+    else:
+        loss = LogisticLoss(data, labels, ridge=ridge)
+        dim = p
+        index_sets = _resolve_groups(groups, p) if "groups" in layout else []
 
-    raise ValueError(
-        f"unknown model {model_name!r}; expected one of {', '.join(BUILTIN_MODELS)}"
-    )
+    terms = [RegularizerTerm(NormKind.L1, lam, Identity(dim))]
+    if "fused" in layout:
+        terms.append(RegularizerTerm(NormKind.L1, fused_weight, FirstDifference(dim)))
+    for g in index_sets:
+        terms.append(RegularizerTerm(NormKind.L2, group_weight, GroupSelector(g, dim)))
+    return CompositeProblem(loss, tuple(terms))

@@ -70,9 +70,6 @@ __all__ = [
 class DualState:
     blocks: tuple          # DualBlock per term (z sequence)
     aux_v: tuple           # averaged sequence, one array per term
-    theta: float
-    step_delta: float
-    inner_iter: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +327,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         return math.sqrt(resid_vec @ resid_vec)
 
     entry_gap = None
-    best = None  # (gap, d, r, xhat, z, v, theta)
+    best = None  # (gap, d, r, xhat, z, v)
     backtracks = 0
     resets = 0
     iterations = 0
@@ -362,7 +359,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         gap = certificate(v_new, u_v)
         # no copies: every array here is fresh and never written in place
         if best is None or gap < best[0]:
-            best = (gap, d_v, r_v, xhat_v, z_new, v_new, theta)
+            best = (gap, d_v, r_v, xhat_v, z_new, v_new)
 
         # gradient-mapping restart, one dot product over the stack
         work += stack_len
@@ -379,15 +376,15 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             residual = stationarity(d_v, r_v)
             if residual <= tolerance + 1e-12 * (1.0 + math.sqrt(r_v @ r_v)):
                 converged = True
-                best = (gap, d_v, r_v, xhat_v, z, v, theta)
+                best = (gap, d_v, r_v, xhat_v, z, v)
                 break
 
-    gap, d, r, xhat, z, v, theta = best
+    gap, d, r, xhat, z, v = best
     if not converged:
         residual = stationarity(d, r)
     t_slice = _block_slices(terms)
     state = DualState(_blocks(terms, [z[sl] for sl in t_slice]),
-                      tuple(v[sl] for sl in t_slice), theta, delta, iterations)
+                      tuple(v[sl] for sl in t_slice))
     return InnerResult(
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
         gap_estimate=gap, residual=residual, converged=converged,

@@ -2,9 +2,9 @@
 
 Each iteration solves the quadratic-metric surrogate through its dual
 (warm-started from the previous iteration's optimal duals), backtracks a step
-length against the sufficient-descent test
+length by BACKTRACK_FACTOR against the sufficient-descent test
 
-    f(x + t*d) <= f(x) + alpha * t * gamma,    gamma = grad'd + Psi(x+d) - Psi(x),
+    f(x + t*d) <= f(x) + ARMIJO * t * gamma,    gamma = grad'd + Psi(x+d) - Psi(x),
 
 harvests the curvature pair when s'y > 0, and rescales the LBFGS seed matrix.
 `epochs` counts loss evaluations: one per gradient and one per line-search
@@ -16,6 +16,7 @@ solver.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +27,8 @@ from .problems import CompositeProblem
 from .scd import DualState, continuation_solve
 
 __all__ = [
+    "ARMIJO",
+    "BACKTRACK_FACTOR",
     "SolverConfig",
     "TraceRow",
     "SolveTrace",
@@ -58,10 +61,22 @@ class LineSearchFailure(RuntimeError):
         )
 
 
+def _check_settings(config, rules):
+    """Raise ValueError for the first (field, holds, rule) that does not hold.
+
+    Each condition is written so that nan fails it.
+    """
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {getattr(config, name)}")
+
+
+ARMIJO = 1e-4            # sufficient-descent constant, in (0, 1/2)
+BACKTRACK_FACTOR = 0.5   # step-length shrink per rejected probe
+
+
 @dataclass
 class SolverConfig:
-    alpha: float = 1e-4                 # sufficient-descent constant, in (0, 1/2)
-    backtrack_factor: float = 0.5
     outer_tolerance: float = 1e-8       # relative objective change
     max_outer: int = 500
     lbfgs_memory: int = 10              # 0 keeps the metric fixed at sigma0 * I
@@ -69,20 +84,21 @@ class SolverConfig:
     continuation_restarts: int = 3
     max_inner: int = 2000
     sigma0: float = 1.0
-    sigma_floor: float = 1e-8
-    warm_start: bool = True
     stall_iterations: int = 3
     record_iterates: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must lie strictly in (0, 1/2), got {self.alpha}")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if self.continuation_restarts < 1:
-            raise ValueError("continuation_restarts must be >= 1")
+        _check_settings(self, (
+            ("outer_tolerance", self.outer_tolerance >= 0, ">= 0"),
+            ("max_outer", self.max_outer >= 1, ">= 1"),
+            ("lbfgs_memory", self.lbfgs_memory >= 0, ">= 0"),
+            ("inner_tolerance",
+             self.inner_tolerance is None or self.inner_tolerance >= 0, "None or >= 0"),
+            ("continuation_restarts", self.continuation_restarts >= 1, ">= 1"),
+            ("max_inner", self.max_inner >= 1, ">= 1"),
+            ("sigma0", math.isfinite(self.sigma0) and self.sigma0 > 0, "finite and > 0"),
+            ("stall_iterations", self.stall_iterations >= 1, ">= 1"),
+        ))
 
     def resolved_inner_tolerance(self) -> float:
         if self.inner_tolerance is not None:
@@ -145,8 +161,9 @@ def gamma(problem: CompositeProblem, x_k, delta, grad_k) -> float:
     return float(grad_k @ delta) + problem.penalty(x_k + delta) - problem.penalty(x_k)
 
 
-def line_search(problem, x_k, delta, gamma_k, config, f_value=None):
-    """Largest t in {1, c, c^2, ...} meeting the sufficient-descent test.
+def line_search(problem, x_k, delta, gamma_k, f_value=None):
+    """Largest t in {1, c, c^2, ...}, c = BACKTRACK_FACTOR, meeting the
+    sufficient-descent test.
 
     Returns (t, f(x + t*delta), probes). Every probe is one data pass.
     A non-finite gamma_k means the direction or the data overflowed, which
@@ -164,9 +181,9 @@ def line_search(problem, x_k, delta, gamma_k, config, f_value=None):
     while True:
         f_t = problem.objective(x_k + t * delta)
         probes += 1
-        if f_t <= f_value + config.alpha * t * gamma_k:
+        if f_t <= f_value + ARMIJO * t * gamma_k:
             return t, f_t, probes
-        t *= config.backtrack_factor
+        t *= BACKTRACK_FACTOR
         if t < 1e-12:
             raise LineSearchFailure(t, gamma_k, f_value, probes)
 
@@ -187,8 +204,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     if x.shape != (p,):
         raise ValueError(f"x0 must have length {p}")
 
-    metric = LbfgsMetric(p, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0,
-                         sigma_floor=cfg.sigma_floor)
+    metric = LbfgsMetric(p, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0)
     eps_inner = cfg.resolved_inner_tolerance()
     t0 = time.perf_counter()
 
@@ -206,9 +222,8 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     status = "max_outer"
 
     for k in range(cfg.max_outer):
-        warm = duals if cfg.warm_start else None
         inner = continuation_solve(
-            metric, x, grad, problem.terms, warm_duals=warm,
+            metric, x, grad, problem.terms, warm_duals=duals,
             tolerance=eps_inner, max_inner=cfg.max_inner,
             restarts=cfg.continuation_restarts,
         )
@@ -225,7 +240,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             break
 
         try:
-            t, f_new, probes = line_search(problem, x, delta, gam, cfg, f_value=f_val)
+            t, f_new, probes = line_search(problem, x, delta, gam, f_value=f_val)
         except LineSearchFailure:
             # dominant cause is an under-solved surrogate: tighten once, retry
             inner = continuation_solve(
@@ -238,14 +253,14 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             if gam >= -1e-14 * scale:
                 status = "converged"
                 break
-            t, f_new, probes = line_search(problem, x, delta, gam, cfg, f_value=f_val)
+            t, f_new, probes = line_search(problem, x, delta, gam, f_value=f_val)
         epochs += probes
 
         if not np.isfinite(f_new):
             raise SolverError(f"objective became non-finite at iteration {k + 1}")
 
         dir_h_dir = float(delta @ metric.apply(delta))
-        dual_shift = _dual_shift(warm, inner.duals)
+        dual_shift = _dual_shift(duals, inner.duals)
 
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)
@@ -292,8 +307,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
 
 
 def _dual_shift(warm, final: DualState) -> float:
-    if final is None:
-        return 0.0
     if warm is None:
         ref = [np.zeros_like(b.z) for b in final.blocks]
     else:

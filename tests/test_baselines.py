@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import sepqn
 from sepqn.baselines import (
+    ABS_TOLERANCE,
     BaselineConfig,
     UnsupportedStructure,
     admm_solve,
@@ -147,7 +148,17 @@ def test_admm_residuals_below_tolerance_at_stop(rng):
     images = [t.image(sol.x) for t in prob.terms]
     norm_img = np.sqrt(sum(float(v @ v) for v in images))
     assert last.sigma <= np.sqrt(sum(t.op.output_dim for t in prob.terms)) \
-        * cfg.abs_tolerance + cfg.tolerance * max(norm_img, 1.0) + 1e-12
+        * ABS_TOLERANCE + cfg.tolerance * max(norm_img, 1.0) + 1e-12
+
+
+@pytest.mark.parametrize("setting", [
+    {"rho": 0.0}, {"rho": -1.0}, {"rho": float("nan")}, {"rho": float("inf")},
+    {"tolerance": -1e-9}, {"tolerance": float("nan")}, {"max_iterations": 0},
+])
+def test_config_rejects_bad_settings(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        BaselineConfig(kind="admm", **setting)
 
 
 def test_admm_guard_rejects_huge_p():

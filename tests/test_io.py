@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import sepqn
+from sepqn import cli
+from sepqn.baselines import BaselineConfig
 from sepqn.cli import RunSpec, main, run
+from sepqn.solver import SolverConfig
 from sepqn.data import DatasetHandle, ParseError, read_libsvm, synth_dataset, write_libsvm
 
 
@@ -244,6 +247,45 @@ class TestCli:
         rc = main(["compare", "--solvers", "sepqn,magic",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_flags_absent_build_default_configs(self, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or 0)
+        assert main(["solve"]) == 0
+        assert main(["compare"]) == 0
+        for spec in specs:
+            assert spec == RunSpec(solvers=spec.solvers)
+            assert spec.solver_config == SolverConfig()
+            assert spec.baseline_config == BaselineConfig()
+
+    def test_flags_set_config_fields(self, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or 0)
+        assert main(["compare", "--max-outer", "7", "--outer-tol", "1e-6",
+                     "--inner-tol", "1e-9", "--max-inner", "30", "--restarts", "2",
+                     "--memory", "4", "--baseline-iters", "50",
+                     "--baseline-tol", "1e-7", "--rho", "2.5"]) == 0
+        (spec,) = specs
+        assert spec.solver_config == SolverConfig(
+            max_outer=7, outer_tolerance=1e-6, inner_tolerance=1e-9, max_inner=30,
+            continuation_restarts=2, lbfgs_memory=4)
+        assert spec.baseline_config == BaselineConfig(
+            max_iterations=50, tolerance=1e-7, rho=2.5)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--max-inner", "0"],
+        ["compare", "--solvers", "sepqn,admm", "--rho", "0"],
+    ])
+    def test_bad_setting_is_exit_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                    capsys, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "bad-arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_timing_flag_writes_nonzero_seconds(self, tmp_path):
         out = str(tmp_path / "run")

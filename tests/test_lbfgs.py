@@ -195,6 +195,18 @@ def test_sigma_floor_counted():
     assert m.floor_hits == 1
 
 
+@pytest.mark.parametrize("setting", [
+    {"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": 0.0},
+    {"sigma_floor": float("nan")}, {"sigma_floor": float("inf")},
+    {"sigma_floor": -1e-8},
+])
+def test_rejects_bad_seed_scale(setting):
+    # a nan sigma once passed the positivity test and hung the dual loop
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        LbfgsMetric(4, **setting)
+
+
 def test_materialize_empty_history():
     m = LbfgsMetric(3, sigma=2.0)
     assert np.allclose(m.materialize_dense(), 2.0 * np.eye(3))

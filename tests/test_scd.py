@@ -366,16 +366,29 @@ def test_dual_step_regrowth_stays_below_its_bound(seed):
 
 
 def test_warm_start_reduces_total_inner_iterations():
-    import sepqn
+    # along a proximal-gradient path (metric fixed at the Lipschitz bound, so
+    # every unit step descends), each surrogate started from the previous
+    # surrogate's duals takes fewer dual iterations in total than from zero
     handle, _ = sepqn.synth_dataset(seed=11, n=300, p=60)
-    prob = sepqn.make_builtin("l1-logistic", handle.matrix, handle.labels,
-                              lam=2.0 / handle.n)
-    base = dict(max_outer=60)
-    warm = sepqn.solve(prob, sepqn.SolverConfig(warm_start=True, **base))
-    cold = sepqn.solve(prob, sepqn.SolverConfig(warm_start=False, **base))
-    warm_total = sum(r.inner_iterations for r in warm.trace.rows)
-    cold_total = sum(r.inner_iterations for r in cold.trace.rows)
-    assert warm_total <= cold_total
+    lam = 2.0 / handle.n
+    prob = make_builtin("fused-sparse-logistic", handle.matrix, handle.labels,
+                        lam=lam, fused_weight=lam)
+    metric = LbfgsMetric(prob.dim, capacity=0, sigma=prob.loss.lipschitz_bound())
+    x = np.zeros(prob.dim)
+    duals = None
+    warm_total = cold_total = 0
+    for _ in range(12):
+        _, grad = prob.loss.value_grad(x)
+        warm = solve_surrogate(metric, x, grad, prob.terms, warm_duals=duals,
+                               tolerance=1e-9, max_inner=2000)
+        cold = solve_surrogate(metric, x, grad, prob.terms, tolerance=1e-9,
+                               max_inner=2000)
+        assert warm.converged and cold.converged
+        warm_total += warm.inner_iterations
+        cold_total += cold.inner_iterations
+        duals = warm.duals
+        x = x + warm.direction
+    assert warm_total < cold_total
 
 
 def test_step_delta_backtracks_into_curvature_window():

@@ -14,6 +14,8 @@ from sepqn.problems import (
 )
 from sepqn.scd import continuation_solve
 from sepqn.solver import (
+    ARMIJO,
+    BACKTRACK_FACTOR,
     LineSearchFailure,
     SolverConfig,
     SolverError,
@@ -31,11 +33,28 @@ def logistic_toy(seed=0, n=200, p=50, lam=None):
 
 
 def test_config_validates_alpha():
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=0.0)
-    SolverConfig(alpha=0.4999)
+    # the sufficient-descent constant is a module constant, not a setting
+    assert 0.0 < ARMIJO < 0.5
+    assert 0.0 < BACKTRACK_FACTOR < 1.0
+    with pytest.raises(TypeError):
+        SolverConfig(alpha=0.4999)
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_inner": 0}, {"inner_tolerance": -1e-9}, {"inner_tolerance": float("nan")},
+    {"lbfgs_memory": -1}, {"sigma0": float("nan")}, {"sigma0": float("inf")},
+    {"sigma0": 0.0}, {"stall_iterations": 0}, {"max_outer": 0},
+    {"continuation_restarts": 0}, {"outer_tolerance": float("nan")},
+])
+def test_config_rejects_bad_settings(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**setting)
+
+
+def test_config_accepts_boundary_settings():
+    SolverConfig(max_inner=1, inner_tolerance=0.0, lbfgs_memory=0,
+                 stall_iterations=1, outer_tolerance=0.0)
 
 
 def test_gamma_zero_direction(rng):
@@ -86,7 +105,7 @@ def test_line_search_accepts_unit_step_with_exact_hessian(rng):
     f, grad = loss.value_grad(x)
     delta = -np.linalg.solve(hess, grad)
     g = gamma(prob, x, delta, grad)
-    t, f_new, probes = line_search(prob, x, delta, g, SolverConfig(), f_value=f)
+    t, f_new, probes = line_search(prob, x, delta, g, f_value=f)
     assert t == 1.0
     assert probes == 1
     assert f_new <= f + 1e-4 * g
@@ -96,8 +115,7 @@ def test_line_search_trivial_zero_direction(rng):
     prob = logistic_toy(seed=1, n=50, p=10)
     x = rng.standard_normal(prob.dim) * 0.1
     f = prob.objective(x)
-    t, f_new, _ = line_search(prob, x, np.zeros(prob.dim), 0.0, SolverConfig(),
-                              f_value=f)
+    t, f_new, _ = line_search(prob, x, np.zeros(prob.dim), 0.0, f_value=f)
     assert t == 1.0
     assert f_new == f
 
@@ -105,8 +123,7 @@ def test_line_search_trivial_zero_direction(rng):
 def test_line_search_rejects_positive_gamma(rng):
     prob = logistic_toy(seed=1, n=50, p=10)
     with pytest.raises(ValueError):
-        line_search(prob, np.zeros(prob.dim), np.ones(prob.dim), 0.5,
-                    SolverConfig())
+        line_search(prob, np.zeros(prob.dim), np.ones(prob.dim), 0.5)
 
 
 def test_line_search_underflow_raises():
@@ -118,7 +135,7 @@ def test_line_search_underflow_raises():
     x = np.ones(p)
     _, grad = loss.value_grad(x)
     with pytest.raises(LineSearchFailure) as exc:
-        line_search(prob, x, grad, -1e-18, SolverConfig())
+        line_search(prob, x, grad, -1e-18)
     assert exc.value.step < 1e-12
     assert exc.value.probes > 30
 
@@ -127,8 +144,7 @@ def test_line_search_underflow_raises():
 def test_line_search_rejects_non_finite_gamma(bad_gamma):
     prob = logistic_toy(seed=1, n=50, p=10)
     with pytest.raises(SolverError, match="gamma is not finite"):
-        line_search(prob, np.zeros(prob.dim), -np.ones(prob.dim), bad_gamma,
-                    SolverConfig())
+        line_search(prob, np.zeros(prob.dim), -np.ones(prob.dim), bad_gamma)
 
 
 def test_overflowing_feature_raises_solver_error():
@@ -167,8 +183,7 @@ def test_shrunken_metric_forces_fractional_step_then_sigma_increase(rng):
     inner = continuation_solve(metric, x, grad, prob.terms, tolerance=1e-10,
                                max_inner=4000, restarts=2)
     g = gamma(prob, x, inner.direction, grad)
-    t, f_new, _ = line_search(prob, x, inner.direction, g, SolverConfig(),
-                              f_value=f)
+    t, f_new, _ = line_search(prob, x, inner.direction, g, f_value=f)
     assert t < 1.0
     x_new = x + t * inner.direction
     _, grad_new = prob.loss.value_grad(x_new)
@@ -320,12 +335,11 @@ def test_line_search_failure_triggers_tighter_retry(monkeypatch):
         state["tols"].append(kwargs.get("tolerance"))
         return real_continuation(*args, **kwargs)
 
-    def failing_once(problem, x_k, delta, gamma_k, config, f_value=None):
+    def failing_once(problem, x_k, delta, gamma_k, f_value=None):
         state["searches"] += 1
         if state["searches"] == 1:
             raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
-        return real_line_search(problem, x_k, delta, gamma_k, config,
-                                f_value=f_value)
+        return real_line_search(problem, x_k, delta, gamma_k, f_value=f_value)
 
     monkeypatch.setattr(solver_mod, "continuation_solve", spying_continuation)
     monkeypatch.setattr(solver_mod, "line_search", failing_once)
