@@ -66,19 +66,12 @@ class BaselineConfig:
         ))
 
 
-def _prox(kind: NormKind, v, threshold, *seg):
-    """prox of threshold * ||.|| at v, on each segment when seg holds starts."""
-    if threshold == 0.0:
-        return v.copy()
-    return KERNELS[kind].prox(v, threshold, *seg)
-
-
 def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
                 x0=None) -> Solution:
     """Accelerated proximal gradient, monotone-restart variant.
 
     Requires a single penalty term over the identity map with an l1 or group
-    l2 norm, so the prox step is closed form.
+    l2 norm, whose prox is one projection.
     """
     cfg = config if config is not None else BaselineConfig(kind="fista")
     if problem.n_terms != 1:
@@ -97,6 +90,7 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=np.float64)
     t0 = time.perf_counter()
     loss = problem.loss
+    prox = KERNELS[term.kind].prox
     curvature = max(loss.lipschitz_bound(), 1e-12)
 
     f_x = problem.objective(x)
@@ -113,7 +107,7 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
         epochs += 1
         backtracks = 0
         while True:
-            z = _prox(term.kind, y - grad_y / curvature, term.weight / curvature)
+            z = prox(y - grad_y / curvature, term.weight / curvature)
             g_z = loss.value(z)
             epochs += 1
             dz = z - y
@@ -145,8 +139,7 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
             inner_iterations=backtracks, epochs=epochs,
             seconds=time.perf_counter() - t0, sigma=curvature, beta=momentum,
             work=(backtracks + 2) * loss.pass_cost, gap_estimate=0.0,
-            dir_h_dir=0.0, dual_shift=0.0, curvature_accepted=False,
-            inner_converged=True,
+            dir_h_dir=0.0, curvature_accepted=False, inner_converged=True,
         ))
 
         rel = abs(f_x - f_new) / max(1.0, abs(f_x))
@@ -243,7 +236,7 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         images = images_of(x)
         u_old = u
         shifted = images + d
-        u = _stack([_prox(b.kind, shifted[b.sl], b.weight / rho, *b.seg)
+        u = _stack([KERNELS[b.kind].prox(shifted[b.sl], b.weight / rho, *b.seg)
                     for b in blocks])
         r_vec = images - u
         d = d + r_vec
@@ -270,8 +263,8 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             inner_iterations=0, epochs=epochs, seconds=time.perf_counter() - t0,
             sigma=r_norm, beta=s_norm,
             work=work,
-            gap_estimate=0.0, dir_h_dir=0.0, dual_shift=0.0,
-            curvature_accepted=False, inner_converged=True,
+            gap_estimate=0.0, dir_h_dir=0.0, curvature_accepted=False,
+            inner_converged=True,
         ))
 
         if r_norm <= eps_pri and s_norm <= eps_dual:

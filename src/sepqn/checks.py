@@ -13,7 +13,7 @@ from .lbfgs import LbfgsMetric
 from .operators import ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack
 from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin
 from .projections import DualBlock, dual_feasible, dual_step
-from .scd import _term_blocks, solve_surrogate
+from .scd import _next_theta, _term_blocks, solve_surrogate
 from .solver import SolverConfig, solve
 
 __all__ = ["run_all", "CHECKS"]
@@ -145,7 +145,7 @@ def check_theta_recursion_bound():
     theta = 1.0
     for j in range(500):
         assert theta <= 2.0 / (j + 2) + 1e-15
-        theta = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / (theta * theta)))
+        theta = _next_theta(theta)
 
 
 def check_surrogate_prox_oracle():
@@ -157,8 +157,7 @@ def check_surrogate_prox_oracle():
         metric = LbfgsMetric(p, capacity=0, sigma=sigma)
         x = rng.standard_normal(p)
         g = rng.standard_normal(p)
-        prob = make_builtin("l1-logistic", np.eye(2), np.array([1.0, -1.0]), lam=lam)
-        terms = (prob.terms[0].__class__(NormKind.L1, lam, Identity(p)),)
+        terms = (RegularizerTerm(NormKind.L1, lam, Identity(p)),)
         res = solve_surrogate(metric, x, g, terms, tolerance=1e-12, max_inner=5000)
         cand = x - g / sigma
         want = np.sign(cand) * np.maximum(np.abs(cand) - lam / sigma, 0.0) - x

@@ -51,6 +51,10 @@ BASELINE_FLAGS = (
     ("--baseline-tol", "tolerance", float),
     ("--rho", "rho", float),
 )
+# scd-direct's defaults where they differ from SolverConfig's: proximal
+# gradient takes many cheap outer steps; a solver flag still sets each one
+SCD_DIRECT_SETTINGS = {"outer_tolerance": 1e-10, "max_outer": 30000,
+                       "continuation_restarts": 1, "max_inner": 200}
 
 
 @dataclass
@@ -70,6 +74,8 @@ class RunSpec:
     out_dir: str = None
     timing: bool = False
     solver_config: SolverConfig = field(default_factory=SolverConfig)
+    scd_direct_config: SolverConfig = field(
+        default_factory=lambda: SolverConfig(**SCD_DIRECT_SETTINGS))
     baseline_config: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
@@ -110,15 +116,10 @@ def _load_problem(spec: RunSpec):
 
 
 def _run_one(spec: RunSpec, solver, problem):
-    cfg = spec.solver_config
     if solver == "sepqn":
-        return solve(problem, cfg)
+        return solve(problem, spec.solver_config)
     if solver == "scd-direct":
-        return scd_direct_solve(problem, replace(
-            cfg, outer_tolerance=min(cfg.outer_tolerance, 1e-10),
-            max_outer=max(cfg.max_outer, 30000), continuation_restarts=1,
-            max_inner=min(cfg.max_inner, 200),
-        ))
+        return scd_direct_solve(problem, spec.scd_direct_config)
     base = replace(spec.baseline_config, kind=solver)
     if solver == "fista":
         return fista_solve(problem, base)
@@ -262,10 +263,10 @@ def _cmd_check(args) -> int:
     return 1 if failures else 0
 
 
-def _config(args, cls, flags):
-    """cls built from the flags given; the others keep cls's defaults."""
-    return cls(**{name: getattr(args, name) for _, name, _ in flags
-                  if hasattr(args, name)})
+def _config(args, cls, flags, defaults=None):
+    """cls built from the flags given; the others keep `defaults`, else cls's."""
+    given = {name: getattr(args, name) for _, name, _ in flags if hasattr(args, name)}
+    return cls(**{**(defaults or {}), **given})
 
 
 def _spec_from_args(args, solvers) -> RunSpec:
@@ -274,6 +275,7 @@ def _spec_from_args(args, solvers) -> RunSpec:
     given.update(
         solvers=solvers,
         solver_config=_config(args, SolverConfig, SOLVER_FLAGS),
+        scd_direct_config=_config(args, SolverConfig, SOLVER_FLAGS, SCD_DIRECT_SETTINGS),
         baseline_config=_config(args, BaselineConfig, BASELINE_FLAGS),
     )
     return RunSpec(**given)

@@ -1,11 +1,13 @@
 """Norm kinds and their kernels; per-term dual updates on dual-norm balls.
 
 `KERNELS[kind]` is the one home of every numerical decision that depends on a
-penalty's norm: the norm itself, its dual norm, the projection onto a dual
-ball, and the prox. The problem layer, the dual solver and the baselines all
-read it, so a new norm kind is added here and nowhere else. The l1 and l2
-kernels also act on a vector split into segments, one per group of a fused
-run of group terms, in one call.
+penalty's norm. Each kind supplies three kernels: the norm itself, its dual
+norm, and the projection onto a dual ball. The prox is derived from the
+projection for every kind alike, by Moreau's identity. The problem layer, the
+dual solver and the baselines all read the table, so a new norm kind is added
+here and nowhere else. The l1 and l2 kernels act on a vector split into
+segments, one per group of a fused run of group terms, in one call; l2 has
+only that segmented form, and takes a whole vector as one segment.
 
 With the penalty weight folded into each term, a term's dual variable lives in
 the dual-norm ball of radius equal to that weight: the l1 penalty pairs with a
@@ -44,22 +46,19 @@ class NormKind(Enum):
     LINF = "linf"
 
 
+# the segment starts of a vector taken whole, as one segment
+_WHOLE = np.zeros(1, dtype=np.intp)
+_WHOLE.setflags(write=False)
+
+
 def norm_l1(u, starts=None):
     return float(np.abs(u).sum())
 
 
-def _l2(v):
-    nv = math.sqrt(v @ v)
-    if nv == math.inf:
-        # v'v overflowed: square v / max|v| instead
-        top = float(np.abs(v).max())
-        if top < math.inf:
-            w = v / top
-            nv = top * math.sqrt(w @ w)
-    return nv
-
-
 def _segment_norms(u, starts):
+    if not u.size:
+        # a zero-row operator's image: its one segment is empty, of norm 0
+        return np.zeros(len(starts))
     return np.sqrt(np.add.reduceat(u * u, starts))
 
 
@@ -72,9 +71,7 @@ def _rescaled_segment_norms(u, starts):
     return top * _segment_norms(u / top.repeat(sizes), starts)
 
 
-def norm_l2(u, starts=None):
-    if starts is None:
-        return _l2(u)
+def norm_l2(u, starts=_WHOLE):
     total = float(_segment_norms(u, starts).sum())
     if total == math.inf:
         total = float(_rescaled_segment_norms(u, starts).sum())
@@ -89,24 +86,7 @@ def project_box(v, radius, starts=None):
     return np.clip(v, -radius, radius)
 
 
-def project_l2_ball(v, radius, starts=None):
-    if starts is not None:
-        return _project_l2_segments(v, radius, starts)
-    nv = _l2(v)
-    if nv <= radius:
-        return v.copy()
-    if radius == 0.0:
-        return np.zeros_like(v)
-    out = (radius / nv) * v
-    # ulp-level overshoot would break strict feasibility and firmness
-    nv = math.sqrt(out @ out)
-    while nv > radius:
-        out *= radius / nv
-        nv = math.sqrt(out @ out)
-    return out
-
-
-def _project_l2_segments(v, radius, starts):
+def project_l2_ball(v, radius, starts=_WHOLE):
     if radius == 0.0:
         return np.zeros_like(v)
     sizes = np.empty_like(starts)
@@ -155,45 +135,34 @@ def project_l1_ball(v, radius):
     return out
 
 
-def prox_l1(v, threshold, starts=None):
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-
-
-def prox_l2(v, threshold, starts=None):
-    if starts is not None:
-        # v minus its projection onto each segment's threshold ball
-        return v - _project_l2_segments(v, threshold, starts)
-    nv = _l2(v)
-    if nv <= threshold:
-        return np.zeros_like(v)
-    return (1.0 - threshold / nv) * v
-
-
-def prox_linf(v, threshold):
-    return v - project_l1_ball(v, threshold)
-
-
 class NormKernels(NamedTuple):
     """The raw kernels of one norm kind; none of them validates its input.
 
-    For the kinds in SEGMENTED, norm, project and prox take optional segment
-    starts as their last argument: increasing offsets, the first 0, of
-    non-empty segments that cover the vector. The norm is then the sum of
-    the segment norms, and project and prox act on each segment alone, all
-    with the one radius or threshold. Without starts the vector is one
-    segment.
+    For the kinds in SEGMENTED, norm and project take optional segment starts
+    as their last argument: increasing offsets, the first 0, of non-empty
+    segments that cover the vector. The norm is then the sum of the segment
+    norms, and project acts on each segment alone, with the one radius.
+    Without starts the vector is one segment.
     """
 
     norm: Callable        # ||u||
     dual_norm: Callable   # ||z||_*, the gauge of the dual ball
     project: Callable     # (v, radius) -> projection onto {||z||_* <= radius}
-    prox: Callable        # (v, threshold > 0) -> prox of threshold * ||.|| at v
+
+    def prox(self, v, threshold, *starts):
+        """prox of threshold * ||.|| at v, on each segment when given starts.
+
+        By Moreau's identity it is v minus the projection of v onto the dual
+        ball of radius threshold (Parikh & Boyd 2014, Proximal Algorithms,
+        sec. 2.5). Threshold 0 returns v, up to the sign of a zero entry.
+        """
+        return v - self.project(v, threshold, *starts)
 
 
 KERNELS = {
-    NormKind.L1: NormKernels(norm_l1, norm_linf, project_box, prox_l1),
-    NormKind.L2: NormKernels(norm_l2, norm_l2, project_l2_ball, prox_l2),
-    NormKind.LINF: NormKernels(norm_linf, norm_l1, project_l1_ball, prox_linf),
+    NormKind.L1: NormKernels(norm_l1, norm_linf, project_box),
+    NormKind.L2: NormKernels(norm_l2, norm_l2, project_l2_ball),
+    NormKind.LINF: NormKernels(norm_linf, norm_l1, project_l1_ball),
 }
 
 # kinds whose kernels take segment starts: l1 is separable and ignores them,

@@ -120,7 +120,6 @@ class TraceRow:
     work: float               # cumulative-free: flops attributed to this iteration
     gap_estimate: float
     dir_h_dir: float          # d' H d for the accepted direction
-    dual_shift: float         # ||z_warm - z_final||_2 across the inner solve
     curvature_accepted: bool
     inner_converged: bool
 
@@ -260,7 +259,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             raise SolverError(f"objective became non-finite at iteration {k + 1}")
 
         dir_h_dir = float(delta @ metric.apply(delta))
-        dual_shift = _dual_shift(duals, inner.duals)
 
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)
@@ -284,7 +282,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner_iterations=inner.inner_iterations, epochs=epochs,
             seconds=time.perf_counter() - t0, sigma=metric.sigma,
             beta=metric.beta, work=work, gap_estimate=inner.gap_estimate,
-            dir_h_dir=dir_h_dir, dual_shift=dual_shift,
+            dir_h_dir=dir_h_dir,
             curvature_accepted=accepted, inner_converged=inner.converged,
         ))
         if cfg.record_iterates:
@@ -304,15 +302,3 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
 
     trace.status = status
     return Solution(x=x, objective=f_val, trace=trace, duals=duals)
-
-
-def _dual_shift(warm, final: DualState) -> float:
-    if warm is None:
-        ref = [np.zeros_like(b.z) for b in final.blocks]
-    else:
-        ref = list(warm.aux_v)
-    total = 0.0
-    for a, b in zip(ref, final.aux_v):
-        diff = b - a
-        total += float(diff @ diff)
-    return float(np.sqrt(total))

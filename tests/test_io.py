@@ -287,6 +287,19 @@ class TestCli:
         assert "bad-arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scd_direct_honours_solver_flags(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        assert main(["solve", "--solver", "scd-direct", "--max-outer", "5",
+                     "--synth-n", "150", "--synth-p", "30", "--out", out]) == 0
+        rows = open(os.path.join(out, "trace.csv")).read().strip().splitlines()
+        assert 1 <= len(rows) - 1 <= 5
+        # an absent flag keeps scd-direct's own setting
+        specs = []
+        monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or 0)
+        assert main(["solve", "--solver", "scd-direct", "--max-inner", "50"]) == 0
+        assert specs[0].scd_direct_config == SolverConfig(
+            **{**cli.SCD_DIRECT_SETTINGS, "max_inner": 50})
+
     def test_timing_flag_writes_nonzero_seconds(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["solve", "--lambda", "0.01", "--synth-n", "60",

@@ -214,7 +214,7 @@ def test_theta_sequence_bound():
     theta = 1.0
     for j in range(2000):
         assert theta <= 2.0 / (j + 2) + 1e-15
-        theta = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / (theta * theta)))
+        theta = scd._next_theta(theta)
 
 
 def test_duals_feasible_throughout(rng):

@@ -262,8 +262,7 @@ def test_unit_step_tail_reports():
         return TraceRow(iteration=i, objective=1.0, step=t, gamma=-1.0,
                         inner_iterations=1, epochs=i, seconds=0.0, sigma=1.0,
                         beta=1.0, work=0.0, gap_estimate=0.0, dir_h_dir=0.0,
-                        dual_shift=0.0, curvature_accepted=True,
-                        inner_converged=True)
+                        curvature_accepted=True, inner_converged=True)
 
     clean = SolveTrace(rows=[row(i, 1.0) for i in range(8)])
     assert unit_step_tail(clean)
