@@ -21,7 +21,6 @@ from .problems import (
     NormKind,
     RegularizerTerm,
     make_builtin,
-    norm_value,
 )
 from .lbfgs import LbfgsMetric
 from .projections import (

@@ -27,9 +27,8 @@ import scipy.sparse as sp
 
 from .lbfgs import SIGMA_FLOOR
 from .operators import Identity
-from .problems import CompositeProblem, LeastSquaresLoss, NormKind
+from .problems import CompositeProblem, LeastSquaresLoss, NormKind, stack
 from .projections import KERNELS
-from .scd import _stack, _term_blocks
 from .solver import Solution, SolverConfig, SolveTrace, TraceRow, _check_settings, solve
 
 __all__ = [
@@ -165,7 +164,7 @@ def _dense_gram(data, weights):
 
 def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
                x0=None) -> Solution:
-    """Consensus-splitting ADMM over the dual loop's term blocks.
+    """Consensus-splitting ADMM over the problem's term blocks.
 
     The x-update minimizes a fixed quadratic majorizer of the loss plus the
     augmented coupling terms through a cached dense factorization; for least
@@ -198,12 +197,12 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
 
     # the blocks u_i and d_i live stacked in one vector, so the elementwise
     # updates run once over all terms; the kernels see one slice per term block
-    blocks = _term_blocks(terms)
+    blocks = problem.blocks
     q_dims = sum(t.op.output_dim for t in terms)
-    offset = _stack([t.offset for t in terms])
+    offset = stack([b.offset for b in blocks])
 
     def images_of(x):
-        return _stack([b.image(x) for b in blocks]) + offset
+        return stack([b.image(x) for b in blocks]) + offset
 
     def sq_norm(vec):
         # summed per block, as the residuals are defined
@@ -236,8 +235,8 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         images = images_of(x)
         u_old = u
         shifted = images + d
-        u = _stack([KERNELS[b.kind].prox(shifted[b.sl], b.weight / rho, *b.seg)
-                    for b in blocks])
+        u = stack([KERNELS[b.kind].prox(shifted[b.sl], b.weight / rho, *b.seg)
+                   for b in blocks])
         r_vec = images - u
         d = d + r_vec
 
@@ -246,9 +245,7 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
 
         g_val, grad = loss.value_grad(x)
         epochs += 1
-        # problem.penalty(x), from the images of this very x
-        f_val = g_val + sum(b.weight * KERNELS[b.kind].norm(images[b.sl], *b.seg)
-                            for b in blocks)
+        f_val = g_val + problem.penalty(x)
 
         img_norm = float(np.sqrt(sq_norm(images)))
         u_norm = float(np.sqrt(sq_norm(u)))

@@ -32,7 +32,6 @@ class BenchPoint:
     size: int
     outer_iterations: int
     mean_work: float       # per-outer-iteration flop counter, warm-up excluded
-    total_seconds: float
 
 
 def _bench_config(max_inner, outer_iters):
@@ -76,10 +75,8 @@ def _measure(problem, cfg, axis, size, warmup=3) -> BenchPoint:
     rows = sol.trace.rows
     used = rows[warmup:] if len(rows) > warmup else rows
     mean_work = float(np.mean([r.work for r in used]))
-    return BenchPoint(
-        axis=axis, size=size, outer_iterations=len(rows),
-        mean_work=mean_work, total_seconds=rows[-1].seconds if rows else 0.0,
-    )
+    return BenchPoint(axis=axis, size=size, outer_iterations=len(rows),
+                      mean_work=mean_work)
 
 
 def run_axis(axis, doublings=1, seed=0):

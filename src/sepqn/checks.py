@@ -11,9 +11,9 @@ from .baselines import BaselineConfig, fista_solve
 from .data import synth_dataset
 from .lbfgs import LbfgsMetric
 from .operators import ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack
-from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin
+from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin, term_blocks
 from .projections import DualBlock, dual_feasible, dual_step
-from .scd import _next_theta, _term_blocks, solve_surrogate
+from .scd import _next_theta, solve_surrogate
 from .solver import SolverConfig, solve
 
 __all__ = ["run_all", "CHECKS"]
@@ -172,8 +172,8 @@ def check_term_blocks():
                         np.arange(60) % 3.0, lam=0.02, group_weight=0.05)
     plain = tuple(RegularizerTerm(t.kind, t.weight, ExplicitSparse(t.op.to_sparse()))
                   for t in prob.terms)
-    assert [len(b.terms) for b in _term_blocks(prob.terms)] == [1, 8]
-    assert len(_term_blocks(plain)) == len(plain)
+    assert [len(b.terms) for b in prob.blocks] == [1, 8]
+    assert len(term_blocks(plain)) == len(plain)
     rng = np.random.default_rng(11)
     p = prob.dim
     metric = LbfgsMetric(p, capacity=3, sigma=0.8)
@@ -181,6 +181,9 @@ def check_term_blocks():
         s = rng.standard_normal(p)
         metric.push_pair(s, s + 0.4 * rng.standard_normal(p))
     x, g = rng.standard_normal(p), rng.standard_normal(p)
+    # the penalty walks the blocks, and is the per-term sum up to rounding
+    got, want = prob.penalty(x), sum(t.value(x) for t in prob.terms)
+    assert abs(got - want) <= 1e-15 * want, f"penalty {got} != per-term sum {want}"
     fused, ref = (solve_surrogate(metric, x, g, terms, tolerance=0.0, max_inner=300)
                   for terms in (prob.terms, plain))
     err = np.linalg.norm(fused.direction - ref.direction)

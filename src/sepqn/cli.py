@@ -18,9 +18,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from . import checks
 from .baselines import BaselineConfig, admm_solve, fista_solve, scd_direct_solve
@@ -120,10 +118,9 @@ def _run_one(spec: RunSpec, solver, problem):
         return solve(problem, spec.solver_config)
     if solver == "scd-direct":
         return scd_direct_solve(problem, spec.scd_direct_config)
-    base = replace(spec.baseline_config, kind=solver)
     if solver == "fista":
-        return fista_solve(problem, base)
-    return admm_solve(problem, base)
+        return fista_solve(problem, spec.baseline_config)
+    return admm_solve(problem, spec.baseline_config)
 
 
 def write_trace_csv(trace, path, timing=False):

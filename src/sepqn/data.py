@@ -45,10 +45,6 @@ class DatasetHandle:
     def nnz(self) -> int:
         return int(self.matrix.nnz)
 
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
-
 
 def _normalize_labels(labels: np.ndarray) -> np.ndarray:
     values = np.unique(labels)

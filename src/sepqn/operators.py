@@ -20,8 +20,11 @@ __all__ = [
     "ExplicitSparse",
     "RowStack",
     "as_csr",
+    "POWER_ITERATIONS",
     "spectral_norm_estimate",
 ]
+
+POWER_ITERATIONS = 100  # steps of every power-iteration norm estimate
 
 
 class DimensionMismatch(ValueError):
@@ -45,21 +48,21 @@ def as_csr(matrix) -> sp.csr_matrix:
     return m
 
 
-def spectral_norm_estimate(apply_fn, transpose_fn, input_dim, iterations=100, seed=0):
-    """Largest singular value of W, estimated by power iteration on W'W.
+def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
+    """Largest singular value of W, by POWER_ITERATIONS power steps on W'W.
 
-    The estimate approaches the true norm from below and is deterministic
-    for a fixed seed. A zero operator yields 0.0.
+    The estimate approaches the true norm from below and is deterministic:
+    the start vector is drawn from seed 0. A zero operator yields 0.0.
     """
     if input_dim == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(input_dim)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return 0.0
     v = v / nv
-    for _ in range(max(1, int(iterations))):
+    for _ in range(POWER_ITERATIONS):
         w = apply_fn(v)
         z = transpose_fn(w)
         nz = np.linalg.norm(z)
@@ -89,10 +92,8 @@ class LinearOperator:
             )
         return self._apply_transpose(u)
 
-    def norm_estimate(self, iterations=100, seed=0):
-        return spectral_norm_estimate(
-            self._apply, self._apply_transpose, self.input_dim, iterations, seed
-        )
+    def norm_estimate(self):
+        return spectral_norm_estimate(self._apply, self._apply_transpose, self.input_dim)
 
     def to_sparse(self) -> sp.csr_matrix:
         raise NotImplementedError

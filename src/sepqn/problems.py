@@ -4,16 +4,23 @@ The minimized function is f(x) = g(x) + sum_i w_i * ||W_i x + b_i||, where g
 is a logistic or least-squares loss and each penalty term carries its own
 norm, weight, and linear operator. Weights are folded into the penalty so the
 dual feasible set of a term is the dual-norm ball of radius w_i.
+
+A problem groups its terms into `TermBlock`s once, at construction; its
+penalty and ADMM walk them, and the dual loop builds the same layout from
+the terms it is handed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
 from .operators import (
+    DimensionMismatch,
     FirstDifference,
     GroupSelector,
     Identity,
@@ -21,12 +28,14 @@ from .operators import (
     as_csr,
     spectral_norm_estimate,
 )
-from .projections import KERNELS, NormKind
+from .projections import KERNELS, SEGMENTED, NormKind
 
 __all__ = [
     "NormKind",
-    "norm_value",
     "RegularizerTerm",
+    "TermBlock",
+    "term_blocks",
+    "stack",
     "LogisticLoss",
     "LeastSquaresLoss",
     "CompositeProblem",
@@ -34,10 +43,6 @@ __all__ = [
     "BUILTIN_LAYOUTS",
     "BUILTIN_MODELS",
 ]
-
-
-def norm_value(kind: NormKind, u: np.ndarray) -> float:
-    return KERNELS[kind].norm(u)
 
 
 def _matvec(data, x):
@@ -274,13 +279,88 @@ class RegularizerTerm:
         return self.op.apply(x) + self.offset
 
     def value(self, x) -> float:
-        return self.weight * norm_value(self.kind, self.image(x))
+        return self.weight * KERNELS[self.kind].norm(self.image(x))
+
+
+def stack(parts):
+    """One vector holding the per-term blocks in order."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+class TermBlock(NamedTuple):
+    """Consecutive terms that take one kernel call per step.
+
+    A run of two or more terms over `GroupSelector`s with one norm kind from
+    SEGMENTED, one weight and pairwise-disjoint indices is fused: its image
+    gathers x at the concatenated indices, its transpose scatters back, which
+    is exact because no index repeats, and `seg` passes each term's segment
+    start to the norm kernels. Every other term is a block of one that calls
+    its operator's own kernels, with `seg` empty.
+    """
+
+    kind: NormKind
+    weight: float
+    terms: tuple
+    sl: slice              # where the block sits in a stacked vector
+    seg: tuple             # () or (segment starts,), the kernels' last argument
+    image: Callable        # x -> W x, offsets left out
+    transpose: Callable    # u -> W'u
+    offset: np.ndarray     # the terms' offsets b, stacked
+
+
+def _gather(idx, x):
+    return x[idx]
+
+
+def _scatter(idx, dim, u):
+    out = np.zeros(dim)
+    out[idx] = u
+    return out
+
+
+def _fused(run, sl):
+    # module functions bound by partial, not closures, so a problem pickles
+    idx = np.concatenate([t.op.indices for t in run])
+    starts = np.cumsum([0] + [t.op.output_dim for t in run[:-1]])
+    return TermBlock(run[0].kind, run[0].weight, tuple(run), sl, (starts,),
+                     partial(_gather, idx), partial(_scatter, idx, run[0].op.input_dim),
+                     stack([t.offset for t in run]))
+
+
+def term_blocks(terms):
+    """The terms as blocks, in order, each maximal run of fusable terms fused."""
+    runs = []
+    taken = None  # the indices the last run covers, while it can grow
+    for t in terms:
+        fusable = isinstance(t.op, GroupSelector) and t.kind in SEGMENTED
+        if (fusable and taken is not None and t.kind is runs[-1][0].kind
+                and t.weight == runs[-1][0].weight and not taken[t.op.indices].any()):
+            runs[-1].append(t)
+        else:
+            runs.append([t])
+            taken = np.zeros(t.op.input_dim, dtype=bool) if fusable else None
+        if taken is not None:
+            taken[t.op.indices] = True
+    blocks, lo = [], 0
+    for run in runs:
+        sl = slice(lo, lo + sum(t.op.output_dim for t in run))
+        lo = sl.stop
+        if len(run) > 1:
+            blocks.append(_fused(run, sl))
+        else:
+            (t,) = run
+            blocks.append(TermBlock(t.kind, t.weight, (t,), sl, (),
+                                    t.op._apply, t.op._apply_transpose, t.offset))
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class CompositeProblem:
     loss: SmoothLoss
     terms: tuple
+    blocks: tuple = field(init=False, repr=False)  # term_blocks(terms), built once
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -290,6 +370,7 @@ class CompositeProblem:
                     f"term operator input dim {t.op.input_dim} != problem dim "
                     f"{self.loss.dim}"
                 )
+        object.__setattr__(self, "blocks", tuple(term_blocks(self.terms)))
 
     @property
     def dim(self) -> int:
@@ -300,10 +381,15 @@ class CompositeProblem:
         return len(self.terms)
 
     def penalty(self, x) -> float:
-        return sum(t.value(x) for t in self.terms)
+        # an Identity block's image does not check its input, so x is checked here
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise DimensionMismatch("CompositeProblem", self.dim, x.shape, side="penalty")
+        return sum(b.weight * KERNELS[b.kind].norm(b.image(x) + b.offset, *b.seg)
+                   for b in self.blocks)
 
     def objective(self, x) -> float:
-        return self.loss.value(x) + self.penalty(x)
+        return self.penalty(x) + self.loss.value(x)  # the penalty checks x first
 
 
 # the term families each built-in logistic model adds to its l1 term: "fused"

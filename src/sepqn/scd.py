@@ -20,14 +20,11 @@ accelerated gradient schemes"): when (y - v_new)'(v_new - v) > 0, the step
 from y points against the last move of v, so theta is reset to 1 and z = v =
 v_new. The test costs one dot product per step; the resets are counted.
 
-The dual loop runs over term blocks, not terms. Every dual vector is stacked
-in one array, so the elementwise steps run once over all terms. A maximal
-run of group-selector terms with one l1 or l2 norm, one weight and disjoint
-indices is one block: one gather for its images, one scatter for its
-pull-back, and one segmented kernel call for its projection and its norm.
-Each other term is a block of its own. The blocks are built once per
-solve_surrogate call; the first dual step, the work model and the per-term
-shape of the returned duals are those of the terms.
+The dual loop runs over the term blocks of `problems.term_blocks`, not over
+terms, with every dual vector stacked in one array, so the elementwise steps
+run once over all terms. The blocks are built once per solve_surrogate call;
+the first dual step, the work model and the per-term shape of the returned
+duals are those of the terms.
 
 Stopping is certified by the summed per-term Fenchel gap at the recovered
 primal point plus the surrogate stationarity residual ||H d + r||, both below
@@ -42,13 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lbfgs import LbfgsMetric
-from .operators import GroupSelector
-from .projections import KERNELS, SEGMENTED, DualBlock, NormKind, projection_cost
+from .problems import stack as _stack, term_blocks as _term_blocks
+from .projections import KERNELS, DualBlock, projection_cost
 
 # the hot loop's per-kind kernels, read on every solve_surrogate call; kept as
 # tables of their own so a wrapper installed here sees only this loop's calls
@@ -105,87 +101,10 @@ def _warm_stack(warm, terms):
     return np.concatenate(zs) if zs else np.zeros(0)
 
 
-def _stack(parts):
-    """One vector holding the per-term blocks in order."""
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def _block_slices(terms):
     """Where each term's block sits in a stacked vector."""
     ends = np.cumsum([t.op.output_dim for t in terms]).tolist()
     return [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-
-
-def _blocks(terms, arrays):
-    return tuple(
-        DualBlock(z, t.weight, t.kind) for t, z in zip(terms, arrays)
-    )
-
-
-class TermBlock(NamedTuple):
-    """Consecutive terms that take one kernel call per step.
-
-    A run of two or more terms over `GroupSelector`s with one norm kind from
-    SEGMENTED, one weight and pairwise-disjoint indices is fused: its image
-    gathers x at the concatenated indices, its transpose scatters back, which
-    is exact because no index repeats, and `seg` passes each term's segment
-    start to the norm kernels. Every other term is a block of one that calls
-    its operator's own kernels, with `seg` empty.
-    """
-
-    kind: NormKind
-    weight: float
-    terms: tuple
-    sl: slice              # where the block sits in a stacked vector
-    seg: tuple             # () or (segment starts,), the kernels' last argument
-    image: Callable        # x -> W x, offsets left out
-    transpose: Callable    # u -> W'u
-
-
-def _fused(run, sl):
-    idx = np.concatenate([t.op.indices for t in run])
-    starts = np.cumsum([0] + [t.op.output_dim for t in run[:-1]])
-    dim = run[0].op.input_dim
-
-    def image(x):
-        return x[idx]
-
-    def transpose(u):
-        out = np.zeros(dim)
-        out[idx] = u
-        return out
-
-    return TermBlock(run[0].kind, run[0].weight, tuple(run), sl, (starts,),
-                     image, transpose)
-
-
-def _term_blocks(terms):
-    """The terms as blocks, in order, each maximal run of fusable terms fused."""
-    runs = []
-    taken = None  # the indices the last run covers, while it can grow
-    for t in terms:
-        fusable = isinstance(t.op, GroupSelector) and t.kind in SEGMENTED
-        if (fusable and taken is not None and t.kind is runs[-1][0].kind
-                and t.weight == runs[-1][0].weight and not taken[t.op.indices].any()):
-            runs[-1].append(t)
-        else:
-            runs.append([t])
-            taken = np.zeros(t.op.input_dim, dtype=bool) if fusable else None
-        if taken is not None:
-            taken[t.op.indices] = True
-    blocks, lo = [], 0
-    for run in runs:
-        sl = slice(lo, lo + sum(t.op.output_dim for t in run))
-        lo = sl.stop
-        if len(run) > 1:
-            blocks.append(_fused(run, sl))
-        else:
-            (t,) = run
-            blocks.append(TermBlock(t.kind, t.weight, (t,), sl, (),
-                                    t.op._apply, t.op._apply_transpose))
-    return blocks
 
 
 def _recovery(metric, x_k, grad_k, blocks):
@@ -199,7 +118,7 @@ def _recovery(metric, x_k, grad_k, blocks):
     """
     images = [b.image for b in blocks]
     pull = [(b.transpose, b.sl) for b in blocks]
-    offset = _stack([t.offset for b in blocks for t in b.terms])
+    offset = _stack([b.offset for b in blocks])
 
     def recover(z):
         r = grad_k.copy()
@@ -383,8 +302,9 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     if not converged:
         residual = stationarity(d, r)
     t_slice = _block_slices(terms)
-    state = DualState(_blocks(terms, [z[sl] for sl in t_slice]),
-                      tuple(v[sl] for sl in t_slice))
+    state = DualState(
+        tuple(DualBlock(z[sl], t.weight, t.kind) for t, sl in zip(terms, t_slice)),
+        tuple(v[sl] for sl in t_slice))
     return InnerResult(
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
         gap_estimate=gap, residual=residual, converged=converged,
@@ -403,36 +323,24 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    duals = warm_duals
-    delta = step_delta
     rounds = []
-    total_iters = 0
-    total_work = 0.0
-    total_bt = 0
-    total_resets = 0
-    result = None
     for r in range(restarts):
         round_tol = tolerance * (10.0 ** (restarts - 1 - r))
         result = solve_surrogate(
-            metric, x_k, grad_k, terms, warm_duals=duals,
-            tolerance=round_tol, max_inner=max_inner, step_delta=delta,
+            metric, x_k, grad_k, terms, warm_duals=warm_duals,
+            tolerance=round_tol, max_inner=max_inner, step_delta=step_delta,
         )
-        total_iters += result.inner_iterations
-        total_work += result.work
-        total_bt += result.backtracks
-        total_resets += result.momentum_resets
-        rounds.append((result.entry_gap, result.gap_estimate, result.inner_iterations))
-        duals = result.duals
-        delta = result.step_delta
+        rounds.append(result)
+        warm_duals, step_delta = result.duals, result.step_delta
         if result.gap_estimate <= tolerance:
             break
     return replace(
         result,
-        inner_iterations=total_iters,
-        work=total_work,
-        backtracks=total_bt,
-        momentum_resets=total_resets,
+        inner_iterations=sum(r.inner_iterations for r in rounds),
+        work=sum(r.work for r in rounds),
+        backtracks=sum(r.backtracks for r in rounds),
+        momentum_resets=sum(r.momentum_resets for r in rounds),
         converged=result.gap_estimate <= tolerance,
-        entry_gap=rounds[0][0],
-        rounds=tuple(rounds),
+        entry_gap=rounds[0].entry_gap,
+        rounds=tuple((r.entry_gap, r.gap_estimate, r.inner_iterations) for r in rounds),
     )

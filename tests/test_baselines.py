@@ -243,3 +243,13 @@ def test_admm_fused_group_terms_match_explicit_operators(model, kwargs):
     assert fused.trace.iterations == ref.trace.iterations
     assert fused.objective == pytest.approx(ref.objective, rel=1e-12)
     assert np.allclose(fused.x, ref.x, rtol=0.0, atol=1e-10)
+
+
+def test_admm_objective_is_the_problems_objective():
+    # admm's objective is g + problem.penalty at its x, with no copy of its own
+    handle, _ = sepqn.synth_dataset(seed=3, n=150, p=10)
+    lam = 2.0 / handle.n
+    prob = make_builtin("fused-sparse-group-logistic", handle.matrix, handle.labels,
+                        lam=lam, fused_weight=lam, group_weight=lam, groups=5)
+    sol = admm_solve(prob, BaselineConfig(kind="admm", max_iterations=200))
+    assert sol.objective == prob.objective(sol.x)

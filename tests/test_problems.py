@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepqn.data import synth_dataset
-from sepqn.operators import FirstDifference, GroupSelector, Identity
+from sepqn.operators import DimensionMismatch, FirstDifference, GroupSelector, Identity
 from sepqn.problems import (
     BUILTIN_MODELS,
     CompositeProblem,
@@ -344,6 +346,66 @@ def test_objective_matches_direct_summation_oracle(rng):
         resid = a @ x - y
         want = float(resid @ resid) / n + lam * np.abs(x).sum()
         assert prob.objective(x) == pytest.approx(want, rel=1e-12)
+
+
+def _groups(kind, index_sets, offsets=False):
+    """An l1 term plus one group term per index set, over p = 12."""
+    rng = np.random.default_rng(3)
+    return [RegularizerTerm(NormKind.L1, 0.02, Identity(12))] + [
+        RegularizerTerm(kind, 0.07, GroupSelector(g, 12),
+                        rng.standard_normal(len(g)) if offsets else None)
+        for g in index_sets]
+
+
+def _penalty_problem(name):
+    handle, _ = synth_dataset(seed=6, n=45, p=12)
+    disjoint = [range(0, 3), range(3, 7), range(7, 12)]
+    if name == "sparse-group":
+        return make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                            lam=0.02, group_weight=0.05, groups=4)
+    if name == "multitask":
+        return make_builtin("multitask-dirty-logistic", handle.matrix,
+                            np.arange(45) % 3.0, lam=0.02, group_weight=0.05)
+    terms = {
+        "offset-groups": lambda: _groups(NormKind.L2, disjoint, offsets=True),
+        "overlapping-groups": lambda: _groups(
+            NormKind.L2, [range(0, 5), range(4, 9), range(8, 12)]),
+        "sup-norm-groups": lambda: _groups(NormKind.LINF, disjoint),
+    }[name]()
+    return CompositeProblem(LogisticLoss(handle.matrix, handle.labels), terms)
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("sparse-group", [1, 4]),
+    ("multitask", [1, 12]),
+    ("offset-groups", [1, 3]),
+    ("overlapping-groups", [1, 1, 1, 1]),
+    ("sup-norm-groups", [1, 1, 1, 1]),
+])
+def test_penalty_over_blocks_is_the_per_term_sum(name, sizes):
+    # a fused block takes the weight out of its sum of group norms, so only
+    # rounding separates it from the terms summed one by one
+    prob = _penalty_problem(name)
+    assert [len(b.terms) for b in prob.blocks] == sizes
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.standard_normal(prob.dim)
+        want = sum(t.value(x) for t in prob.terms)
+        assert abs(prob.penalty(x) - want) <= 1e-15 * want
+
+
+def test_problem_with_fused_blocks_pickles():
+    prob = _penalty_problem("offset-groups")
+    copy = pickle.loads(pickle.dumps(prob))
+    x = np.random.default_rng(9).standard_normal(prob.dim)
+    assert copy.objective(x) == prob.objective(x)
+
+
+def test_objective_rejects_wrong_length_point():
+    handle, _ = synth_dataset(seed=1, n=30, p=6)
+    prob = make_builtin("l1-logistic", handle.matrix, handle.labels, lam=0.1)
+    with pytest.raises(DimensionMismatch):
+        prob.objective(np.zeros(7))
 
 
 def test_fused_term_vanishes_on_constant_vector(rng):
