@@ -4,9 +4,10 @@ fista_solve handles the single simple-prox case (one penalty term over the
 identity map) with backtracking on the loss curvature and a monotone restart
 scheme. admm_solve handles the general multi-term case by consensus splitting
 u_i = W_i x + b_i; its x-update solves a cached dense factorization of a fixed
-quadratic majorizer (exact for least squares). scd_direct_solve runs the
-accelerated dual machinery on the original problem with the metric frozen at
-the loss's Lipschitz bound, i.e. proximal gradient with a dual-computed prox.
+quadratic majorizer, the loss's CURVATURE times A' diag(w) A (exact for least
+squares). scd_direct_solve runs the accelerated dual machinery on the
+original problem with the metric frozen at the loss's Lipschitz bound, i.e.
+proximal gradient with a dual-computed prox.
 Every solver here runs its data passes on the storage the loss chose at
 construction (a dense array for a design whose CSR arrays are no smaller), so
 the baselines and `solve` multiply through the same matrix.
@@ -27,13 +28,15 @@ import scipy.sparse as sp
 
 from .lbfgs import SIGMA_FLOOR
 from .operators import Identity
-from .problems import CompositeProblem, LeastSquaresLoss, NormKind, stack
+from .problems import CompositeProblem, NormKind, stack
 from .projections import KERNELS
-from .solver import Solution, SolverConfig, SolveTrace, TraceRow, _check_settings, solve
+from .solver import (Solution, SolverConfig, SolveTrace, TraceRow, _check_settings,
+                     _stall_count, solve)
 
 __all__ = [
     "ABS_TOLERANCE",
     "STALL_ITERATIONS",
+    "SCD_DIRECT_SETTINGS",
     "BaselineConfig",
     "UnsupportedStructure",
     "fista_solve",
@@ -48,6 +51,10 @@ class UnsupportedStructure(ValueError):
 
 ABS_TOLERANCE = 1e-12   # absolute part of admm's residual tolerances
 STALL_ITERATIONS = 3    # fista stops after this many small objective changes in a row
+# scd-direct's settings where they differ from SolverConfig's: proximal
+# gradient takes many cheap outer steps under a metric that stays fixed
+SCD_DIRECT_SETTINGS = {"outer_tolerance": 1e-10, "max_outer": 30000,
+                       "continuation_restarts": 1, "max_inner": 200, "lbfgs_memory": 0}
 
 
 @dataclass
@@ -141,15 +148,11 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
             dir_h_dir=0.0, curvature_accepted=False, inner_converged=True,
         ))
 
-        rel = abs(f_x - f_new) / max(1.0, abs(f_x))
+        stall = _stall_count(stall, f_x, f_new, cfg.tolerance)
         x, f_x = x_new, f_new
-        if rel <= cfg.tolerance:
-            stall += 1
-            if stall >= STALL_ITERATIONS:
-                status = "converged"
-                break
-        else:
-            stall = 0
+        if stall >= STALL_ITERATIONS:
+            status = "converged"
+            break
 
     trace.status = status
     return Solution(x=x, objective=f_x, trace=trace, duals=None)
@@ -182,8 +185,7 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     terms = problem.terms
     t0 = time.perf_counter()
 
-    curvature_scale = 2.0 if isinstance(loss, LeastSquaresLoss) else 0.25
-    gram = curvature_scale * _dense_gram(loss.data, loss.weights)
+    gram = loss.CURVATURE * _dense_gram(loss.data, loss.weights)
     if loss.ridge:
         gram[np.diag_indices_from(gram)] += loss.ridge
 
@@ -269,13 +271,12 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             break
 
         if terms and s_norm > 0 and r_norm > 10.0 * s_norm:
-            rho *= 2.0
-            d = d / 2.0
-            factor = scipy.linalg.cho_factor(gram + rho * q_total)
+            rho, d = rho * 2.0, d / 2.0
         elif terms and r_norm > 0 and s_norm > 10.0 * r_norm:
-            rho /= 2.0
-            d = d * 2.0
-            factor = scipy.linalg.cho_factor(gram + rho * q_total)
+            rho, d = rho / 2.0, d * 2.0
+        else:
+            continue
+        factor = scipy.linalg.cho_factor(gram + rho * q_total)
 
     trace.status = status
     return Solution(x=x, objective=f_val, trace=trace, duals=None)
@@ -284,8 +285,9 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
 def scd_direct_solve(problem: CompositeProblem, config: SolverConfig = None,
                      x0=None) -> Solution:
     """First-order reference: the dual inner solver applied to the original
-    problem with the metric frozen at the loss's Lipschitz bound."""
-    base = config if config is not None else SolverConfig()
+    problem with the metric frozen at the loss's Lipschitz bound, under
+    SCD_DIRECT_SETTINGS when no config is given."""
+    base = config if config is not None else SolverConfig(**SCD_DIRECT_SETTINGS)
     # a metric that refuses every curvature pair stays sigma0 * I
     sigma = max(problem.loss.lipschitz_bound(), SIGMA_FLOOR)
     return solve(problem, replace(base, lbfgs_memory=0, sigma0=sigma), x0=x0)

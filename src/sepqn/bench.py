@@ -23,8 +23,6 @@ from .solver import SolverConfig, solve
 
 __all__ = ["AXES", "BenchPoint", "run_axis", "cost_ratios"]
 
-AXES = ("p", "n", "terms")
-
 
 @dataclass
 class BenchPoint:
@@ -34,25 +32,9 @@ class BenchPoint:
     mean_work: float       # per-outer-iteration flop counter, warm-up excluded
 
 
-def _bench_config(max_inner, outer_iters):
-    # unreachable tolerance: the inner budget binds, the outer budget is fixed
-    return SolverConfig(
-        outer_tolerance=0.0, max_outer=outer_iters, inner_tolerance=0.0,
-        max_inner=max_inner, continuation_restarts=1,
-        stall_iterations=10 ** 9,
-    )
-
-
-def _fused_problem(n, p, seed):
+def _builtin_problem(model, n, p, seed):
     handle, _ = synth_dataset(seed=seed, n=n, p=p, sparsity=0.5)
-    lam = 2.0 / n
-    return make_builtin("fused-sparse-logistic", handle.matrix, handle.labels,
-                        lam=lam, fused_weight=lam)
-
-
-def _l1_problem(n, p, seed):
-    handle, _ = synth_dataset(seed=seed, n=n, p=p, sparsity=0.5)
-    return make_builtin("l1-logistic", handle.matrix, handle.labels, lam=2.0 / n)
+    return make_builtin(model, handle.matrix, handle.labels, lam=2.0 / n)
 
 
 def _many_terms_problem(n, p, n_terms, seed):
@@ -70,40 +52,34 @@ def _many_terms_problem(n, p, n_terms, seed):
     return CompositeProblem(loss, tuple(terms))
 
 
-def _measure(problem, cfg, axis, size, warmup=3) -> BenchPoint:
-    sol = solve(problem, cfg)
-    rows = sol.trace.rows
-    used = rows[warmup:] if len(rows) > warmup else rows
-    mean_work = float(np.mean([r.work for r in used]))
-    return BenchPoint(axis=axis, size=size, outer_iterations=len(rows),
-                      mean_work=mean_work)
+WARMUP = 3   # leading outer iterations left out of each mean
+
+# axis -> (problem builder (size, seed), base size, max_inner, outer iterations)
+SWEEPS = {
+    "p": (lambda p, seed: _builtin_problem("fused-sparse-logistic", 1500, p, seed),
+          256, 15, 12),
+    "n": (lambda n, seed: _builtin_problem("l1-logistic", n, 200, seed), 20000, 5, 10),
+    "terms": (lambda t, seed: _many_terms_problem(100, 300, t, seed), 6, 25, 10),
+}
+AXES = tuple(SWEEPS)
 
 
 def run_axis(axis, doublings=1, seed=0):
     """Run the sweep for one axis; returns BenchPoints at size, 2*size, ..."""
-    points = []
-    if axis == "p":
-        n, p0 = 1500, 256
-        cfg = _bench_config(max_inner=15, outer_iters=12)
-        for k in range(doublings + 1):
-            p = p0 * (2 ** k)
-            points.append(_measure(_fused_problem(n, p, seed), cfg, axis, p))
-    elif axis == "n":
-        n0, p = 20000, 200
-        cfg = _bench_config(max_inner=5, outer_iters=10)
-        for k in range(doublings + 1):
-            n = n0 * (2 ** k)
-            points.append(_measure(_l1_problem(n, p, seed), cfg, axis, n))
-    elif axis == "terms":
-        n, p, t0 = 100, 300, 6
-        cfg = _bench_config(max_inner=25, outer_iters=10)
-        for k in range(doublings + 1):
-            n_terms = t0 * (2 ** k)
-            points.append(
-                _measure(_many_terms_problem(n, p, n_terms, seed), cfg, axis, n_terms)
-            )
-    else:
+    if axis not in SWEEPS:
         raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
+    build, size0, max_inner, outer_iters = SWEEPS[axis]
+    # unreachable tolerance: the inner budget binds, the outer budget is fixed
+    cfg = SolverConfig(outer_tolerance=0.0, max_outer=outer_iters, inner_tolerance=0.0,
+                       max_inner=max_inner, continuation_restarts=1,
+                       stall_iterations=10 ** 9)
+    points = []
+    for k in range(doublings + 1):
+        size = size0 * 2 ** k
+        rows = solve(build(size, seed), cfg).trace.rows
+        used = rows[WARMUP:] if len(rows) > WARMUP else rows
+        points.append(BenchPoint(axis=axis, size=size, outer_iterations=len(rows),
+                                 mean_work=float(np.mean([r.work for r in used]))))
     return points
 
 

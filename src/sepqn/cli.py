@@ -21,10 +21,11 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import checks
-from .baselines import BaselineConfig, admm_solve, fista_solve, scd_direct_solve
+from .baselines import (SCD_DIRECT_SETTINGS, BaselineConfig, admm_solve, fista_solve,
+                        scd_direct_solve)
 from .bench import AXES, cost_ratios, run_axis
 from .data import read_libsvm, synth_dataset, write_libsvm
-from .problems import BUILTIN_LAYOUTS, BUILTIN_MODELS, make_builtin
+from .problems import BUILTIN_MODELS, make_builtin
 from .solver import SolverConfig, solve
 
 __all__ = ["RunSpec", "run", "main", "TRACE_COLUMNS"]
@@ -49,10 +50,9 @@ BASELINE_FLAGS = (
     ("--baseline-tol", "tolerance", float),
     ("--rho", "rho", float),
 )
-# scd-direct's defaults where they differ from SolverConfig's: proximal
-# gradient takes many cheap outer steps; a solver flag still sets each one
-SCD_DIRECT_SETTINGS = {"outer_tolerance": 1e-10, "max_outer": 30000,
-                       "continuation_restarts": 1, "max_inner": 200}
+# scd-direct's metric is fixed, so --memory sets sepqn's config alone; every
+# other solver flag sets scd-direct's too, over baselines.SCD_DIRECT_SETTINGS
+SCD_DIRECT_FLAGS = tuple(f for f in SOLVER_FLAGS if f[0] != "--memory")
 
 
 @dataclass
@@ -103,14 +103,9 @@ def _load_problem(spec: RunSpec):
             seed=spec.seed, n=spec.synth_n, p=spec.synth_p,
             sparsity=spec.synth_sparsity,
         )
-    layout = BUILTIN_LAYOUTS[spec.model]
-    kwargs = {"lam": spec.lam, "ridge": spec.ridge}
-    if "fused" in layout:
-        kwargs["fused_weight"] = spec.fused_weight if spec.fused_weight is not None else spec.lam
-    if "groups" in layout:
-        kwargs["group_weight"] = spec.group_weight if spec.group_weight is not None else spec.lam
-        kwargs["groups"] = spec.num_groups
-    return make_builtin(spec.model, handle.matrix, handle.labels, **kwargs), handle
+    return make_builtin(spec.model, handle.matrix, handle.labels, lam=spec.lam,
+                        fused_weight=spec.fused_weight, group_weight=spec.group_weight,
+                        groups=spec.num_groups, ridge=spec.ridge), handle
 
 
 def _run_one(spec: RunSpec, solver, problem):
@@ -210,6 +205,8 @@ def run(spec: RunSpec) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.solver == "scd-direct" and hasattr(args, "lbfgs_memory"):
+        raise ValueError("--memory does not apply to scd-direct, whose metric is fixed")
     return run(_spec_from_args(args, solvers=(args.solver,)))
 
 
@@ -272,7 +269,7 @@ def _spec_from_args(args, solvers) -> RunSpec:
     given.update(
         solvers=solvers,
         solver_config=_config(args, SolverConfig, SOLVER_FLAGS),
-        scd_direct_config=_config(args, SolverConfig, SOLVER_FLAGS, SCD_DIRECT_SETTINGS),
+        scd_direct_config=_config(args, SolverConfig, SCD_DIRECT_FLAGS, SCD_DIRECT_SETTINGS),
         baseline_config=_config(args, BaselineConfig, BASELINE_FLAGS),
     )
     return RunSpec(**given)
@@ -296,7 +293,8 @@ def _add_problem_args(p):
     arg("--timing", action="store_true", help="write wall-clock seconds into trace CSVs")
     for cls, flags in ((SolverConfig, SOLVER_FLAGS), (BaselineConfig, BASELINE_FLAGS)):
         for flag, name, kind in flags:
-            arg(flag, dest=name, type=kind, help=f"sets {cls.__name__}.{name}")
+            scope = " for sepqn only" if flag == "--memory" else ""
+            arg(flag, dest=name, type=kind, help=f"sets {cls.__name__}.{name}{scope}")
 
 
 def main(argv=None) -> int:

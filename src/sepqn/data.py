@@ -132,23 +132,22 @@ def write_libsvm(handle: DatasetHandle, path) -> None:
             fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
 
 
-def synth_dataset(seed, n, p, sparsity=0.5, model="logistic", noise=0.1,
-                  pieces=None):
+def synth_dataset(seed, n, p, sparsity=0.5, model="logistic", noise=0.1):
     """Seeded synthetic problem with a piecewise-constant sparse ground truth.
 
-    The truth vector is built from contiguous segments whose values are zero
-    with probability `sparsity` (0 means every segment is drawn, so the truth
-    is dense). Features are standard Gaussian; labels follow the generative
-    model of the chosen loss. Returns (handle, record) where the record holds
-    the ground truth for diagnostics only.
+    The truth vector is built from max(1, p // 10) contiguous segments, cut
+    at random, whose values are zero with probability `sparsity` (0 means
+    every segment is drawn, so the truth is dense). Features are standard
+    Gaussian; labels follow the generative model of the chosen loss. Returns
+    (handle, record) where the record holds the ground truth for diagnostics
+    only.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
     if not (0.0 <= sparsity <= 1.0):
         raise ValueError("sparsity must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    n_pieces = pieces if pieces is not None else max(1, p // 10)
-    n_pieces = min(n_pieces, p)
+    n_pieces = max(1, p // 10)
     if n_pieces > 1:
         cuts = np.sort(rng.choice(np.arange(1, p), size=n_pieces - 1, replace=False))
         bounds = np.concatenate([[0], cuts, [p]])

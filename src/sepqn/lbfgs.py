@@ -7,11 +7,12 @@ with W around a small middle matrix that folds in sigma, is rebuilt only when
 the pairs or sigma change, and yields the exact top eigenvalue of H^{-1}.
 
 The seed scale sigma is adapted between outer iterations: a rejected unit step
-inflates it, and a shrink factor beta (annealed toward 1 on each inflation)
-deflates it toward the curvature ratio y'y / y's. After an accepted unit step
-sigma lands between the two curvature scalings s'y / s's <= y'y / s'y of the
-latest pair (Barzilai & Borwein 1988), so it never stays below the curvature
-it has just measured.
+inflates it, and a shrink factor beta (annealed toward 1 on each inflation
+and on each unit step) deflates it toward the curvature ratio y'y / y's.
+After an accepted unit step sigma lands between the two curvature scalings
+s'y / s's <= y'y / s'y of the latest pair (Barzilai & Borwein 1988), so it
+never stays below the curvature it has just measured. The outer loop makes
+one call per step, `update`, which does all three.
 """
 from __future__ import annotations
 
@@ -132,7 +133,7 @@ class LbfgsMetric:
             raise ValueError(f"step length must lie in (0, 1], got {t_k}")
         if t_k < 1.0:
             self.sigma /= t_k
-            self.beta = 2.0 / (1.0 + 1.0 / self.beta)
+            self._anneal_beta()
         self.sigma = min(self.sigma / self.beta, float(y @ y) / sy)
         if t_k == 1.0:
             self.sigma = max(self.sigma, sy / float(s @ s))
@@ -142,6 +143,21 @@ class LbfgsMetric:
         self._middle = None
         self._spectrum = None
         return self
+
+    def _anneal_beta(self):
+        self.beta = 2.0 / (1.0 + 1.0 / self.beta)
+
+    def update(self, t_k, s, y) -> bool:
+        """Store the pair of a step of length t_k, rescale the seed from it
+        if stored, and on a unit step anneal beta toward 1, so the seed decay
+        tapers off once steps stop being rejected; a fixed metric (capacity
+        0) keeps its beta. Returns whether the pair was stored."""
+        stored = self.push_pair(s, y)   # via the instance, which a tracer may wrap
+        if stored:
+            self.adapt_h0(t_k, s, y)
+        if t_k == 1.0 and self.capacity:
+            self._anneal_beta()
+        return stored
 
     def materialize_dense(self) -> np.ndarray:
         """Dense H, column by column; guarded to small dimensions (tests only)."""

@@ -4,9 +4,11 @@ Every operator stands for some W in R^{q x p} and supports matrix-free
 apply (W x) and transpose-apply (W' u). The structured kinds (identity,
 first difference, group selector) cost O(q) per application, which is what
 keeps the dual solver's per-iteration work linear in the problem size; an
-explicit sparse operator costs O(nnz).
+explicit sparse operator costs O(nnz). `spectral_norm` is estimated once.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,6 +96,11 @@ class LinearOperator:
 
     def norm_estimate(self):
         return spectral_norm_estimate(self._apply, self._apply_transpose, self.input_dim)
+
+    @functools.cached_property
+    def spectral_norm(self) -> float:
+        """`norm_estimate()`, run once per operator and kept."""
+        return self.norm_estimate()
 
     def to_sparse(self) -> sp.csr_matrix:
         raise NotImplementedError

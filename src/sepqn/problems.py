@@ -80,9 +80,12 @@ class SmoothLoss:
     A `value` makes one data product, A x, and a `value_grad` adds A'c; a
     call at the bitwise-same x as the call before it reuses that call's A x.
     The constructor picks the design's storage once (see `_stored`), so every
-    solver runs its passes on the same matrix.
+    solver runs its passes on the same matrix. A loss declares `CURVATURE`,
+    a bound on the second derivative of its per-sample loss in the margin;
+    `lipschitz_bound` and ADMM's majorizer both scale by it.
     """
 
+    CURVATURE: float
     data: np.ndarray | sp.spmatrix
     labels: np.ndarray
     weights: np.ndarray
@@ -138,7 +141,7 @@ class SmoothLoss:
         raise NotImplementedError
 
     def lipschitz_bound(self) -> float:
-        raise NotImplementedError
+        return self.CURVATURE * self._weighted_norm_sq() + self.ridge
 
     def _value(self, x):
         """g(x) and the per-sample term its gradient reuses.
@@ -201,6 +204,8 @@ class LogisticLoss(SmoothLoss):
     at construction so a bad dataset cannot surface mid-solve.
     """
 
+    CURVATURE = 0.25   # log(1 + e^-t) has second derivative at most 1/4
+
     def __init__(self, data, labels, weights=None, ridge=0.0):
         super().__init__(data, labels, weights, ridge)
         bad = ~np.isin(self.labels, (-1.0, 1.0))
@@ -222,13 +227,11 @@ class LogisticLoss(SmoothLoss):
         coeff = self.weights * self.labels * expit(-t)
         return v, self._plus_ridge(x, -self._rmatvec(coeff))
 
-    def lipschitz_bound(self):
-        # per-sample curvature of log(1+e^-t) is at most 1/4
-        return 0.25 * self._weighted_norm_sq() + self.ridge
-
 
 class LeastSquaresLoss(SmoothLoss):
     """g(x) = sum_i w_i (a_i'x - y_i)^2 + ridge/2 ||x||^2, weights default 1/n."""
+
+    CURVATURE = 2.0    # (t - y)^2 has second derivative 2
 
     def _sample_losses(self, ax):
         r = ax - self.labels
@@ -240,9 +243,6 @@ class LeastSquaresLoss(SmoothLoss):
     def value_grad(self, x):
         v, r = self._value(x)
         return v, self._plus_ridge(x, 2.0 * self._rmatvec(self.weights * r))
-
-    def lipschitz_bound(self):
-        return 2.0 * self._weighted_norm_sq() + self.ridge
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +406,8 @@ BUILTIN_LAYOUTS = {
 BUILTIN_MODELS = tuple(BUILTIN_LAYOUTS)
 
 
-def _require_positive(name, value):
+def _require_positive(name, value, default=None):
+    value = default if value is None else value
     if value is None or value <= 0:
         raise ValueError(f"hyperparameter {name!r} must be positive, got {value}")
     return float(value)
@@ -444,8 +445,9 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
 
     `lam` weights the elementwise l1 penalty, `fused_weight` the l1 norm of
     consecutive differences, and `group_weight` the per-group l2 norms, each
-    for the models whose `BUILTIN_LAYOUTS` entry has that family. `groups`
-    is a group count or index lists. The multitask model interprets
+    for the models whose `BUILTIN_LAYOUTS` entry has that family. A family
+    weight left None takes `lam`; every weight used must be positive.
+    `groups` is a group count or index lists. The multitask model interprets
     multiclass labels one-vs-all, vectorizes the p x r coefficient matrix
     column-major (task k occupies x[k*p:(k+1)*p]), sums the per-task
     logistic losses, and groups each feature across tasks, so it reads no
@@ -462,9 +464,9 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
     p = data.shape[1]
     lam = _require_positive("lam", lam)
     if "fused" in layout:
-        fused_weight = _require_positive("fused_weight", fused_weight)
+        fused_weight = _require_positive("fused_weight", fused_weight, default=lam)
     if "groups" in layout:
-        group_weight = _require_positive("group_weight", group_weight)
+        group_weight = _require_positive("group_weight", group_weight, default=lam)
 
     if "tasks" in layout:
         tasks = _one_vs_all(labels)

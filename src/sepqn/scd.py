@@ -85,14 +85,12 @@ class InnerResult:
 
 
 def _warm_stack(warm, terms):
-    """The warm duals as one stacked vector; zeros when there are none."""
+    """The warm duals, a DualState or one array per term, as one stacked
+    vector; zeros when there are none."""
     if warm is None:
         return np.zeros(sum(t.op.output_dim for t in terms))
-    if isinstance(warm, DualState):
-        zs = [np.asarray(v, dtype=np.float64) for v in warm.aux_v]
-    else:
-        zs = [np.asarray(item.z if isinstance(item, DualBlock) else item,
-                         dtype=np.float64) for item in warm]
+    items = warm.aux_v if isinstance(warm, DualState) else warm
+    zs = [np.asarray(z, dtype=np.float64) for z in items]
     if len(zs) != len(terms):
         raise ValueError(f"warm duals carry {len(zs)} blocks for {len(terms)} terms")
     shapes = [z.shape for z in zs]
@@ -155,17 +153,9 @@ def dual_objective(metric: LbfgsMetric, x_k, grad_k, terms, duals, g_value=0.0) 
     return _recover_at(metric, x_k, grad_k, terms, duals)[2] - g_value
 
 
-def _operator_norm(op):
-    cached = getattr(op, "_norm_cache", None)
-    if cached is None:
-        cached = op.norm_estimate()
-        op._norm_cache = cached
-    return cached
-
-
 def initial_step_delta(metric: LbfgsMetric, terms) -> float:
     """1 / L for the dual gradient, from (sum ||W_i||)^2 * ||H^{-1}||."""
-    total = sum(_operator_norm(t.op) for t in terms)
+    total = sum(t.op.spectral_norm for t in terms)
     lip = total * total * metric.inv_norm_estimate()
     if lip <= 0.0:
         return 1.0
@@ -175,7 +165,7 @@ def initial_step_delta(metric: LbfgsMetric, terms) -> float:
 def _step_delta_cap(metric: LbfgsMetric, terms) -> float:
     """lambda_max(H) / max ||W_i||^2, an upper bound on 1 / L for the dual
     gradient: L >= ||W_i||^2 * lambda_min(H^{-1}) for every term."""
-    top = max((_operator_norm(t.op) for t in terms), default=0.0)
+    top = max((t.op.spectral_norm for t in terms), default=0.0)
     low = top * top * metric.inv_spectrum()[0]
     return 1.0 / low if low > 0.0 else math.inf
 

@@ -6,7 +6,11 @@ length by BACKTRACK_FACTOR against the sufficient-descent test
 
     f(x + t*d) <= f(x) + ARMIJO * t * gamma,    gamma = grad'd + Psi(x+d) - Psi(x),
 
-harvests the curvature pair when s'y > 0, and rescales the LBFGS seed matrix.
+and hands the step's curvature pair to `LbfgsMetric.update`, which keeps it
+when s'y > 0 and rescales the seed matrix. Besides the gamma test, the loop
+stops after `stall_iterations` consecutive small objective changes, counted
+by `_stall_count`, the rule FISTA shares.
+
 `epochs` counts loss evaluations: one per gradient and one per line-search
 probe; inner dual iterations touch only the surrogate and cost none. The
 gradient at the point the line search just accepted reuses that probe's
@@ -69,6 +73,12 @@ def _check_settings(config, rules):
     for name, ok, rule in rules:
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {getattr(config, name)}")
+
+
+def _stall_count(stall, f_old, f_new, tolerance):
+    """stall + 1 if f moved by at most tolerance relative to max(1, |f_old|), else 0."""
+    rel = abs(f_old - f_new) / max(1.0, abs(f_old))
+    return stall + 1 if rel <= tolerance else 0
 
 
 ARMIJO = 1e-4            # sufficient-descent constant, in (0, 1/2)
@@ -263,18 +273,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)
         epochs += 1
-        s = x_new - x
-        y_vec = grad_new - grad
-        accepted = False
-        if float(s @ y_vec) > 0.0:
-            accepted = metric.push_pair(s, y_vec)
-            if accepted:
-                metric.adapt_h0(t, s, y_vec)
-        # anneal beta toward 1 on each unit step, so the aggressive seed decay
-        # tapers off once the metric stops being rejected; a fixed metric
-        # (no pair memory) keeps its beta
-        if t == 1.0 and metric.capacity:
-            metric.beta = 2.0 / (1.0 + 1.0 / metric.beta)
+        accepted = metric.update(t, x_new - x, grad_new - grad)
 
         work = inner.work + (probes + 1) * problem.loss.pass_cost
         trace.rows.append(TraceRow(
@@ -288,17 +287,12 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         if cfg.record_iterates:
             trace.iterates.append(x_new.copy())
 
-        rel = abs(f_val - f_new) / max(1.0, abs(f_val))
+        stall = _stall_count(stall, f_val, f_new, cfg.outer_tolerance)
         x, grad, f_val = x_new, grad_new, f_new
         duals = inner.duals
-
-        if rel <= cfg.outer_tolerance:
-            stall += 1
-            if stall >= cfg.stall_iterations:
-                status = "converged"
-                break
-        else:
-            stall = 0
+        if stall >= cfg.stall_iterations:
+            status = "converged"
+            break
 
     trace.status = status
     return Solution(x=x, objective=f_val, trace=trace, duals=duals)

@@ -3,14 +3,17 @@ import pytest
 import scipy.sparse as sp
 
 import sepqn
+from sepqn import baselines
 from sepqn.baselines import (
     ABS_TOLERANCE,
+    SCD_DIRECT_SETTINGS,
     BaselineConfig,
     UnsupportedStructure,
     admm_solve,
     fista_solve,
     scd_direct_solve,
 )
+from sepqn.lbfgs import SIGMA_FLOOR
 from sepqn.operators import ExplicitSparse, FirstDifference, Identity
 from sepqn.problems import (
     CompositeProblem,
@@ -253,3 +256,15 @@ def test_admm_objective_is_the_problems_objective():
                         lam=lam, fused_weight=lam, group_weight=lam, groups=5)
     sol = admm_solve(prob, BaselineConfig(kind="admm", max_iterations=200))
     assert sol.objective == prob.objective(sol.x)
+
+
+def test_scd_direct_without_config_runs_under_its_settings(monkeypatch, rng):
+    prob = lasso_toy(rng)[0]
+    configs = []
+    monkeypatch.setattr(baselines, "solve",
+                        lambda problem, config, x0=None: configs.append(config))
+    scd_direct_solve(prob)
+    scd_direct_solve(prob, SolverConfig(max_outer=7))
+    sigma = max(prob.loss.lipschitz_bound(), SIGMA_FLOOR)
+    assert configs == [SolverConfig(**{**SCD_DIRECT_SETTINGS, "sigma0": sigma}),
+                       SolverConfig(max_outer=7, lbfgs_memory=0, sigma0=sigma)]

@@ -300,6 +300,28 @@ class TestCli:
         assert specs[0].scd_direct_config == SolverConfig(
             **{**cli.SCD_DIRECT_SETTINGS, "max_inner": 50})
 
+    def test_memory_is_refused_for_scd_direct(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["solve", "--solver", "scd-direct", "--memory", "5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad-arguments" in err and "--memory" in err
+        assert not out.exists()
+
+    def test_compare_memory_sets_sepqn_config_only(self, monkeypatch, capsys):
+        specs = []
+        monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or 0)
+        assert main(["compare", "--solvers", "sepqn,scd-direct", "--memory", "4",
+                     "--max-inner", "30"]) == 0
+        (spec,) = specs
+        assert spec.solver_config == SolverConfig(lbfgs_memory=4, max_inner=30)
+        assert spec.scd_direct_config == SolverConfig(
+            **{**cli.SCD_DIRECT_SETTINGS, "max_inner": 30})
+        assert spec.scd_direct_config.lbfgs_memory == 0
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        assert "lbfgs_memory for sepqn only" in " ".join(capsys.readouterr().out.split())
+
     def test_timing_flag_writes_nonzero_seconds(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["solve", "--lambda", "0.01", "--synth-n", "60",

@@ -341,3 +341,40 @@ def test_both_directions_match_oracles_after_eviction_and_seed_change(rng):
         v = rng.standard_normal(p)
         for got, want in ((m.apply(v), fwd @ v), (m.inv_apply(v), inv @ v)):
             assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+def _inline_update(metric, t, s, y):
+    """The outer loop's pair handling before `LbfgsMetric.update` held it."""
+    accepted = False
+    if float(s @ y) > 0.0:
+        accepted = metric.push_pair(s, y)
+        if accepted:
+            metric.adapt_h0(t, s, y)
+    if t == 1.0 and metric.capacity:
+        metric.beta = 2.0 / (1.0 + 1.0 / metric.beta)
+    return accepted
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 3])
+def test_update_matches_the_inline_sequence(rng, capacity):
+    # unit and fractional steps, with positive, zero and negative s'y
+    steps = [(1.0, 1), (0.5, 1), (1.0, -1), (0.25, 1), (1.0, 0), (1.0, 1),
+             (0.5, -1), (0.5, 0), (1.0, 1), (0.125, 1), (1.0, 1)]
+    new = LbfgsMetric(5, capacity=capacity, sigma=3.0)
+    old = LbfgsMetric(5, capacity=capacity, sigma=3.0)
+    for t, sign in steps:
+        s = rng.standard_normal(5)
+        y = s + 0.3 * rng.standard_normal(5)
+        if sign == 0:  # disjoint supports: s'y is exactly 0
+            s[2:], y[:2] = 0.0, 0.0
+        elif (s @ y > 0) != (sign > 0):
+            y = -y
+        assert new.update(t, s, y) == _inline_update(old, t, s, y)
+        assert (new.sigma, new.beta, new.pair_count, new.floor_hits) == \
+            (old.sigma, old.beta, old.pair_count, old.floor_hits)
+        k = 2 * new.pair_count
+        assert np.array_equal(new._rows[:k], old._rows[:k])
+    if capacity:
+        assert new.pair_count > 0 and new.beta < 2.0
+    else:
+        assert new.pair_count == 0 and new.beta == 2.0 and new.sigma == 3.0

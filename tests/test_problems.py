@@ -519,3 +519,34 @@ def test_builtin_model_list_is_complete():
         "l1-logistic", "fused-sparse-logistic", "sparse-group-logistic",
         "fused-sparse-group-logistic", "multitask-dirty-logistic",
     }
+
+
+@pytest.mark.parametrize("loss_cls, curvature", [(LogisticLoss, 0.25),
+                                                 (LeastSquaresLoss, 2.0)])
+def test_lipschitz_bound_is_curvature_times_weighted_norm(rng, loss_cls, curvature):
+    a = rng.standard_normal((30, 6))
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    loss = loss_cls(a, y, ridge=0.3)
+    assert loss.CURVATURE == curvature
+    assert loss.lipschitz_bound() == curvature * loss._weighted_norm_sq() + 0.3
+
+
+@pytest.mark.parametrize("model, families", [
+    ("fused-sparse-logistic", ("fused_weight",)),
+    ("sparse-group-logistic", ("group_weight",)),
+    ("fused-sparse-group-logistic", ("fused_weight", "group_weight")),
+    ("multitask-dirty-logistic", ("group_weight",)),
+])
+def test_family_weights_left_none_take_lam(rng, model, families):
+    handle, _ = synth_dataset(seed=6, n=40, p=8)
+    lam = 0.03
+    implicit = make_builtin(model, handle.matrix, handle.labels, lam=lam, groups=2)
+    explicit = make_builtin(model, handle.matrix, handle.labels, lam=lam, groups=2,
+                            **{name: lam for name in families})
+    assert [(t.kind, t.weight, repr(t.op)) for t in implicit.terms] == \
+        [(t.kind, t.weight, repr(t.op)) for t in explicit.terms]
+    x = rng.standard_normal(implicit.dim)
+    assert implicit.objective(x) == explicit.objective(x)
+    for name in families:  # an explicit weight must still be positive
+        with pytest.raises(ValueError, match=name):
+            make_builtin(model, handle.matrix, handle.labels, lam=lam, **{name: 0.0})

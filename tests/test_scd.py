@@ -562,3 +562,23 @@ def test_only_fusable_runs_are_fused():
         group(NormKind.LINF, 0.2, range(3, 6)),
     )
     _assert_same_surrogate(terms, [1, 2, 1, 1, 1, 2, 1, 1], seed=1)
+
+
+def test_operator_norm_is_estimated_once(monkeypatch, rng):
+    calls = []
+    real = sepqn.LinearOperator.norm_estimate
+
+    def counting(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(sepqn.LinearOperator, "norm_estimate", counting)
+    p = 9
+    terms = (RegularizerTerm(NormKind.L1, 0.1, Identity(p)),
+             RegularizerTerm(NormKind.L1, 0.1, FirstDifference(p)))
+    metric = metric_with_pairs(rng, p, 1.0, 2)
+    grad = rng.standard_normal(p)
+    for _ in range(2):
+        solve_surrogate(metric, np.zeros(p), grad, terms, max_inner=30)
+    assert [id(op) for op in calls] == [id(t.op) for t in terms]
+    assert terms[1].op.spectral_norm == real(terms[1].op)
