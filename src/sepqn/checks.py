@@ -6,11 +6,14 @@ runnable in the field via `sepqn check` to validate an installation.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .baselines import BaselineConfig, fista_solve
 from .data import synth_dataset
 from .lbfgs import LbfgsMetric
-from .operators import ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack
+from .operators import (
+    ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack, as_csr,
+)
 from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin, term_blocks
 from .projections import DualBlock, dual_feasible, dual_step
 from .scd import _next_theta, solve_surrogate
@@ -68,9 +71,16 @@ def check_gradient_finite_difference():
 
 
 def check_loss_storage_and_margins():
-    # a full CSR design is stored dense and agrees with CSR arithmetic; a
-    # gradient after a value at an equal x is a fresh loss's, bit for bit
+    # a dense design packs into the CSR scipy builds, byte for byte; a full
+    # CSR design is stored dense and agrees with CSR arithmetic; a gradient
+    # after a value at an equal x is a fresh loss's, bit for bit, and
+    # evaluates the per-sample losses only once
     handle, _ = synth_dataset(seed=6, n=50, p=9)
+    dense = handle.matrix.toarray()
+    got, want = as_csr(dense), sp.csr_matrix(dense, dtype=np.float64)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"CSR {name} differs"
     loss = LogisticLoss(handle.matrix, handle.labels)
     assert isinstance(loss.data, np.ndarray), type(loss.data)
     csr = LogisticLoss(handle.matrix, handle.labels)
@@ -79,8 +89,13 @@ def check_loss_storage_and_margins():
     (v, g), (v_csr, g_csr) = loss.value_grad(x), csr.value_grad(x)
     assert abs(v - v_csr) <= 1e-14, f"value off by {abs(v - v_csr)}"
     assert np.abs(g - g_csr).max() <= 1e-14, f"gradient off by {np.abs(g - g_csr).max()}"
+    evaluations = []
+    real = loss._sample_losses
+    loss._sample_losses = lambda ax: evaluations.append(1) or real(ax)
+    x = 0.5 * x  # a point this loss has not evaluated
     loss.value(x)
     v_memo, g_memo = loss.value_grad(x.copy())
+    assert len(evaluations) == 1, f"{len(evaluations)} per-sample evaluations"
     v_fresh, g_fresh = LogisticLoss(handle.matrix, handle.labels).value_grad(x)
     assert v_memo == v_fresh and np.array_equal(g_memo, g_fresh)
 

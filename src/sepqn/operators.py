@@ -43,11 +43,37 @@ class DimensionMismatch(ValueError):
 
 
 def as_csr(matrix) -> sp.csr_matrix:
-    """Coerce to canonical CSR: float64 values, sorted unique column indices."""
-    m = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+    """Coerce to canonical CSR: float64 values, sorted unique column indices.
+
+    A 2-D real ndarray is packed row by row in one pass over its nonzero
+    mask, not through scipy's dense -> COO -> CSR round trip, which takes
+    several times as long on a tall dense design; the arrays and their
+    dtypes are the ones scipy builds.
+    """
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.dtype.kind in "biuf":
+        m = _dense_to_csr(np.asarray(matrix))
+    else:
+        m = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
     m.sum_duplicates()
     m.sort_indices()
     return m
+
+
+def _dense_to_csr(a):
+    n, p = a.shape
+    mask = a != 0  # nan counts as nonzero and -0.0 as zero, as in scipy
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    # narrow column indices spare scipy a copy when it picks int32, and it
+    # widens them when the entry count needs int64
+    cols = np.arange(p, dtype=np.int32 if p < 2**31 else np.int64)
+    if indptr[-1] == n * p:
+        indices = np.tile(cols, n)
+        data = np.array(a, dtype=np.float64, order="C").ravel()
+    else:
+        indices = np.broadcast_to(cols, a.shape)[mask]
+        data = a[mask].astype(np.float64, copy=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, p))
 
 
 def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):

@@ -6,8 +6,7 @@ norm, weight, and linear operator. Weights are folded into the penalty so the
 dual feasible set of a term is the dual-norm ball of radius w_i.
 
 A problem groups its terms into `TermBlock`s once, at construction; its
-penalty and ADMM walk them, and the dual loop builds the same layout from
-the terms it is handed.
+penalty and ADMM walk them, and `solver.solve` hands them to the dual loop.
 """
 from __future__ import annotations
 
@@ -49,6 +48,22 @@ def _matvec(data, x):
     return data @ x
 
 
+def _logistic_losses(t):
+    """log(1 + e^-t) elementwise, with one exp per sample.
+
+    numpy's two-argument log-add-exp takes the same branch formula,
+    log1p(e^-|t|) + max(-t, 0), with two exps; adding max(-t, 0) is written
+    as subtracting min(t, 0), so one temporary serves. The result is within
+    4 ulp of numpy's, and equal to it at t = +-inf.
+    """
+    out = np.abs(t)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out -= np.minimum(t, 0.0)
+    return out
+
+
 def _stored(data):
     """The design in the storage its passes run fastest in.
 
@@ -78,7 +93,8 @@ class SmoothLoss:
     `value` and `value_grad` compute the objective value with identical
     arithmetic, so a value-only probe and a full gradient pass agree bitwise.
     A `value` makes one data product, A x, and a `value_grad` adds A'c; a
-    call at the bitwise-same x as the call before it reuses that call's A x.
+    call at the bitwise-same x as the call before it reuses that call's whole
+    evaluation, so it makes no A x and evaluates no per-sample loss.
     The constructor picks the design's storage once (see `_stored`), so every
     solver runs its passes on the same matrix. A loss declares `CURVATURE`,
     a bound on the second derivative of its per-sample loss in the margin;
@@ -148,32 +164,30 @@ class SmoothLoss:
 
         `value` and `value_grad` both take g from here, which keeps them
         bitwise equal; a loss supplies `_sample_losses(ax)`, the per-sample
-        losses and that term from the margins A x.
+        losses and that term from the margins A x. A call at the bitwise-same
+        x as the call before it, over the same data, labels and weights
+        arrays and an equal ridge, returns that call's result: the point a
+        line search accepts is the array its last probe evaluated. The key
+        holds a copy of x's bits, so -0.0 and 0.0 differ and a caller that
+        mutates x in place gets a fresh evaluation.
         """
-        losses, state = self._sample_losses(self._margins(x))
+        bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+        key = (self.data, self.labels, self.weights)
+        memo = self.__dict__.get("_value_memo")
+        if (memo is not None and all(a is b for a, b in zip(memo[0], key))
+                and memo[1] == self.ridge and np.array_equal(memo[2], bits)):
+            return memo[3]
+        losses, state = self._sample_losses(_matvec(self.data, x))
         v = float(self.weights @ losses)
         if self.ridge:
             v += 0.5 * self.ridge * float(x @ x)
+        self._value_memo = (key, self.ridge, bits.copy(), (v, state))
         return v, state
 
     def _plus_ridge(self, x, g):
         if self.ridge:
             g = g + self.ridge * x
         return np.asarray(g, dtype=np.float64)
-
-    def _margins(self, x):
-        # A x, reused when called again over the same data at a bitwise-equal
-        # x: the point a line search accepts is the array its last probe
-        # evaluated, so the gradient there skips one data product. The key
-        # is a copy of x's bits, so -0.0 and 0.0 differ and a caller that
-        # mutates x in place gets fresh margins
-        bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-        memo = self.__dict__.get("_margins_memo")
-        if memo is not None and memo[0] is self.data and np.array_equal(memo[1], bits):
-            return memo[2]
-        ax = _matvec(self.data, x)
-        self._margins_memo = (self.data, bits.copy(), ax)
-        return ax
 
     def _rmatvec(self, u):
         # A'u. A sparse matrix's .T builds a new view object on every access,
@@ -217,14 +231,21 @@ class LogisticLoss(SmoothLoss):
 
     def _sample_losses(self, ax):
         t = self.labels * ax
-        return np.logaddexp(0.0, -t), t
+        return _logistic_losses(t), t
+
+    def _weighted_labels(self):
+        # w * y, made once and again only when weights or labels are reassigned
+        memo = self.__dict__.get("_wy_memo")
+        if memo is None or memo[0] is not self.weights or memo[1] is not self.labels:
+            memo = self._wy_memo = (self.weights, self.labels, self.weights * self.labels)
+        return memo[2]
 
     def value(self, x):
         return self._value(x)[0]
 
     def value_grad(self, x):
         v, t = self._value(x)
-        coeff = self.weights * self.labels * expit(-t)
+        coeff = self._weighted_labels() * expit(-t)
         return v, self._plus_ridge(x, -self._rmatvec(coeff))
 
 

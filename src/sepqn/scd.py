@@ -22,9 +22,10 @@ v_new. The test costs one dot product per step; the resets are counted.
 
 The dual loop runs over the term blocks of `problems.term_blocks`, not over
 terms, with every dual vector stacked in one array, so the elementwise steps
-run once over all terms. The blocks are built once per solve_surrogate call;
-the first dual step, the work model and the per-term shape of the returned
-duals are those of the terms.
+run once over all terms. A caller that holds the blocks, as `solver.solve`
+does with `problem.blocks`, hands them in; otherwise they are built once per
+solve_surrogate call. The first dual step, the work model and the per-term
+shape of the returned duals are those of the terms.
 
 Stopping is certified by the summed per-term Fenchel gap at the recovered
 primal point plus the surrogate stationarity residual ||H d + r||, both below
@@ -175,12 +176,14 @@ def _next_theta(theta):
 
 
 def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10,
-                    max_inner=2000, step_delta=None) -> InnerResult:
+                    max_inner=2000, step_delta=None, blocks=None) -> InnerResult:
     """Run the accelerated dual loop until the gap certificate meets tolerance.
 
     Returns the search direction xhat - x_k together with the final dual state
     for warm-starting the next call. Hitting max_inner is not an error: the
-    best certified iterate seen is returned with converged=False.
+    best certified iterate seen is returned with converged=False. `blocks`,
+    when given, must be `problems.term_blocks(terms)`, such as a problem's
+    `blocks`; it is built from the terms otherwise.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
@@ -205,7 +208,8 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     # run once over all terms; the kernels see one slice per term block, and
     # are bound once because attribute lookups and wrapper objects are too
     # slow for a loop that runs tens of thousands of times
-    blocks = _term_blocks(terms)
+    if blocks is None:
+        blocks = _term_blocks(terms)
     b_project = [(_PROJECT_RAW[b.kind], b.sl, (b.weight,) + b.seg) for b in blocks]
     b_norm = [(_NORM_RAW[b.kind], b.sl, b.weight, b.seg) for b in blocks]
     recover = _recovery(metric, x_k, grad_k, blocks)
@@ -304,7 +308,8 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
 
 
 def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10,
-                       max_inner=2000, restarts=1, step_delta=None) -> InnerResult:
+                       max_inner=2000, restarts=1, step_delta=None,
+                       blocks=None) -> InnerResult:
     """Re-solve with geometrically tightening tolerance, re-centered each round.
 
     Round r runs at tolerance * 10^(restarts-1-r), warm-started from the
@@ -319,6 +324,7 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
         result = solve_surrogate(
             metric, x_k, grad_k, terms, warm_duals=warm_duals,
             tolerance=round_tol, max_inner=max_inner, step_delta=step_delta,
+            blocks=blocks,
         )
         rounds.append(result)
         warm_duals, step_delta = result.duals, result.step_delta

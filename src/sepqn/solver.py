@@ -14,9 +14,9 @@ by `_stall_count`, the rule FISTA shares.
 `epochs` counts loss evaluations: one per gradient and one per line-search
 probe; inner dual iterations touch only the surrogate and cost none. The
 gradient at the point the line search just accepted reuses that probe's
-margins A x, so a unit-step iteration makes two data products, A(x+d) and
-A'c. The loss chose its data's storage once, at construction, for every
-solver.
+whole loss evaluation, so a unit-step iteration makes two data products,
+A(x+d) and A'c, and evaluates each per-sample loss once. The loss chose its
+data's storage once, at construction, for every solver.
 """
 from __future__ import annotations
 
@@ -234,7 +234,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         inner = continuation_solve(
             metric, x, grad, problem.terms, warm_duals=duals,
             tolerance=eps_inner, max_inner=cfg.max_inner,
-            restarts=cfg.continuation_restarts,
+            restarts=cfg.continuation_restarts, blocks=problem.blocks,
         )
         delta = inner.direction
         gam = gamma(problem, x, delta, grad)
@@ -255,7 +255,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner = continuation_solve(
                 metric, x, grad, problem.terms, warm_duals=inner.duals,
                 tolerance=eps_inner * 0.01, max_inner=cfg.max_inner,
-                restarts=cfg.continuation_restarts,
+                restarts=cfg.continuation_restarts, blocks=problem.blocks,
             )
             delta = inner.direction
             gam = gamma(problem, x, delta, grad)

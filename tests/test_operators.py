@@ -164,3 +164,37 @@ def test_norm_estimate_deterministic(rng):
     dense = rng.standard_normal((12, 18))
     op = ExplicitSparse(dense)
     assert op.norm_estimate() == op.norm_estimate()
+
+
+def _scipy_csr(a):
+    m = sp.csr_matrix(a, dtype=np.float64)
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+@pytest.mark.parametrize("dense", [
+    np.arange(1.0, 13.0).reshape(3, 4),                        # no zeros
+    np.array([[0.0, 1.5, 0.0], [2.0, 0.0, -3.0], [0.0, 0.0, 0.0]]),
+    np.zeros((4, 3)),
+    np.array([[-0.0, 1.0], [0.0, -0.0]]),                      # -0.0 is a zero
+    np.array([[np.nan, 0.0], [1.0, np.inf]]),                  # nan is not
+    np.array([[1, 0, 3], [0, 0, -2]]),                         # integer values
+    np.zeros((0, 5)),
+    np.zeros((4, 0)),
+    np.asfortranarray(np.arange(1.0, 31.0).reshape(5, 6)),
+])
+def test_as_csr_of_dense_matches_scipy_bytes(dense):
+    got, want = as_csr(dense), _scipy_csr(dense)
+    assert got.shape == want.shape and got.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_as_csr_of_dense_owns_its_values(rng):
+    dense = rng.standard_normal((6, 4))
+    m = as_csr(dense)
+    dense[0, 0] = 99.0
+    assert m[0, 0] != 99.0

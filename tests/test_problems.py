@@ -15,6 +15,7 @@ from sepqn.problems import (
     LogisticLoss,
     NormKind,
     RegularizerTerm,
+    _logistic_losses,
     make_builtin,
 )
 
@@ -550,3 +551,89 @@ def test_family_weights_left_none_take_lam(rng, model, families):
     for name in families:  # an explicit weight must still be positive
         with pytest.raises(ValueError, match=name):
             make_builtin(model, handle.matrix, handle.labels, lam=lam, **{name: 0.0})
+
+
+_EDGE_MARGINS = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 746.0, -746.0,
+                          1e308, -1e308, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("margins", [
+    _EDGE_MARGINS,
+    np.random.default_rng(3).standard_normal(20000),
+    30.0 * np.random.default_rng(4).standard_normal(20000),
+])
+def test_logistic_losses_match_logaddexp(margins):
+    # one exp per sample, within 4 ulp of numpy's two-argument formula and
+    # exact where that formula gives an infinity
+    got = _logistic_losses(margins)
+    want = np.logaddexp(0.0, -margins)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(want[finite]))
+
+
+def _counting_sample_losses(monkeypatch, make):
+    calls = []
+    real = make._sample_losses
+
+    def counting(self, ax):
+        calls.append(1)
+        return real(self, ax)
+
+    monkeypatch.setattr(make, "_sample_losses", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [LogisticLoss, LeastSquaresLoss])
+def test_gradient_after_probe_evaluates_each_sample_once(rng, matvec_calls,
+                                                         monkeypatch, make):
+    losses = _counting_sample_losses(monkeypatch, make)
+    a = rng.standard_normal((40, 7))
+    y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    x = rng.standard_normal(7)
+    loss = make(a, y, ridge=0.1)
+    v_probe = loss.value(x)
+    v, g = loss.value_grad(x.copy())
+    assert (len(matvec_calls), len(losses)) == (1, 1)
+    want_v, want_g = make(a, y, ridge=0.1).value_grad(x)
+    assert v == v_probe == want_v and np.array_equal(g, want_g)
+
+
+def _new_labels(loss, x):
+    loss.labels = -loss.labels
+    return x
+
+
+def _new_weights(loss, x):
+    loss.weights = np.linspace(0.5, 1.5, loss.n_samples) / loss.n_samples
+    return x
+
+
+def _new_ridge(loss, x):
+    loss.ridge = 0.25
+    return x
+
+
+def _x_mutated(loss, x):
+    x[2] += 1.0
+    return x
+
+
+@pytest.mark.parametrize("make", [LogisticLoss, LeastSquaresLoss])
+@pytest.mark.parametrize("change", [_new_labels, _new_weights, _new_ridge, _x_mutated])
+def test_value_memo_is_keyed_on_everything_the_value_reads(rng, matvec_calls,
+                                                           monkeypatch, make, change):
+    # labels, weights and ridge reassigned, or x changed in its own buffer:
+    # the next call evaluates afresh and equals a new loss's (v, g)
+    losses = _counting_sample_losses(monkeypatch, make)
+    a = rng.standard_normal((30, 6))
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    x = rng.standard_normal(6)
+    loss = make(a, y)
+    loss.value_grad(x)
+    x_next = change(loss, x)
+    v, g = loss.value_grad(x_next)
+    assert (len(matvec_calls), len(losses)) == (2, 2)
+    fresh = make(a, loss.labels, loss.weights, loss.ridge)
+    want_v, want_g = fresh.value_grad(x_next.copy())
+    assert v == want_v and np.array_equal(g, want_g)

@@ -582,3 +582,24 @@ def test_operator_norm_is_estimated_once(monkeypatch, rng):
         solve_surrogate(metric, np.zeros(p), grad, terms, max_inner=30)
     assert [id(op) for op in calls] == [id(t.op) for t in terms]
     assert terms[1].op.spectral_norm == real(terms[1].op)
+
+
+def test_solve_uses_the_problems_blocks(monkeypatch):
+    # the dual loop takes problem.blocks from solve and builds none itself,
+    # and the blocks handed in give the direction built from the terms
+    handle, _ = sepqn.synth_dataset(seed=4, n=90, p=12)
+    prob = make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                        lam=0.02, group_weight=0.05, groups=6)
+    rng = np.random.default_rng(5)
+    metric = metric_with_pairs(rng, prob.dim, 0.8, 4)
+    x, grad = rng.standard_normal(prob.dim), rng.standard_normal(prob.dim)
+    built = solve_surrogate(metric, x, grad, prob.terms, tolerance=1e-10, max_inner=300)
+    calls = []
+    real = scd._term_blocks
+    monkeypatch.setattr(scd, "_term_blocks", lambda terms: calls.append(1) or real(terms))
+    given = solve_surrogate(metric, x, grad, prob.terms, tolerance=1e-10, max_inner=300,
+                            blocks=prob.blocks)
+    assert np.array_equal(given.direction, built.direction)
+    assert given.inner_iterations == built.inner_iterations
+    sol = sepqn.solve(prob, sepqn.SolverConfig(max_outer=20))
+    assert sol.trace.iterations > 0 and calls == []
