@@ -182,6 +182,10 @@ def run(spec: RunSpec) -> int:
             ("seed", spec.seed),
             ("lambda", float(spec.lam)),
         ]
+        if solver in ("sepqn", "scd-direct"):
+            # surrogates that hit max_inner before certifying their gap
+            entries.append(("inner_unconverged",
+                            sum(not r.inner_converged for r in sol.trace.rows)))
         if spec.timing and sol.trace.rows:
             entries.append(("wall_seconds", float(sol.trace.rows[-1].seconds)))
         write_summary(os.path.join(out, f"{tag}summary.txt"), entries)

@@ -199,16 +199,19 @@ class SmoothLoss:
         return self._transpose @ u
 
     def _weighted_norm_sq(self):
-        # sigma_max(diag(sqrt(w)) A)^2 via power iteration, cached
-        if not hasattr(self, "_wnorm_sq"):
+        # sigma_max(diag(sqrt(w)) A)^2 via power iteration, cached for the
+        # data and weights arrays it was estimated from
+        key = (self.data, self.weights)
+        memo = self.__dict__.get("_wnorm_memo")
+        if memo is None or not all(a is b for a, b in zip(memo[0], key)):
             rw = np.sqrt(self.weights)
             est = spectral_norm_estimate(
                 lambda v: rw * _matvec(self.data, v),
                 lambda u: self._rmatvec(rw * u),
                 self.dim,
             )
-            self._wnorm_sq = est * est
-        return self._wnorm_sq
+            memo = self._wnorm_memo = (key, est * est)
+        return memo[1]
 
 
 class LogisticLoss(SmoothLoss):

@@ -34,7 +34,9 @@ iterates whose gap meets the tolerance, and once more for the iterate a run
 returns when it hits max_inner. The step size delta is backtracked against the
 standard upper quadratic bound and regrown by 1.1 on success, up to
 lambda_max(H) / max_i ||W_i||^2: L >= ||W_i||^2 lambda_min(H^{-1}) for each
-term, so that cap is above every step 1 / L allows.
+term, so that cap, `step_delta_cap`, is above every step 1 / L allows. A
+step handed in is used as given, even above the cap, and only backtracking
+lowers it; without one the loop starts at `initial_step_delta`.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ __all__ = [
     "recover_primal",
     "dual_objective",
     "initial_step_delta",
+    "step_delta_cap",
     "solve_surrogate",
     "continuation_solve",
 ]
@@ -163,7 +166,7 @@ def initial_step_delta(metric: LbfgsMetric, terms) -> float:
     return 1.0 / lip
 
 
-def _step_delta_cap(metric: LbfgsMetric, terms) -> float:
+def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     """lambda_max(H) / max ||W_i||^2, an upper bound on 1 / L for the dual
     gradient: L >= ||W_i||^2 * lambda_min(H^{-1}) for every term."""
     top = max((t.op.spectral_norm for t in terms), default=0.0)
@@ -230,7 +233,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
     delta_floor = delta * 1e-18
-    delta_cap = _step_delta_cap(metric, terms)
+    delta_cap = step_delta_cap(metric, terms)
 
     def stationarity(d, r):
         # ||H d + r||, the surrogate stationarity residual at a recovered point

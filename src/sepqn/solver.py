@@ -7,7 +7,11 @@ length by BACKTRACK_FACTOR against the sufficient-descent test
     f(x + t*d) <= f(x) + ARMIJO * t * gamma,    gamma = grad'd + Psi(x+d) - Psi(x),
 
 and hands the step's curvature pair to `LbfgsMetric.update`, which keeps it
-when s'y > 0 and rescales the seed matrix. Besides the gamma test, the loop
+when s'y > 0 and rescales the seed matrix. Each surrogate's dual loop starts
+from the step size the previous one ended with, capped by
+`scd.step_delta_cap` of the updated metric, as TFOCS (Becker, Candes & Grant
+2011) keeps its step from one solve to the next; only the first iteration
+starts at `scd.initial_step_delta`. Besides the gamma test, the loop
 stops after `stall_iterations` consecutive small objective changes, counted
 by `_stall_count`, the rule FISTA shares.
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .lbfgs import LbfgsMetric
 from .problems import CompositeProblem
-from .scd import DualState, continuation_solve
+from .scd import DualState, continuation_solve, step_delta_cap
 
 __all__ = [
     "ARMIJO",
@@ -90,7 +94,7 @@ class SolverConfig:
     outer_tolerance: float = 1e-8       # relative objective change
     max_outer: int = 500
     lbfgs_memory: int = 10              # 0 keeps the metric fixed at sigma0 * I
-    inner_tolerance: float = None       # default max(1e-10, 0.1 * outer_tolerance)
+    inner_tolerance: float = None       # default max(1e-10, 0.01 * outer_tolerance)
     continuation_restarts: int = 3
     max_inner: int = 2000
     sigma0: float = 1.0
@@ -113,7 +117,7 @@ class SolverConfig:
     def resolved_inner_tolerance(self) -> float:
         if self.inner_tolerance is not None:
             return self.inner_tolerance
-        return max(1e-10, 0.1 * self.outer_tolerance)
+        return max(1e-10, 0.01 * self.outer_tolerance)
 
 
 @dataclass
@@ -227,6 +231,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     if cfg.record_iterates:
         trace.iterates.append(x.copy())
     duals = None
+    step = None   # the dual step carried from the last surrogate, capped
     stall = 0
     status = "max_outer"
 
@@ -235,6 +240,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             metric, x, grad, problem.terms, warm_duals=duals,
             tolerance=eps_inner, max_inner=cfg.max_inner,
             restarts=cfg.continuation_restarts, blocks=problem.blocks,
+            step_delta=step,
         )
         delta = inner.direction
         gam = gamma(problem, x, delta, grad)
@@ -256,6 +262,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
                 metric, x, grad, problem.terms, warm_duals=inner.duals,
                 tolerance=eps_inner * 0.01, max_inner=cfg.max_inner,
                 restarts=cfg.continuation_restarts, blocks=problem.blocks,
+                step_delta=step,
             )
             delta = inner.direction
             gam = gamma(problem, x, delta, grad)
@@ -274,6 +281,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         g_new, grad_new = problem.loss.value_grad(x_new)
         epochs += 1
         accepted = metric.update(t, x_new - x, grad_new - grad)
+        step = min(inner.step_delta, step_delta_cap(metric, problem.terms))
 
         work = inner.work + (probes + 1) * problem.loss.pass_cost
         trace.rows.append(TraceRow(

@@ -108,6 +108,20 @@ def test_criterion_2_consensus_optimum(consensus_runs):
         assert elapsed <= 120.0, f"criterion-2 runs took {elapsed:.0f}s"
 
 
+def test_default_stop_has_margin_under_the_1e8_gate(consensus_runs):
+    # a default sepqn solve must stop well inside the benchmark's 1e-8
+    # relative gate, measured from the best objective any solver reached,
+    # so that rounding-level changes cannot push it over
+    results, _ = consensus_runs
+    for model, _ in CONSENSUS_MODELS:
+        for seed in SEEDS:
+            best = min(sol.objective for (m, s, _), sol in results.items()
+                       if m == model and s == seed)
+            got = results[(model, seed, "sepqn")].objective
+            rel = (got - best) / abs(best)
+            assert rel <= 5e-9, f"{model} seed {seed}: {rel:.3e} above the best"
+
+
 def _superlinear_toy(seed=6):
     handle, _ = sepqn.synth_dataset(seed=seed, n=2000, p=100, sparsity=0.5)
     lam = 10.0 / handle.n

@@ -221,6 +221,28 @@ class TestCli:
         objectives = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
+    def test_summary_counts_unconverged_inner_solves(self, tmp_path, monkeypatch):
+        # a budget of 20 inner iterations leaves some surrogates, not all,
+        # short of their gap; baselines have no inner solve and no such line
+        solved = {}
+        for name, attr in (("sepqn", "solve"), ("scd-direct", "scd_direct_solve")):
+            def spy(*args, _real=getattr(cli, attr), _name=name, **kwargs):
+                solved[_name] = _real(*args, **kwargs)
+                return solved[_name]
+            monkeypatch.setattr(cli, attr, spy)
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--solvers", "sepqn,scd-direct,admm",
+                     "--model", "sparse-group-logistic", "--lambda", "0.01",
+                     "--synth-n", "80", "--synth-p", "15", "--max-inner", "20",
+                     "--out", out]) == 0
+        for name, sol in solved.items():
+            summary = open(os.path.join(out, f"{name}_summary.txt")).read()
+            count = sum(not r.inner_converged for r in sol.trace.rows)
+            assert 0 < count < sol.trace.iterations
+            assert f"inner_unconverged: {count}\n" in summary
+        admm = open(os.path.join(out, "admm_summary.txt")).read()
+        assert "inner_unconverged" not in admm
+
     def test_synth_subcommand(self, tmp_path):
         out = str(tmp_path / "data.svm")
         rc = main(["synth", "--n", "40", "--p", "8", "--seed", "2",

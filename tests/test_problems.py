@@ -532,6 +532,24 @@ def test_lipschitz_bound_is_curvature_times_weighted_norm(rng, loss_cls, curvatu
     assert loss.lipschitz_bound() == curvature * loss._weighted_norm_sq() + 0.3
 
 
+@pytest.mark.parametrize("make", [LogisticLoss, LeastSquaresLoss])
+@pytest.mark.parametrize("field", ["data", "weights"])
+def test_lipschitz_bound_follows_reassigned_data_and_weights(rng, make, field):
+    # the cached norm estimate must not outlive the arrays it was taken from
+    a = rng.standard_normal((50, 5))
+    y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+    w = np.linspace(0.5, 1.5, 50) / 50
+    loss = make(a, y)
+    before = loss.lipschitz_bound()
+    if field == "data":
+        loss.data = 10.0 * a
+        fresh = make(10.0 * a, y)
+    else:
+        loss.weights = w
+        fresh = make(a, y, w)
+    assert loss.lipschitz_bound() == fresh.lipschitz_bound() != before
+
+
 @pytest.mark.parametrize("model, families", [
     ("fused-sparse-logistic", ("fused_weight",)),
     ("sparse-group-logistic", ("group_weight",)),

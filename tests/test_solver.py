@@ -12,7 +12,7 @@ from sepqn.problems import (
     RegularizerTerm,
     make_builtin,
 )
-from sepqn.scd import continuation_solve
+from sepqn.scd import continuation_solve, step_delta_cap
 from sepqn.solver import (
     ARMIJO,
     BACKTRACK_FACTOR,
@@ -346,6 +346,81 @@ def test_line_search_failure_triggers_tighter_retry(monkeypatch):
     assert sol.trace.status == "converged"
     assert state["searches"] >= 2
     assert state["tols"][1] == pytest.approx(state["tols"][0] * 0.01)
+
+
+def _spy_continuation(monkeypatch):
+    """Record (step_delta handed in, cap of the metric at the call, result)
+    for every continuation_solve call solve makes."""
+    import sepqn.solver as solver_mod
+
+    calls = []
+    real = solver_mod.continuation_solve
+
+    def spy(metric, x_k, grad_k, terms, **kwargs):
+        cap = step_delta_cap(metric, terms)
+        result = real(metric, x_k, grad_k, terms, **kwargs)
+        calls.append((kwargs.get("step_delta"), cap, result))
+        return result
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("model, families", [
+    ("l1-logistic", {}),
+    ("fused-sparse-logistic", {"fused_weight": None}),
+    ("sparse-group-logistic", {"group_weight": None, "groups": 6}),
+])
+def test_dual_step_is_carried_capped_into_the_next_surrogate(monkeypatch, model,
+                                                             families):
+    # the first surrogate starts at initial_step_delta; every later one at
+    # the step its predecessor ended with, capped by the updated metric's
+    # step_delta_cap, and both sides of the min occur
+    calls = _spy_continuation(monkeypatch)
+    handle, _ = sepqn.synth_dataset(seed=3, n=200, p=30, sparsity=0.5)
+    lam = 2.0 / handle.n
+    kw = {k: (lam if v is None else v) for k, v in families.items()}
+    prob = make_builtin(model, handle.matrix, handle.labels, lam=lam, **kw)
+    assert solve(prob, SolverConfig(max_outer=100)).trace.status == "converged"
+    assert calls[0][0] is None
+    capped = 0
+    for (_, _, before), (step, cap, _) in zip(calls, calls[1:]):
+        assert step == min(before.step_delta, cap)
+        capped += cap < before.step_delta
+    assert 0 < capped < len(calls) - 1
+
+
+def test_line_search_retry_keeps_the_carried_step(monkeypatch):
+    # the tighter retry after a failed line search starts from the same
+    # carried step as the solve it replaces
+    import sepqn.solver as solver_mod
+    from sepqn.solver import line_search as real_line_search
+
+    calls = _spy_continuation(monkeypatch)
+    searches = []
+
+    def failing_second(problem, x_k, delta, gamma_k, f_value=None):
+        searches.append(len(calls))
+        if len(searches) == 2:
+            raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+        return real_line_search(problem, x_k, delta, gamma_k, f_value=f_value)
+
+    monkeypatch.setattr(solver_mod, "line_search", failing_second)
+    sol = solve(logistic_toy(seed=12, n=80, p=10), SolverConfig(max_outer=30))
+    assert sol.trace.status == "converged"
+    retry = searches[1]
+    assert calls[retry - 1][0] is not None
+    assert calls[retry][0] == calls[retry - 1][0]
+    assert calls[retry][1] == calls[retry - 1][1]
+
+
+def test_default_inner_tolerance_is_a_hundredth_of_the_outer():
+    assert SolverConfig().resolved_inner_tolerance() == 1e-10
+    assert SolverConfig(outer_tolerance=1e-6).resolved_inner_tolerance() == 1e-8
+    assert SolverConfig(outer_tolerance=1e-14).resolved_inner_tolerance() == 1e-10
+    explicit = SolverConfig(inner_tolerance=3e-9)
+    assert explicit.resolved_inner_tolerance() == 3e-9
+    assert SolverConfig(inner_tolerance=0.0).resolved_inner_tolerance() == 0.0
 
 
 def test_solve_fused_sparse_group_model():
