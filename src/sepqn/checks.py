@@ -217,6 +217,19 @@ def check_solver_monotone_trace():
     assert rel <= 1e-6, f"solver/fista disagree: {rel}"
 
 
+def check_default_stop_at_floor():
+    # the forcing rule loosens the early surrogates of a default solve, but
+    # the solve stops on one solved at the floor tolerance
+    handle, _ = synth_dataset(seed=6, n=100, p=20)
+    prob = make_builtin("l1-logistic", handle.matrix, handle.labels, lam=2.0 / handle.n)
+    cfg = SolverConfig()
+    floor = cfg.resolved_inner_tolerance()
+    rows = solve(prob, cfg).trace.rows
+    assert max(r.inner_tolerance for r in rows) > floor, "no surrogate was loosened"
+    assert rows[-1].inner_tolerance == floor, (
+        f"last surrogate solved to {rows[-1].inner_tolerance}, floor {floor}")
+
+
 CHECKS = [
     ("adjoint-identity", check_adjoint_identity),
     ("sparse-matvec-oracle", check_sparse_matvec_oracle),
@@ -230,6 +243,7 @@ CHECKS = [
     ("surrogate-prox-oracle", check_surrogate_prox_oracle),
     ("term-blocks", check_term_blocks),
     ("solver-monotone-and-consensus", check_solver_monotone_trace),
+    ("default-stop-at-floor", check_default_stop_at_floor),
 ]
 
 

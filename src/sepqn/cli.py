@@ -53,6 +53,11 @@ BASELINE_FLAGS = (
 # scd-direct's metric is fixed, so --memory sets sepqn's config alone; every
 # other solver flag sets scd-direct's too, over baselines.SCD_DIRECT_SETTINGS
 SCD_DIRECT_FLAGS = tuple(f for f in SOLVER_FLAGS if f[0] != "--memory")
+# what a flag's help adds to "sets <Config>.<field>"
+FLAG_NOTES = {
+    "--memory": " for sepqn only",
+    "--inner-tol": ", fixing every surrogate's tolerance (absent: the forcing rule)",
+}
 
 
 @dataclass
@@ -183,7 +188,9 @@ def run(spec: RunSpec) -> int:
             ("lambda", float(spec.lam)),
         ]
         if solver in ("sepqn", "scd-direct"):
-            # surrogates that hit max_inner before certifying their gap
+            # which exit fired, and the surrogates that hit max_inner before
+            # certifying their gap
+            entries.append(("stop_reason", sol.trace.stop_reason))
             entries.append(("inner_unconverged",
                             sum(not r.inner_converged for r in sol.trace.rows)))
         if spec.timing and sol.trace.rows:
@@ -297,8 +304,8 @@ def _add_problem_args(p):
     arg("--timing", action="store_true", help="write wall-clock seconds into trace CSVs")
     for cls, flags in ((SolverConfig, SOLVER_FLAGS), (BaselineConfig, BASELINE_FLAGS)):
         for flag, name, kind in flags:
-            scope = " for sepqn only" if flag == "--memory" else ""
-            arg(flag, dest=name, type=kind, help=f"sets {cls.__name__}.{name}{scope}")
+            arg(flag, dest=name, type=kind,
+                help=f"sets {cls.__name__}.{name}{FLAG_NOTES.get(flag, '')}")
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,21 @@ starts at `scd.initial_step_delta`. Besides the gamma test, the loop
 stops after `stall_iterations` consecutive small objective changes, counted
 by `_stall_count`, the rule FISTA shares.
 
+With `inner_tolerance=None` the surrogates are solved inexactly, by the
+forcing rule of Lee, Sun & Saunders (2014, "Proximal Newton-type methods for
+minimizing composite functions"): the first at the floor
+eps = `resolved_inner_tolerance()`, and surrogate k at
+
+    max(eps, eta_k * |gamma_{k-1}|),   eta_k = min(FORCING, |gamma_{k-1}| / max(1, |f_k|)),
+
+so eta_k -> 0 and the superlinear rate survives. Only a surrogate solved at
+eps (or tighter) may end a solve: when the gamma test fires on a looser one,
+that surrogate is re-solved at eps, warm from its own duals and final step,
+and tested again; when the stall count is reached on a looser one, the next
+surrogate is solved at eps before the stall may stop the solve. An explicit
+`inner_tolerance` fixes every surrogate's tolerance. `SolveTrace.stop_reason`
+names the exit that fired.
+
 `epochs` counts loss evaluations: one per gradient and one per line-search
 probe; inner dual iterations touch only the surrogate and cost none. The
 gradient at the point the line search just accepted reuses that probe's
@@ -37,6 +52,7 @@ from .scd import DualState, continuation_solve, step_delta_cap
 __all__ = [
     "ARMIJO",
     "BACKTRACK_FACTOR",
+    "FORCING",
     "SolverConfig",
     "TraceRow",
     "SolveTrace",
@@ -87,6 +103,7 @@ def _stall_count(stall, f_old, f_new, tolerance):
 
 ARMIJO = 1e-4            # sufficient-descent constant, in (0, 1/2)
 BACKTRACK_FACTOR = 0.5   # step-length shrink per rejected probe
+FORCING = 0.1            # cap of the forcing term eta_k of the default inner tolerance
 
 
 @dataclass
@@ -94,7 +111,7 @@ class SolverConfig:
     outer_tolerance: float = 1e-8       # relative objective change
     max_outer: int = 500
     lbfgs_memory: int = 10              # 0 keeps the metric fixed at sigma0 * I
-    inner_tolerance: float = None       # default max(1e-10, 0.01 * outer_tolerance)
+    inner_tolerance: float = None       # None: the forcing rule, see the module docstring
     continuation_restarts: int = 3
     max_inner: int = 2000
     sigma0: float = 1.0
@@ -115,6 +132,7 @@ class SolverConfig:
         ))
 
     def resolved_inner_tolerance(self) -> float:
+        """The explicit inner tolerance, else the forcing rule's floor."""
         if self.inner_tolerance is not None:
             return self.inner_tolerance
         return max(1e-10, 0.01 * self.outer_tolerance)
@@ -136,12 +154,14 @@ class TraceRow:
     dir_h_dir: float          # d' H d for the accepted direction
     curvature_accepted: bool
     inner_converged: bool
+    inner_tolerance: float = float("nan")   # the tolerance this surrogate was solved to
 
 
 @dataclass
 class SolveTrace:
     rows: list = field(default_factory=list)
     status: str = "running"
+    stop_reason: str = None   # sepqn's exit: "gamma", "stall", "retry" or "max_outer"
     initial_objective: float = float("nan")
     iterates: list = field(default_factory=list)
 
@@ -230,44 +250,52 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     trace = SolveTrace(initial_objective=f_val)
     if cfg.record_iterates:
         trace.iterates.append(x.copy())
+    adaptive = cfg.inner_tolerance is None
+    tol = eps_inner   # this surrogate's tolerance; the first is at the floor
     duals = None
     step = None   # the dual step carried from the last surrogate, capped
     stall = 0
-    status = "max_outer"
+    reason = "max_outer"
 
-    for k in range(cfg.max_outer):
-        inner = continuation_solve(
-            metric, x, grad, problem.terms, warm_duals=duals,
-            tolerance=eps_inner, max_inner=cfg.max_inner,
+    def surrogate(tolerance, warm_duals, step_delta):
+        return continuation_solve(
+            metric, x, grad, problem.terms, warm_duals=warm_duals,
+            tolerance=tolerance, max_inner=cfg.max_inner,
             restarts=cfg.continuation_restarts, blocks=problem.blocks,
-            step_delta=step,
+            step_delta=step_delta,
         )
-        delta = inner.direction
-        gam = gamma(problem, x, delta, grad)
 
+    def stationary(gam, inner, scale):
         # no certifiable decrease: gamma is zero to within the inner gap, so
         # the direction is dual-solver noise and the iterate is stationary
+        return gam >= -1e-14 * scale or (
+            inner.converged and -gam <= 2.0 * inner.gap_estimate)
+
+    for k in range(cfg.max_outer):
+        inner = surrogate(tol, duals, step)
+        delta = inner.direction
+        gam = gamma(problem, x, delta, grad)
         scale = max(1.0, abs(f_val))
-        if gam >= -1e-14 * scale or (
-            inner.converged and -gam <= 2.0 * inner.gap_estimate
-        ):
-            status = "converged"
+        if tol > eps_inner and stationary(gam, inner, scale):
+            # only a floor-tolerance surrogate may end the solve
+            tol = eps_inner
+            inner = surrogate(tol, inner.duals, inner.step_delta)
+            delta = inner.direction
+            gam = gamma(problem, x, delta, grad)
+        if stationary(gam, inner, scale):
+            reason = "gamma"
             break
 
         try:
             t, f_new, probes = line_search(problem, x, delta, gam, f_value=f_val)
         except LineSearchFailure:
             # dominant cause is an under-solved surrogate: tighten once, retry
-            inner = continuation_solve(
-                metric, x, grad, problem.terms, warm_duals=inner.duals,
-                tolerance=eps_inner * 0.01, max_inner=cfg.max_inner,
-                restarts=cfg.continuation_restarts, blocks=problem.blocks,
-                step_delta=step,
-            )
+            tol = eps_inner * 0.01
+            inner = surrogate(tol, inner.duals, step)
             delta = inner.direction
             gam = gamma(problem, x, delta, grad)
             if gam >= -1e-14 * scale:
-                status = "converged"
+                reason = "retry"
                 break
             t, f_new, probes = line_search(problem, x, delta, gam, f_value=f_val)
         epochs += probes
@@ -291,6 +319,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             beta=metric.beta, work=work, gap_estimate=inner.gap_estimate,
             dir_h_dir=dir_h_dir,
             curvature_accepted=accepted, inner_converged=inner.converged,
+            inner_tolerance=tol,
         ))
         if cfg.record_iterates:
             trace.iterates.append(x_new.copy())
@@ -299,8 +328,16 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         x, grad, f_val = x_new, grad_new, f_new
         duals = inner.duals
         if stall >= cfg.stall_iterations:
-            status = "converged"
-            break
+            if tol <= eps_inner:
+                reason = "stall"
+                break
+            tol = eps_inner   # a stall on a loose surrogate is checked at the floor
+        elif adaptive:
+            eta = min(FORCING, abs(gam) / max(1.0, abs(f_val)))
+            tol = max(eps_inner, eta * abs(gam))
+        else:
+            tol = eps_inner
 
-    trace.status = status
+    trace.stop_reason = reason
+    trace.status = "max_outer" if reason == "max_outer" else "converged"
     return Solution(x=x, objective=f_val, trace=trace, duals=duals)

@@ -243,6 +243,25 @@ class TestCli:
         admm = open(os.path.join(out, "admm_summary.txt")).read()
         assert "inner_unconverged" not in admm
 
+    def test_summary_names_the_stop_reason(self, tmp_path, monkeypatch):
+        # sepqn and scd-direct write which exit fired; the baselines do not
+        solved = {}
+        for name, attr in (("sepqn", "solve"), ("scd-direct", "scd_direct_solve")):
+            def spy(*args, _real=getattr(cli, attr), _name=name, **kwargs):
+                solved[_name] = _real(*args, **kwargs)
+                return solved[_name]
+            monkeypatch.setattr(cli, attr, spy)
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--solvers", "sepqn,scd-direct,fista",
+                     "--model", "l1-logistic", "--lambda", "0.01",
+                     "--synth-n", "80", "--synth-p", "15", "--out", out]) == 0
+        for name, sol in solved.items():
+            summary = open(os.path.join(out, f"{name}_summary.txt")).read()
+            assert sol.trace.stop_reason in ("gamma", "stall")
+            assert f"stop_reason: {sol.trace.stop_reason}\n" in summary
+        fista = open(os.path.join(out, "fista_summary.txt")).read()
+        assert "stop_reason" not in fista
+
     def test_synth_subcommand(self, tmp_path):
         out = str(tmp_path / "data.svm")
         rc = main(["synth", "--n", "40", "--p", "8", "--seed", "2",

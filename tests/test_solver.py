@@ -16,6 +16,7 @@ from sepqn.scd import continuation_solve, step_delta_cap
 from sepqn.solver import (
     ARMIJO,
     BACKTRACK_FACTOR,
+    FORCING,
     LineSearchFailure,
     SolverConfig,
     SolverError,
@@ -288,9 +289,11 @@ def test_epoch_accounting():
 def test_accepted_step_reuses_probe_margins(matvec_calls, seed, backtracks):
     # the gradient at the accepted point takes A x from the line search's
     # last probe, so each outer iteration saves one data product, whether
-    # that probe was the unit step or a backtracked one
+    # that probe was the unit step or a backtracked one; a seed scale far
+    # below the loss's curvature makes the first unit step fail
     prob = logistic_toy(seed=seed, n=100, p=15)
-    sol = solve(prob, SolverConfig(max_outer=40))
+    sigma0 = 1e-3 if backtracks else 1.0
+    sol = solve(prob, SolverConfig(max_outer=40, sigma0=sigma0))
     assert any(r.step < 1.0 for r in sol.trace.rows) == backtracks
     assert len(matvec_calls) == sol.trace.epochs - sol.trace.iterations
 
@@ -462,3 +465,112 @@ def test_solve_bitwise_deterministic():
     assert [r.objective for r in a.trace.rows] == [r.objective for r in b.trace.rows]
     assert [r.inner_iterations for r in a.trace.rows] == \
         [r.inner_iterations for r in b.trace.rows]
+
+
+def _spy_tolerances(monkeypatch):
+    """Record (tolerance, x handed in) for every continuation_solve call."""
+    import sepqn.solver as solver_mod
+
+    calls = []
+    real = solver_mod.continuation_solve
+
+    def spy(metric, x_k, grad_k, terms, **kwargs):
+        calls.append((kwargs["tolerance"], x_k))
+        return real(metric, x_k, grad_k, terms, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    return calls
+
+
+def test_default_inner_tolerance_follows_the_forcing_rule(monkeypatch):
+    # surrogate 1 at the floor, surrogate k at max(eps, eta_k |gamma_{k-1}|)
+    # with eta_k = min(FORCING, |gamma_{k-1}| / max(1, |f_k|)); the surrogate
+    # the solve stops on is solved at the floor
+    calls = _spy_tolerances(monkeypatch)
+    cfg = SolverConfig(max_outer=100)
+    eps = cfg.resolved_inner_tolerance()
+    sol = solve(logistic_toy(seed=0, n=200, p=50), cfg)
+    rows = sol.trace.rows
+    assert sol.trace.stop_reason in ("gamma", "stall")
+    assert rows[0].inner_tolerance == eps
+    for before, row in zip(rows, rows[1:]):
+        eta = min(FORCING, abs(before.gamma) / max(1.0, abs(before.objective)))
+        assert row.inner_tolerance == max(eps, eta * abs(before.gamma))
+    assert max(r.inner_tolerance for r in rows) > 1e3 * eps
+    assert calls[-1][0] == eps
+    assert [tol for tol, _ in calls[:len(rows)]] == [r.inner_tolerance for r in rows]
+
+
+def test_loose_gamma_stop_is_resolved_at_the_floor(monkeypatch):
+    # on this l1 toy the gamma test fires on the loose third surrogate; the
+    # guard re-solves it at the floor from the same point, the solve goes on,
+    # and it ends where a solve at a fixed 1e-10 does
+    calls = _spy_tolerances(monkeypatch)
+    prob = logistic_toy(seed=6, n=100, p=20)
+    cfg = SolverConfig(max_outer=100)
+    eps = cfg.resolved_inner_tolerance()
+    sol = solve(prob, cfg)
+    resolved = [i for i in range(1, len(calls)) if calls[i][1] is calls[i - 1][1]]
+    assert resolved == [3]
+    assert calls[2][0] > eps and calls[3][0] == eps
+    assert sol.trace.rows[2].inner_tolerance == eps
+    assert sol.trace.iterations > 3
+    assert calls[-1][0] == eps
+    fixed = solve(prob, SolverConfig(max_outer=100, inner_tolerance=1e-10))
+    assert abs(sol.objective - fixed.objective) <= 1e-9 * abs(fixed.objective)
+    assert sol.trace.rows[2].objective - fixed.objective > 1e-6
+
+
+def test_stall_on_a_loose_surrogate_is_checked_at_the_floor():
+    # with one stall iteration and a loose outer tolerance, the third step
+    # stalls on a loose surrogate; the next is solved at the floor, and only
+    # its stall stops the solve
+    cfg = SolverConfig(max_outer=100, outer_tolerance=1e-2, stall_iterations=1)
+    eps = cfg.resolved_inner_tolerance()
+    sol = solve(logistic_toy(seed=0, n=100, p=20), cfg)
+    tols = [r.inner_tolerance for r in sol.trace.rows]
+    assert len(tols) == 4 and tols[2] > eps
+    assert tols[3] == eps
+    assert sol.trace.stop_reason == "stall"
+
+
+@pytest.mark.parametrize("tolerance", [3e-9, 1e-12])
+def test_explicit_inner_tolerance_holds_on_every_row(monkeypatch, tolerance):
+    calls = _spy_tolerances(monkeypatch)
+    sol = solve(logistic_toy(seed=0, n=200, p=50),
+                SolverConfig(max_outer=100, inner_tolerance=tolerance))
+    assert sol.trace.iterations > 3
+    assert all(r.inner_tolerance == tolerance for r in sol.trace.rows)
+    assert all(tol == tolerance for tol, _ in calls)
+
+
+def test_stop_reason_names_the_exit(monkeypatch):
+    import dataclasses
+
+    import sepqn.solver as solver_mod
+
+    prob = logistic_toy(seed=0, n=200, p=50)
+    capped = solve(prob, SolverConfig(max_outer=2))
+    assert (capped.trace.status, capped.trace.stop_reason) == ("max_outer", "max_outer")
+    huge = solve(logistic_toy(seed=2, n=80, p=15, lam=10.0), SolverConfig())
+    assert (huge.trace.status, huge.trace.stop_reason) == ("converged", "gamma")
+    stalled = solve(prob, SolverConfig(outer_tolerance=1e-2, stall_iterations=1))
+    assert (stalled.trace.status, stalled.trace.stop_reason) == ("converged", "stall")
+
+    # a line search that fails, and a tighter retry that finds no decrease
+    real = solver_mod.continuation_solve
+
+    def null_retry(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if kwargs["tolerance"] < SolverConfig().resolved_inner_tolerance():
+            result = dataclasses.replace(result, direction=0.0 * result.direction)
+        return result
+
+    def failing(problem, x_k, delta, gamma_k, f_value=None):
+        raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", null_retry)
+    monkeypatch.setattr(solver_mod, "line_search", failing)
+    retried = solve(prob, SolverConfig())
+    assert (retried.trace.status, retried.trace.stop_reason) == ("converged", "retry")
+    assert retried.trace.iterations == 0
