@@ -179,6 +179,25 @@ def check_surrogate_prox_oracle():
         assert np.linalg.norm(res.direction - want) <= 1e-8
 
 
+def check_surrogate_stationarity():
+    # the dual loop stops on its gap alone: H d + r vanishes at the point it
+    # returns, d = xhat - x_k and r = grad - sum W_i' v_i, to rounding
+    rng = np.random.default_rng(13)
+    metric = LbfgsMetric(12, capacity=4, sigma=0.8)
+    while metric.pair_count < 4:
+        s = rng.standard_normal(12)
+        metric.push_pair(s, s + 0.4 * rng.standard_normal(12))
+    terms = (RegularizerTerm(NormKind.L1, 0.2, Identity(12)),
+             RegularizerTerm(NormKind.L2, 0.3, FirstDifference(12)))
+    x, g = rng.standard_normal(12), rng.standard_normal(12)
+    res = solve_surrogate(metric, x, g, terms, tolerance=1e-10, max_inner=5000)
+    assert res.converged, f"gap {res.gap_estimate} after {res.inner_iterations}"
+    r = g - sum(t.op.apply_transpose(v) for t, v in zip(terms, res.duals.aux_v))
+    resid = np.linalg.norm(metric.apply(res.direction) + r)
+    allowed = 1e-12 * (1.0 + np.linalg.norm(r))
+    assert resid <= allowed, f"||H d + r|| = {resid} > {allowed}"
+
+
 def check_term_blocks():
     # the dirty multitask model's row groups run fused, as one block; the same
     # terms over ExplicitSparse operators run one by one
@@ -241,6 +260,7 @@ CHECKS = [
     ("seed-scale-ordering", check_seed_ordering),
     ("theta-recursion-bound", check_theta_recursion_bound),
     ("surrogate-prox-oracle", check_surrogate_prox_oracle),
+    ("surrogate-stationarity", check_surrogate_stationarity),
     ("term-blocks", check_term_blocks),
     ("solver-monotone-and-consensus", check_solver_monotone_trace),
     ("default-stop-at-floor", check_default_stop_at_floor),

@@ -33,20 +33,17 @@ def _inverse(ss, sy, yy):
 
 
 class LbfgsMetric:
-    def __init__(self, dim, capacity=10, sigma=1.0, sigma_floor=SIGMA_FLOOR):
+    def __init__(self, dim, capacity=10, sigma=1.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         # a nan sigma would pass a plain `<= 0` test and stall the dual loop
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        if not (math.isfinite(sigma_floor) and sigma_floor >= 0):
-            raise ValueError(f"sigma_floor must be finite and >= 0, got {sigma_floor}")
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.sigma = float(sigma)
-        self.sigma_floor = float(sigma_floor)
         self.beta = 2.0
         self.floor_hits = 0
         self._count = 0
@@ -137,8 +134,8 @@ class LbfgsMetric:
         self.sigma = min(self.sigma / self.beta, float(y @ y) / sy)
         if t_k == 1.0:
             self.sigma = max(self.sigma, sy / float(s @ s))
-        if self.sigma < self.sigma_floor:
-            self.sigma = self.sigma_floor
+        if self.sigma < SIGMA_FLOOR:
+            self.sigma = SIGMA_FLOOR
             self.floor_hits += 1
         self._middle = None
         self._spectrum = None
@@ -192,7 +189,5 @@ class LbfgsMetric:
         return self.inv_spectrum()[1]
 
     @property
-    def inv_apply_cost(self) -> int:  # multiply-adds, either direction
+    def inv_apply_cost(self) -> int:  # multiply-adds
         return (4 * self._count + 2) * self.dim + 4 * self._count ** 2
-
-    apply_cost = inv_apply_cost

@@ -24,14 +24,15 @@ The dual loop runs over the term blocks of `problems.term_blocks`, not over
 terms, with every dual vector stacked in one array, so the elementwise steps
 run once over all terms. A caller that holds the blocks, as `solver.solve`
 does with `problem.blocks`, hands them in; otherwise they are built once per
-solve_surrogate call. The first dual step, the work model and the per-term
-shape of the returned duals are those of the terms.
+solve_surrogate call. The first dual step and the per-term shape of the
+returned duals are those of the terms.
 
 Stopping is certified by the summed per-term Fenchel gap at the recovered
-primal point plus the surrogate stationarity residual ||H d + r||, both below
-the inner tolerance. The residual is evaluated only at stop candidates, the
-iterates whose gap meets the tolerance, and once more for the iterate a run
-returns when it hits max_inner. The step size delta is backtracked against the
+primal point alone. xhat(z) minimizes the reduced Lagrangian exactly, so the
+stationarity residual H d + r, with d = xhat - x_k and r = grad - sum W_i' z_i,
+is zero up to the rounding of the metric's two compact forms (`sepqn check`
+asserts it once). The loop keeps no flop ledger: `surrogate_work` models a
+solve's cost from its counts. The step size delta is backtracked against the
 standard upper quadratic bound and regrown by 1.1 on success, up to
 lambda_max(H) / max_i ||W_i||^2: L >= ||W_i||^2 lambda_min(H^{-1}) for each
 term, so that cap, `step_delta_cap`, is above every step 1 / L allows. A
@@ -61,6 +62,7 @@ __all__ = [
     "dual_objective",
     "initial_step_delta",
     "step_delta_cap",
+    "surrogate_work",
     "solve_surrogate",
     "continuation_solve",
 ]
@@ -78,12 +80,10 @@ class InnerResult:
     duals: DualState
     inner_iterations: int
     gap_estimate: float
-    residual: float
     converged: bool
     entry_gap: float
     step_delta: float
     backtracks: int
-    work: float
     momentum_resets: int
     rounds: tuple = ()     # (entry_gap, final_gap, iterations) per continuation round
 
@@ -113,10 +113,9 @@ def _recovery(metric, x_k, grad_k, blocks):
     """The primal recovery kernel at z, with the blocks' kernels bound once.
 
     recover(z) returns xhat = x_k - H^{-1}(grad - sum W_i' z_i), the stacked
-    images u = (W_i xhat + b_i), the constant-free negated dual value
-    -D(z) = -(grad'd + 1/2 d'Hd - z'u) with d = xhat - x_k, the displacement
-    d, and the pull-back r = grad - sum W_i' z_i. H d = -r exactly, so
-    d'Hd = -d'r.
+    images u = (W_i xhat + b_i) and the constant-free negated dual value
+    -D(z) = -(grad'd + 1/2 d'Hd - z'u) with d = xhat - x_k. With the pull-back
+    r = grad - sum W_i' z_i, H d = -r exactly, so d'Hd = -d'r.
     """
     images = [b.image for b in blocks]
     pull = [(b.transpose, b.sl) for b in blocks]
@@ -130,7 +129,7 @@ def _recovery(metric, x_k, grad_k, blocks):
         xhat = x_k + d
         u = _stack([image(xhat) for image in images]) + offset
         dneg = -(float(grad_k @ d) - 0.5 * float(d @ r) - float(z @ u))
-        return xhat, u, dneg, d, r
+        return xhat, u, dneg
 
     return recover
 
@@ -174,6 +173,19 @@ def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     return 1.0 / low if low > 0.0 else math.inf
 
 
+def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks) -> float:
+    """Modeled multiply-adds of a dual loop run: each iteration makes one
+    recovery R at y and a restart dot product over the S stacked duals, and
+    each of its iterations + backtracks step attempts one projection P and
+    one recovery; iterations * (R + S) + (iterations + backtracks) * (R + P)."""
+    stack_len = sum(t.op.output_dim for t in terms)
+    recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
+               + metric.dim + stack_len)
+    project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
+    return float(iterations * (recover + stack_len)
+                 + (iterations + backtracks) * (recover + project))
+
+
 def _next_theta(theta):
     return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
 
@@ -195,17 +207,6 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     x_k = np.asarray(x_k, dtype=np.float64)
     grad_k = np.asarray(grad_k, dtype=np.float64)
     terms = tuple(terms)
-    p = x_k.shape[0]
-
-    work = 0.0
-    stack_len = sum(t.op.output_dim for t in terms)
-    recover_cost = (
-        metric.inv_apply_cost
-        + sum(2 * t.op.apply_cost for t in terms)
-        + p
-        + stack_len
-    )
-    proj_cost = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
 
     # the dual blocks live stacked in one vector, so the elementwise steps
     # run once over all terms; the kernels see one slice per term block, and
@@ -235,25 +236,15 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     delta_floor = delta * 1e-18
     delta_cap = step_delta_cap(metric, terms)
 
-    def stationarity(d, r):
-        # ||H d + r||, the surrogate stationarity residual at a recovered point
-        nonlocal work
-        work += metric.apply_cost + p
-        resid_vec = metric.apply(d) + r
-        return math.sqrt(resid_vec @ resid_vec)
-
     entry_gap = None
-    best = None  # (gap, d, r, xhat, z, v)
+    best = None  # (gap, xhat, z, v)
     backtracks = 0
     resets = 0
-    iterations = 0
-    converged = False
 
-    for j in range(max_inner):
+    for iterations in range(1, max_inner + 1):
         one_m_theta = 1.0 - theta
         y = one_m_theta * v + theta * z
-        _, u_y, dneg_y, _, _ = recover(y)
-        work += recover_cost
+        _, u_y, dneg_y = recover(y)
         if entry_gap is None:
             # theta starts at 1, so the first y is exactly the warm point
             entry_gap = certificate(y, u_y)
@@ -261,8 +252,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         while True:
             z_new = project(z - (delta / theta) * u_y)
             v_new = one_m_theta * v + theta * z_new
-            xhat_v, u_v, dneg_v, d_v, r_v = recover(v_new)
-            work += recover_cost + proj_cost
+            xhat_v, u_v, dneg_v = recover(v_new)
             dv = v_new - y
             bound = dneg_y + float(u_y @ dv) + float(dv @ dv) / (2.0 * delta)
             if dneg_v <= bound + 1e-12 * (1.0 + abs(dneg_y)) or delta <= delta_floor:
@@ -271,14 +261,12 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             backtracks += 1
         delta = min(delta * 1.1, delta_cap)
 
-        iterations = j + 1
         gap = certificate(v_new, u_v)
         # no copies: every array here is fresh and never written in place
         if best is None or gap < best[0]:
-            best = (gap, d_v, r_v, xhat_v, z_new, v_new)
+            best = (gap, xhat_v, z_new, v_new)
 
         # gradient-mapping restart, one dot product over the stack
-        work += stack_len
         if float((y - v_new) @ (v_new - v)) > 0.0:
             theta = 1.0
             z = v = v_new
@@ -287,26 +275,19 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             z, v = z_new, v_new
             theta = _next_theta(theta)
 
-        # the residual can change the stop decision only once the gap is met
         if gap <= tolerance:
-            residual = stationarity(d_v, r_v)
-            if residual <= tolerance + 1e-12 * (1.0 + math.sqrt(r_v @ r_v)):
-                converged = True
-                best = (gap, d_v, r_v, xhat_v, z, v)
-                break
+            best = (gap, xhat_v, z, v)
+            break
 
-    gap, d, r, xhat, z, v = best
-    if not converged:
-        residual = stationarity(d, r)
+    gap, xhat, z, v = best
     t_slice = _block_slices(terms)
     state = DualState(
         tuple(DualBlock(z[sl], t.weight, t.kind) for t, sl in zip(terms, t_slice)),
         tuple(v[sl] for sl in t_slice))
     return InnerResult(
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
-        gap_estimate=gap, residual=residual, converged=converged,
-        entry_gap=entry_gap, step_delta=delta, backtracks=backtracks, work=work,
-        momentum_resets=resets,
+        gap_estimate=gap, converged=gap <= tolerance, entry_gap=entry_gap,
+        step_delta=delta, backtracks=backtracks, momentum_resets=resets,
     )
 
 
@@ -336,7 +317,6 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
     return replace(
         result,
         inner_iterations=sum(r.inner_iterations for r in rounds),
-        work=sum(r.work for r in rounds),
         backtracks=sum(r.backtracks for r in rounds),
         momentum_resets=sum(r.momentum_resets for r in rounds),
         converged=result.gap_estimate <= tolerance,

@@ -28,7 +28,9 @@ that surrogate is re-solved at eps, warm from its own duals and final step,
 and tested again; when the stall count is reached on a looser one, the next
 surrogate is solved at eps before the stall may stop the solve. An explicit
 `inner_tolerance` fixes every surrogate's tolerance. `SolveTrace.stop_reason`
-names the exit that fired.
+names the exit that fired. A row's `inner_iterations` and `work` count every
+surrogate solve made for it, the guard's and the retry's re-solves included;
+its gap and `inner_converged` are the last solve's.
 
 `epochs` counts loss evaluations: one per gradient and one per line-search
 probe; inner dual iterations touch only the surrogate and cost none. The
@@ -47,7 +49,7 @@ import numpy as np
 
 from .lbfgs import LbfgsMetric
 from .problems import CompositeProblem
-from .scd import DualState, continuation_solve, step_delta_cap
+from .scd import DualState, continuation_solve, step_delta_cap, surrogate_work
 
 __all__ = [
     "ARMIJO",
@@ -258,12 +260,16 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     reason = "max_outer"
 
     def surrogate(tolerance, warm_duals, step_delta):
-        return continuation_solve(
+        # every solve of a row counts toward its inner iterations and work
+        inner = continuation_solve(
             metric, x, grad, problem.terms, warm_duals=warm_duals,
             tolerance=tolerance, max_inner=cfg.max_inner,
             restarts=cfg.continuation_restarts, blocks=problem.blocks,
             step_delta=step_delta,
         )
+        spent[0] += inner.inner_iterations
+        spent[1] += inner.backtracks
+        return inner, gamma(problem, x, inner.direction, grad)
 
     def stationary(gam, inner, scale):
         # no certifiable decrease: gamma is zero to within the inner gap, so
@@ -272,38 +278,37 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner.converged and -gam <= 2.0 * inner.gap_estimate)
 
     for k in range(cfg.max_outer):
-        inner = surrogate(tol, duals, step)
-        delta = inner.direction
-        gam = gamma(problem, x, delta, grad)
+        spent = [0, 0]   # this row's inner iterations and dual backtracks
+        inner, gam = surrogate(tol, duals, step)
         scale = max(1.0, abs(f_val))
         if tol > eps_inner and stationary(gam, inner, scale):
             # only a floor-tolerance surrogate may end the solve
             tol = eps_inner
-            inner = surrogate(tol, inner.duals, inner.step_delta)
-            delta = inner.direction
-            gam = gamma(problem, x, delta, grad)
+            inner, gam = surrogate(tol, inner.duals, inner.step_delta)
         if stationary(gam, inner, scale):
             reason = "gamma"
             break
 
         try:
-            t, f_new, probes = line_search(problem, x, delta, gam, f_value=f_val)
+            t, f_new, probes = line_search(problem, x, inner.direction, gam, f_value=f_val)
         except LineSearchFailure:
             # dominant cause is an under-solved surrogate: tighten once, retry
             tol = eps_inner * 0.01
-            inner = surrogate(tol, inner.duals, step)
-            delta = inner.direction
-            gam = gamma(problem, x, delta, grad)
+            inner, gam = surrogate(tol, inner.duals, step)
             if gam >= -1e-14 * scale:
                 reason = "retry"
                 break
-            t, f_new, probes = line_search(problem, x, delta, gam, f_value=f_val)
+            t, f_new, probes = line_search(problem, x, inner.direction, gam, f_value=f_val)
         epochs += probes
 
         if not np.isfinite(f_new):
             raise SolverError(f"objective became non-finite at iteration {k + 1}")
 
+        delta = inner.direction
         dir_h_dir = float(delta @ metric.apply(delta))
+        # the work model reads the metric's size, so it is taken before update
+        work = (surrogate_work(metric, problem.terms, *spent)
+                + (probes + 1) * problem.loss.pass_cost)
 
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)
@@ -311,10 +316,9 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         accepted = metric.update(t, x_new - x, grad_new - grad)
         step = min(inner.step_delta, step_delta_cap(metric, problem.terms))
 
-        work = inner.work + (probes + 1) * problem.loss.pass_cost
         trace.rows.append(TraceRow(
             iteration=k + 1, objective=f_new, step=t, gamma=gam,
-            inner_iterations=inner.inner_iterations, epochs=epochs,
+            inner_iterations=spent[0], epochs=epochs,
             seconds=time.perf_counter() - t0, sigma=metric.sigma,
             beta=metric.beta, work=work, gap_estimate=inner.gap_estimate,
             dir_h_dir=dir_h_dir,

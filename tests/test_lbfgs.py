@@ -187,7 +187,7 @@ def test_adapt_rejects_bad_inputs():
 
 
 def test_sigma_floor_counted():
-    m = LbfgsMetric(2, sigma=1e-7, sigma_floor=1e-8)
+    m = LbfgsMetric(2, sigma=1e-7)
     s = np.array([1.0, 0.0])
     y = 1e-9 * s
     m.adapt_h0(1.0, s, y)
@@ -197,8 +197,6 @@ def test_sigma_floor_counted():
 
 @pytest.mark.parametrize("setting", [
     {"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": 0.0},
-    {"sigma_floor": float("nan")}, {"sigma_floor": float("inf")},
-    {"sigma_floor": -1e-8},
 ])
 def test_rejects_bad_seed_scale(setting):
     # a nan sigma once passed the positivity test and hung the dual loop

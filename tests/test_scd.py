@@ -8,6 +8,7 @@ from sepqn import scd
 from sepqn.lbfgs import LbfgsMetric
 from sepqn.operators import ExplicitSparse, FirstDifference, GroupSelector, Identity
 from sepqn.problems import NormKind, RegularizerTerm, make_builtin
+from sepqn.projections import projection_cost
 from sepqn.scd import (
     DualState,
     continuation_solve,
@@ -276,6 +277,7 @@ def test_continuation_single_restart_identical(rng):
     assert np.array_equal(a.direction, b.direction)
     assert a.inner_iterations == b.inner_iterations
     assert a.gap_estimate == b.gap_estimate
+    assert a.converged == b.converged
 
 
 def test_continuation_beats_single_round_at_equal_budget(rng):
@@ -485,8 +487,10 @@ def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
     (1e-9, 8000, True),
     (1e-14, 40, False),
 ])
-def test_residual_only_at_stop_candidates(monkeypatch, rng, tolerance, max_inner,
-                                          converges):
+def test_dual_loop_makes_no_metric_apply(monkeypatch, rng, tolerance, max_inner,
+                                         converges):
+    # the gap alone certifies a surrogate: the loop stops at the first gap
+    # that meets the tolerance and never applies H itself
     p = 10
     metric = metric_with_pairs(rng, p, 1.0, 4)
     x = rng.standard_normal(p)
@@ -495,11 +499,67 @@ def test_residual_only_at_stop_candidates(monkeypatch, rng, tolerance, max_inner
     res, gaps, applies = _instrumented_surrogate(
         monkeypatch, metric, x, grad, terms, tolerance=tolerance, max_inner=max_inner)
     assert res.converged == converges
-    assert 1 <= applies <= sum(gap <= tolerance for gap in gaps) + 1
-    # the returned residual belongs to the returned point
-    pull = grad - sum(t.op.apply_transpose(v) for t, v in zip(terms, res.duals.aux_v))
-    want = np.linalg.norm(metric.apply(res.direction) + pull)
-    assert res.residual == pytest.approx(want, rel=1e-9, abs=1e-13)
+    assert applies == 0
+    met = [gap <= tolerance for gap in gaps]
+    assert met == [False] * (len(gaps) - 1) + [converges]
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("tolerance, max_inner", [(1e-9, 8000), (1e-14, 5)])
+def test_converged_means_gap_within_tolerance(rng, restarts, tolerance, max_inner):
+    p = 12
+    metric = metric_with_pairs(rng, p, 0.9, 3)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    terms = (RegularizerTerm(NormKind.L1, 0.2, Identity(p)),
+             RegularizerTerm(NormKind.L1, 0.1, FirstDifference(p)))
+    single = solve_surrogate(metric, x, grad, terms, tolerance=tolerance,
+                             max_inner=max_inner)
+    cont = continuation_solve(metric, x, grad, terms, tolerance=tolerance,
+                              max_inner=max_inner, restarts=restarts)
+    for res in (single, cont):
+        assert res.converged == (res.gap_estimate <= tolerance)
+        assert res.converged == (max_inner > 5)
+
+
+@pytest.mark.parametrize("step_delta", [None, 64.0])
+def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
+    # recoveries (one at y per iteration, one per step attempt) and charged
+    # projections (one per step attempt, not the warm duals' first) counted
+    # in the loop, against the work model's formula over its counts
+    p = 15
+    metric = metric_with_pairs(rng, p, 0.5, 3)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    terms = (RegularizerTerm(NormKind.L1, 0.2, Identity(p)),
+             RegularizerTerm(NormKind.L1, 0.1, FirstDifference(p)))
+    recoveries, projections = [], []
+    make_recovery = scd._recovery
+    project = scd._PROJECT_RAW[NormKind.L1]
+
+    def counting_recovery(*args):
+        recover = make_recovery(*args)
+        return lambda z: recoveries.append(1) or recover(z)
+
+    monkeypatch.setattr(scd, "_recovery", counting_recovery)
+    monkeypatch.setitem(scd._PROJECT_RAW, NormKind.L1,
+                        lambda *args: projections.append(1) or project(*args))
+    res = solve_surrogate(metric, x, grad, terms, tolerance=1e-10, max_inner=4000,
+                          step_delta=step_delta)
+    monkeypatch.undo()
+    assert (res.backtracks > 0) == (step_delta is not None)
+    assert len(recoveries) == 2 * res.inner_iterations + res.backtracks
+    attempts = len(projections) // len(terms) - 1
+    assert attempts == res.inner_iterations + res.backtracks
+    stack_len = sum(t.op.output_dim for t in terms)
+    recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
+               + p + stack_len)
+    proj = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
+    # one restart dot product over the stack per iteration
+    want = (len(recoveries) * recover + attempts * proj
+            + res.inner_iterations * stack_len)
+    assert scd.surrogate_work(metric, terms, res.inner_iterations,
+                              res.backtracks) == want
 
 
 def _explicit(terms):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sepqn
+from sepqn import scd
 from sepqn.lbfgs import LbfgsMetric
 from sepqn.operators import Identity
 from sepqn.problems import (
@@ -519,6 +520,73 @@ def test_loose_gamma_stop_is_resolved_at_the_floor(monkeypatch):
     fixed = solve(prob, SolverConfig(max_outer=100, inner_tolerance=1e-10))
     assert abs(sol.objective - fixed.objective) <= 1e-9 * abs(fixed.objective)
     assert sol.trace.rows[2].objective - fixed.objective > 1e-6
+
+
+def _row_solves(monkeypatch):
+    """Record (x handed in, result, its modeled work at the call's metric)
+    for every continuation_solve call."""
+    import sepqn.solver as solver_mod
+
+    calls = []
+    real = solver_mod.continuation_solve
+
+    def spy(metric, x_k, grad_k, terms, **kwargs):
+        result = real(metric, x_k, grad_k, terms, **kwargs)
+        work = scd.surrogate_work(metric, terms, result.inner_iterations,
+                                  result.backtracks)
+        calls.append((x_k, result, work))
+        return result
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    return calls
+
+
+def _assert_rows_count_every_solve(prob, sol, calls):
+    # the calls made from one point belong to one row; a row's inner
+    # iterations and work sum them, plus one pass per loss evaluation
+    points = [x for i, (x, _, _) in enumerate(calls)
+              if i == 0 or x is not calls[i - 1][0]]
+    epochs = 1
+    for row, x in zip(sol.trace.rows, points):
+        mine = [c for c in calls if c[0] is x]
+        assert row.inner_iterations == sum(c[1].inner_iterations for c in mine)
+        passes = (row.epochs - epochs) * prob.loss.pass_cost
+        assert row.work == sum(c[2] for c in mine) + passes
+        assert row.gap_estimate == mine[-1][1].gap_estimate
+        epochs = row.epochs
+
+
+def test_a_resolved_row_counts_the_loose_solve(monkeypatch):
+    # the guard toy's third surrogate takes 2 iterations at its loose
+    # tolerance and 9 more at the floor; its row counts both solves
+    calls = _row_solves(monkeypatch)
+    prob = logistic_toy(seed=6, n=100, p=20)
+    sol = solve(prob, SolverConfig(max_outer=100))
+    assert [c[1].inner_iterations for c in calls[2:4]] == [2, 9]
+    assert sol.trace.rows[2].inner_iterations == 11
+    _assert_rows_count_every_solve(prob, sol, calls)
+
+
+def test_a_retried_row_counts_the_failed_solve(monkeypatch):
+    import sepqn.solver as solver_mod
+    from sepqn.solver import line_search as real_line_search
+
+    searches = []
+
+    def failing_once(problem, x_k, delta, gamma_k, f_value=None):
+        searches.append(1)
+        if len(searches) == 1:
+            raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+        return real_line_search(problem, x_k, delta, gamma_k, f_value=f_value)
+
+    calls = _row_solves(monkeypatch)
+    monkeypatch.setattr(solver_mod, "line_search", failing_once)
+    prob = logistic_toy(seed=12, n=80, p=10)
+    sol = solve(prob, SolverConfig(max_outer=30))
+    assert calls[0][0] is calls[1][0]
+    assert sol.trace.rows[0].inner_iterations == (
+        calls[0][1].inner_iterations + calls[1][1].inner_iterations)
+    _assert_rows_count_every_solve(prob, sol, calls)
 
 
 def test_stall_on_a_loose_surrogate_is_checked_at_the_floor():
