@@ -8,10 +8,10 @@ penalty operators whose applications dwarf both the data pass and the metric
 work. Runs use a fixed outer-iteration budget and an inner tolerance of 0.
 On the p and n axes the inner budget binds on every row past the warm-up,
 at both sizes. On the terms axis it does not: since `solve` carries the
-dual step from one surrogate to the next, 11 of the 12 surrogates in rows
-3-8 (6 and 12 terms, seed 0) certify a gap <= 0 after 4-9 of their 25
-iterations. So that axis's ratio (1.74 at seed 0) mixes the cost of a step
-with how early each surrogate certifies.
+dual step from one surrogate to the next, rows 4-6 certify a gap <= 0
+after 5, 4 and 7 of their 25 iterations at both 6 and 12 terms (seed 0).
+So that axis's ratio (1.98 at seed 0) measures per-step cost only while the
+early rows match at both sizes; otherwise it mixes in how early each certifies.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ minimizer
 
     xhat(z) = x_k - H^{-1} (grad - sum_i W_i' z_i),
 
-and the negated dual objective is smooth with Lipschitz gradient
+and the negated dual objective -D is smooth with Lipschitz gradient
 (W_1 xhat(z) + b_1, ..., W_N xhat(z) + b_N), so an accelerated projected
 gradient scheme applies. The iteration keeps two feasible sequences: z takes
 the aggressive steps delta/theta, v is the averaged solution sequence, and the
@@ -32,8 +32,11 @@ primal point alone. xhat(z) minimizes the reduced Lagrangian exactly, so the
 stationarity residual H d + r, with d = xhat - x_k and r = grad - sum W_i' z_i,
 is zero up to the rounding of the metric's two compact forms (`sepqn check`
 asserts it once). The loop keeps no flop ledger: `surrogate_work` models a
-solve's cost from its counts. The step size delta is backtracked against the
-standard upper quadratic bound and regrown by 1.1 on success, up to
+solve's cost from its counts. -D is exactly quadratic with gradient u(z), the
+stacked images at xhat(z), so the upper quadratic bound at step delta holds
+exactly when delta (u_v - u_y)'(v - y) <= ||v - y||^2: the loop tests that
+product and never evaluates -D, whose values near the optimum differ by less
+than their rounding. delta halves on a failed test, else grows 1.1-fold, up to
 lambda_max(H) / max_i ||W_i||^2: L >= ||W_i||^2 lambda_min(H^{-1}) for each
 term, so that cap, `step_delta_cap`, is above every step 1 / L allows. A
 step handed in is used as given, even above the cap, and only backtracking
@@ -110,13 +113,9 @@ def _block_slices(terms):
 
 
 def _recovery(metric, x_k, grad_k, blocks):
-    """The primal recovery kernel at z, with the blocks' kernels bound once.
-
-    recover(z) returns xhat = x_k - H^{-1}(grad - sum W_i' z_i), the stacked
-    images u = (W_i xhat + b_i) and the constant-free negated dual value
-    -D(z) = -(grad'd + 1/2 d'Hd - z'u) with d = xhat - x_k. With the pull-back
-    r = grad - sum W_i' z_i, H d = -r exactly, so d'Hd = -d'r.
-    """
+    """The primal recovery kernel at z, with the blocks' kernels bound once:
+    recover(z) returns xhat = x_k - H^{-1}(grad - sum W_i' z_i) and the
+    stacked images u = (W_i xhat + b_i), the negated dual's gradient at z."""
     images = [b.image for b in blocks]
     pull = [(b.transpose, b.sl) for b in blocks]
     offset = _stack([b.offset for b in blocks])
@@ -125,11 +124,8 @@ def _recovery(metric, x_k, grad_k, blocks):
         r = grad_k.copy()
         for transpose, sl in pull:
             r -= transpose(z[sl])
-        d = -metric.inv_apply(r)
-        xhat = x_k + d
-        u = _stack([image(xhat) for image in images]) + offset
-        dneg = -(float(grad_k @ d) - 0.5 * float(d @ r) - float(z @ u))
-        return xhat, u, dneg
+        xhat = x_k - metric.inv_apply(r)
+        return xhat, _stack([image(xhat) for image in images]) + offset
 
     return recover
 
@@ -139,21 +135,23 @@ def _recover_at(metric, x_k, grad_k, terms, duals):
     z = _warm_stack(duals, terms)
     recover = _recovery(metric, np.asarray(x_k, dtype=np.float64),
                         np.asarray(grad_k, dtype=np.float64), _term_blocks(terms))
-    return recover(z)
+    return (z,) + recover(z)
 
 
 def recover_primal(metric: LbfgsMetric, x_k, grad_k, terms, duals) -> np.ndarray:
     """Reduced-Lagrangian minimizer xhat = x_k - H^{-1}(grad - sum W_i' z_i)."""
-    return _recover_at(metric, x_k, grad_k, terms, duals)[0]
+    return _recover_at(metric, x_k, grad_k, terms, duals)[1]
 
 
 def dual_objective(metric: LbfgsMetric, x_k, grad_k, terms, duals, g_value=0.0) -> float:
-    """Negated dual value at the given blocks, evaluated at the exact minimizer.
+    """Negated dual value -D(z) = z'u - grad'd - 1/2 d'Hd at d = xhat - x_k.
 
     Includes the model's constant term only when g_value is supplied; the
     solver uses differences, where the constant cancels.
     """
-    return _recover_at(metric, x_k, grad_k, terms, duals)[2] - g_value
+    z, xhat, u = _recover_at(metric, x_k, grad_k, terms, duals)
+    d = xhat - x_k
+    return float(z @ u) - float(d @ grad_k) - 0.5 * float(d @ metric.apply(d)) - g_value
 
 
 def initial_step_delta(metric: LbfgsMetric, terms) -> float:
@@ -244,7 +242,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     for iterations in range(1, max_inner + 1):
         one_m_theta = 1.0 - theta
         y = one_m_theta * v + theta * z
-        _, u_y, dneg_y = recover(y)
+        _, u_y = recover(y)
         if entry_gap is None:
             # theta starts at 1, so the first y is exactly the warm point
             entry_gap = certificate(y, u_y)
@@ -252,10 +250,11 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         while True:
             z_new = project(z - (delta / theta) * u_y)
             v_new = one_m_theta * v + theta * z_new
-            xhat_v, u_v, dneg_v = recover(v_new)
+            xhat_v, u_v = recover(v_new)
             dv = v_new - y
-            bound = dneg_y + float(u_y @ dv) + float(dv @ dv) / (2.0 * delta)
-            if dneg_v <= bound + 1e-12 * (1.0 + abs(dneg_y)) or delta <= delta_floor:
+            # the quadratic bound in exact product form; 1e-12 admits delta = 1/L
+            if (delta * float((u_v - u_y) @ dv) <= (1.0 + 1e-12) * float(dv @ dv)
+                    or delta <= delta_floor):
                 break
             delta *= 0.5
             backtracks += 1

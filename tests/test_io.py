@@ -222,7 +222,7 @@ class TestCli:
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
     def test_summary_counts_unconverged_inner_solves(self, tmp_path, monkeypatch):
-        # a budget of 20 inner iterations leaves some surrogates, not all,
+        # a budget of 10 inner iterations leaves some surrogates, not all,
         # short of their gap; baselines have no inner solve and no such line
         solved = {}
         for name, attr in (("sepqn", "solve"), ("scd-direct", "scd_direct_solve")):
@@ -233,7 +233,7 @@ class TestCli:
         out = str(tmp_path / "cmp")
         assert main(["compare", "--solvers", "sepqn,scd-direct,admm",
                      "--model", "sparse-group-logistic", "--lambda", "0.01",
-                     "--synth-n", "80", "--synth-p", "15", "--max-inner", "20",
+                     "--synth-n", "80", "--synth-p", "15", "--max-inner", "10",
                      "--out", out]) == 0
         for name, sol in solved.items():
             summary = open(os.path.join(out, f"{name}_summary.txt")).read()

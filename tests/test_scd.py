@@ -411,6 +411,50 @@ def test_step_delta_backtracks_into_curvature_window():
     assert 1.0 / (2.0 * lips) <= res.step_delta <= 1.1 / lips * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_step_test_rejects_a_long_step_at_the_optimum(seed):
+    # from duals already converged, -D barely moves along any step, so a
+    # test on its values accepts 3/L within their rounding; the product form
+    # sees the curvature and backtracks below 1/L
+    rng = np.random.default_rng(seed)
+    p = 25
+    sigma = 0.37
+    metric = LbfgsMetric(p, capacity=0, sigma=sigma)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    terms = l1_terms(p, 0.15)
+    warm = solve_surrogate(metric, x, grad, terms, tolerance=1e-9)
+    res = solve_surrogate(metric, x, grad, terms, warm_duals=warm.duals,
+                          max_inner=5, step_delta=3.0 * sigma)
+    assert res.backtracks >= 1
+    assert res.converged
+
+
+def test_step_test_is_the_duals_exact_quadratic_form(rng):
+    # -D is quadratic with gradient u(z), the stacked images at xhat(z), so
+    # -D(v) - (-D(y)) - u_y'(v - y) = 1/2 (u_v - u_y)'(v - y) holds exactly
+    p = 12
+    metric = metric_with_pairs(rng, p, 0.7, 4)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    terms = (RegularizerTerm(NormKind.L1, 0.3, Identity(p)),
+             RegularizerTerm(NormKind.L1, 0.2, FirstDifference(p)))
+    sizes = np.cumsum([t.op.output_dim for t in terms])[:-1]
+
+    def images(z):
+        xhat = recover_primal(metric, x, grad, terms, np.split(z, sizes))
+        return np.concatenate([t.op.apply(xhat) + t.offset for t in terms])
+
+    for _ in range(20):
+        y, v = rng.uniform(-0.5, 0.5, (2, 2 * p - 1))
+        u_y = images(y)
+        lhs = (dual_objective(metric, x, grad, terms, np.split(v, sizes))
+               - dual_objective(metric, x, grad, terms, np.split(y, sizes))
+               - float(u_y @ (v - y)))
+        rhs = 0.5 * float((images(v) - u_y) @ (v - y))
+        assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
 def test_non_converged_result_flagged(rng):
     p = 40
     metric = LbfgsMetric(p, capacity=0, sigma=1.0)
@@ -485,7 +529,8 @@ def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
 
 @pytest.mark.parametrize("tolerance, max_inner, converges", [
     (1e-9, 8000, True),
-    (1e-14, 40, False),
+    (1e-14, 8000, True),
+    (1e-14, 10, False),
 ])
 def test_dual_loop_makes_no_metric_apply(monkeypatch, rng, tolerance, max_inner,
                                          converges):

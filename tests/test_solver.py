@@ -557,13 +557,19 @@ def _assert_rows_count_every_solve(prob, sol, calls):
 
 
 def test_a_resolved_row_counts_the_loose_solve(monkeypatch):
-    # the guard toy's third surrogate takes 2 iterations at its loose
-    # tolerance and 9 more at the floor; its row counts both solves
+    # the guard toy's third surrogate is solved at its loose tolerance and
+    # again at the floor; its row counts both solves
+    tolerances = _spy_tolerances(monkeypatch)
     calls = _row_solves(monkeypatch)
     prob = logistic_toy(seed=6, n=100, p=20)
-    sol = solve(prob, SolverConfig(max_outer=100))
-    assert [c[1].inner_iterations for c in calls[2:4]] == [2, 9]
-    assert sol.trace.rows[2].inner_iterations == 11
+    cfg = SolverConfig(max_outer=100)
+    sol = solve(prob, cfg)
+    eps = cfg.resolved_inner_tolerance()
+    loose, floor = [i for i, c in enumerate(calls) if c[0] is calls[2][0]]
+    assert tolerances[loose][0] > eps
+    assert tolerances[floor][0] == eps
+    assert sol.trace.rows[2].inner_iterations == (
+        calls[loose][1].inner_iterations + calls[floor][1].inner_iterations)
     _assert_rows_count_every_solve(prob, sol, calls)
 
 
@@ -587,6 +593,20 @@ def test_a_retried_row_counts_the_failed_solve(monkeypatch):
     assert sol.trace.rows[0].inner_iterations == (
         calls[0][1].inner_iterations + calls[1][1].inner_iterations)
     _assert_rows_count_every_solve(prob, sol, calls)
+
+
+@pytest.mark.parametrize("model, seed", [
+    ("fused-sparse-group-logistic", 0),
+    ("fused-sparse-logistic", 3),
+])
+def test_fused_default_solves_certify_every_surrogate(model, seed):
+    # at the 1e-10 floor, where a step test on -D values stalls the dual loop
+    # of these fused solves, every surrogate certifies its gap, and quickly
+    handle, _ = sepqn.synth_dataset(seed=seed, n=300, p=30, sparsity=0.5)
+    prob = make_builtin(model, handle.matrix, handle.labels, lam=0.01, groups=10)
+    rows = solve(prob, SolverConfig()).trace.rows
+    assert all(r.inner_converged for r in rows)
+    assert sum(r.inner_iterations for r in rows) < 1000
 
 
 def test_stall_on_a_loose_surrogate_is_checked_at_the_floor():
