@@ -54,7 +54,7 @@ STALL_ITERATIONS = 3    # fista stops after this many small objective changes in
 # scd-direct's settings where they differ from SolverConfig's: proximal
 # gradient takes many cheap outer steps under a metric that stays fixed
 SCD_DIRECT_SETTINGS = {"outer_tolerance": 1e-10, "max_outer": 30000,
-                       "continuation_restarts": 1, "max_inner": 200, "lbfgs_memory": 0}
+                       "max_inner": 200, "lbfgs_memory": 0}
 
 
 @dataclass

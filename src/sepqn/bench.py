@@ -9,9 +9,10 @@ work. Runs use a fixed outer-iteration budget and an inner tolerance of 0.
 On the p and n axes the inner budget binds on every row past the warm-up,
 at both sizes. On the terms axis it does not: since `solve` carries the
 dual step from one surrogate to the next, rows 4-6 certify a gap <= 0
-after 5, 4 and 7 of their 25 iterations at both 6 and 12 terms (seed 0).
-So that axis's ratio (1.98 at seed 0) measures per-step cost only while the
-early rows match at both sizes; otherwise it mixes in how early each certifies.
+early (seed 0): after 5, 10 and 5 of their 25 iterations at 6 terms, and
+after 5, 4 and 9 at 12 terms. So that axis's ratio (1.96 at seed 0) measures
+per-step cost only as far as the early rows match at both sizes; here it
+mixes in how early each certifies, 20 iterations at 6 terms against 18.
 """
 from __future__ import annotations
 

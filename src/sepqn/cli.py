@@ -57,6 +57,7 @@ SCD_DIRECT_FLAGS = tuple(f for f in SOLVER_FLAGS if f[0] != "--memory")
 FLAG_NOTES = {
     "--memory": " for sepqn only",
     "--inner-tol": ", fixing every surrogate's tolerance (absent: the forcing rule)",
+    "--restarts": ", the continuation rounds per surrogate, each ten times tighter",
 }
 
 

@@ -11,14 +11,19 @@ minimizer
     xhat(z) = x_k - H^{-1} (grad - sum_i W_i' z_i),
 
 and the negated dual objective -D is smooth with Lipschitz gradient
-(W_1 xhat(z) + b_1, ..., W_N xhat(z) + b_N), so an accelerated projected
-gradient scheme applies. The iteration keeps two feasible sequences: z takes
-the aggressive steps delta/theta, v is the averaged solution sequence, and the
-extrapolation point y blends them. The momentum is restarted by the
-gradient-mapping test of O'Donoghue & Candes (2015, "Adaptive restart for
-accelerated gradient schemes"): when (y - v_new)'(v_new - v) > 0, the step
-from y points against the last move of v, so theta is reset to 1 and z = v =
-v_new. The test costs one dot product per step; the resets are counted.
+u(z) = (W_1 xhat(z) + b_1, ..., W_N xhat(z) + b_N), so an accelerated
+projected gradient scheme applies. The iteration keeps two feasible sequences:
+z takes the aggressive steps delta/theta, v is the averaged solution sequence,
+and the extrapolation point y = v + theta (z - v) blends them. u is affine,
+so the loop carries the images u_z and u_v and forms those at y and at
+v_new = v + theta (z_new - v) by the same combinations, as TFOCS (Becker,
+Candes & Grant 2011) does: each step attempt recovers once, at z_new, and y
+is never formed. The momentum is restarted by the gradient-mapping test of
+O'Donoghue & Candes (2015, "Adaptive restart for accelerated gradient
+schemes"): when (y - v_new)'(v_new - v) > 0, the step from y points against
+the last move of v, so theta is reset to 1 and z = v = v_new. As y - v_new =
+-theta dz with dz = z_new - z, the test reads dz'(z_new - v) < 0, one dot
+product per step; the resets are counted.
 
 The dual loop runs over the term blocks of `problems.term_blocks`, not over
 terms, with every dual vector stacked in one array, so the elementwise steps
@@ -31,16 +36,24 @@ Stopping is certified by the summed per-term Fenchel gap at the recovered
 primal point alone. xhat(z) minimizes the reduced Lagrangian exactly, so the
 stationarity residual H d + r, with d = xhat - x_k and r = grad - sum W_i' z_i,
 is zero up to the rounding of the metric's two compact forms (`sepqn check`
-asserts it once). The loop keeps no flop ledger: `surrogate_work` models a
-solve's cost from its counts. -D is exactly quadratic with gradient u(z), the
-stacked images at xhat(z), so the upper quadratic bound at step delta holds
-exactly when delta (u_v - u_y)'(v - y) <= ||v - y||^2: the loop tests that
-product and never evaluates -D, whose values near the optimum differ by less
-than their rounding. delta halves on a failed test, else grows 1.1-fold, up to
-lambda_max(H) / max_i ||W_i||^2: L >= ||W_i||^2 lambda_min(H^{-1}) for each
-term, so that cap, `step_delta_cap`, is above every step 1 / L allows. A
-step handed in is used as given, even above the cap, and only backtracking
-lowers it; without one the loop starts at `initial_step_delta`.
+asserts it once). Each iterate's gap is read from its carried images, and
+one at or below the tolerance only proposes a stop: the loop recovers at
+v_new and stops only if the exact gap still holds, else it resyncs u_v to
+the exact images and goes on. At max_inner one recovery at the best v gives
+the direction and the gap. So a returned gap is always an exact recovery's,
+and a solve makes iterations + backtracks + 2 recoveries, one more per
+failed stop check. The loop keeps no flop ledger: `surrogate_work` models a
+solve's cost from its counts. -D is exactly quadratic with gradient u(z), so
+the upper quadratic bound at step delta holds exactly when
+delta (u_v_new - u_y)'(v_new - y) <= ||v_new - y||^2. As v_new - y = theta dz
+and u_v_new - u_y = theta (u_z_new - u_z), the loop tests
+delta (u_z_new - u_z)'dz <= ||dz||^2 and never evaluates -D, whose values
+near the optimum differ by less than their rounding. delta halves on a
+failed test, else grows 1.1-fold, up to lambda_max(H) / max_i ||W_i||^2:
+L >= ||W_i||^2 lambda_min(H^{-1}) for each term, so that cap,
+`step_delta_cap`, is above every step 1 / L allows. A step handed in is used
+as given, even above the cap, and only backtracking lowers it; without one
+the loop starts at `initial_step_delta`.
 """
 from __future__ import annotations
 
@@ -171,17 +184,20 @@ def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     return 1.0 / low if low > 0.0 else math.inf
 
 
-def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks) -> float:
-    """Modeled multiply-adds of a dual loop run: each iteration makes one
-    recovery R at y and a restart dot product over the S stacked duals, and
-    each of its iterations + backtracks step attempts one projection P and
-    one recovery; iterations * (R + S) + (iterations + backtracks) * (R + P)."""
+def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks, solves=1) -> float:
+    """Modeled multiply-adds of `solves` dual loop runs with these summed
+    counts: each of the iterations + backtracks step attempts makes one
+    projection P and one recovery R, each run adds one P of its warm duals
+    and two R, at entry and at its stop check, and each iteration forms two
+    carried image combinations and the restart dot product over the S stacked
+    duals; (attempts + 2 solves) R + (attempts + solves) P + 3 iterations S."""
     stack_len = sum(t.op.output_dim for t in terms)
     recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
                + metric.dim + stack_len)
     project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
-    return float(iterations * (recover + stack_len)
-                 + (iterations + backtracks) * (recover + project))
+    attempts = iterations + backtracks
+    return float((attempts + 2 * solves) * recover + (attempts + solves) * project
+                 + 3 * iterations * stack_len)
 
 
 def _next_theta(theta):
@@ -193,10 +209,12 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     """Run the accelerated dual loop until the gap certificate meets tolerance.
 
     Returns the search direction xhat - x_k together with the final dual state
-    for warm-starting the next call. Hitting max_inner is not an error: the
-    best certified iterate seen is returned with converged=False. `blocks`,
-    when given, must be `problems.term_blocks(terms)`, such as a problem's
-    `blocks`; it is built from the terms otherwise.
+    for warm-starting the next call. Each step attempt recovers once, at
+    z_new, and only an exact recovery's gap stops the loop. Hitting max_inner
+    is not an error: the best iterate seen is recovered once and returned
+    with its exact gap, and converged=False unless that gap meets the
+    tolerance. `blocks`, when given, must be `problems.term_blocks(terms)`,
+    such as a problem's `blocks`; it is built from the terms otherwise.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
@@ -227,58 +245,67 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         return total
 
     # defensive projection: warm duals from a different weight stay feasible
-    z = project(_warm_stack(warm_duals, terms))
-    v = z.copy()
+    z = v = project(_warm_stack(warm_duals, terms))
+    # the entry recovery; from here on the images at z and v are carried
+    u_z = u_v = recover(z)[1]
+    entry_gap = certificate(z, u_z)
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
     delta_floor = delta * 1e-18
     delta_cap = step_delta_cap(metric, terms)
 
-    entry_gap = None
-    best = None  # (gap, xhat, z, v)
+    best = None  # (gap, z, v) of the best iterate
     backtracks = 0
     resets = 0
 
     for iterations in range(1, max_inner + 1):
-        one_m_theta = 1.0 - theta
-        y = one_m_theta * v + theta * z
-        _, u_y = recover(y)
-        if entry_gap is None:
-            # theta starts at 1, so the first y is exactly the warm point
-            entry_gap = certificate(y, u_y)
-
+        # u is affine, so the images at y = v + theta (z - v) are the same
+        # combination of the carried images, and y itself is never formed
+        u_y = u_v + theta * (u_z - u_v)
         while True:
             z_new = project(z - (delta / theta) * u_y)
-            v_new = one_m_theta * v + theta * z_new
-            xhat_v, u_v = recover(v_new)
-            dv = v_new - y
-            # the quadratic bound in exact product form; 1e-12 admits delta = 1/L
-            if (delta * float((u_v - u_y) @ dv) <= (1.0 + 1e-12) * float(dv @ dv)
+            u_zn = recover(z_new)[1]
+            dz = z_new - z
+            # the quadratic bound in exact product form over v_new - y =
+            # theta dz, divided by theta^2; 1e-12 admits delta = 1/L
+            if (delta * float((u_zn - u_z) @ dz) <= (1.0 + 1e-12) * float(dz @ dz)
                     or delta <= delta_floor):
                 break
             delta *= 0.5
             backtracks += 1
         delta = min(delta * 1.1, delta_cap)
 
-        gap = certificate(v_new, u_v)
-        # no copies: every array here is fresh and never written in place
-        if best is None or gap < best[0]:
-            best = (gap, xhat_v, z_new, v_new)
+        to_z = z_new - v
+        v_new = v + theta * to_z
+        u_vn = u_v + theta * (u_zn - u_v)
+        gap = certificate(v_new, u_vn)
+        if gap <= tolerance:
+            # only an exact recovery certifies a stop; a failed check
+            # resyncs the carried images to it
+            xhat, u_vn = recover(v_new)
+            gap = certificate(v_new, u_vn)
 
-        # gradient-mapping restart, one dot product over the stack
-        if float((y - v_new) @ (v_new - v)) > 0.0:
+        # gradient-mapping restart: (y - v_new)'(v_new - v) = -theta^2 dz'(z_new - v)
+        if float(dz @ to_z) < 0.0:
             theta = 1.0
-            z = v = v_new
+            z, u_z = v_new, u_vn
             resets += 1
         else:
-            z, v = z_new, v_new
+            z, u_z = z_new, u_zn
             theta = _next_theta(theta)
+        v, u_v = v_new, u_vn
 
         if gap <= tolerance:
-            best = (gap, xhat_v, z, v)
             break
+        # no copies: every array here is fresh and never written in place
+        if best is None or gap < best[0]:
+            best = (gap, z_new, v_new)
+    else:
+        # max_inner: xhat and the gap come from one recovery at the best v
+        _, z, v = best
+        xhat, u_v = recover(v)
+        gap = certificate(v, u_v)
 
-    gap, xhat, z, v = best
     t_slice = _block_slices(terms)
     state = DualState(
         tuple(DualBlock(z[sl], t.weight, t.kind) for t, sl in zip(terms, t_slice)),

@@ -114,7 +114,7 @@ class SolverConfig:
     max_outer: int = 500
     lbfgs_memory: int = 10              # 0 keeps the metric fixed at sigma0 * I
     inner_tolerance: float = None       # None: the forcing rule, see the module docstring
-    continuation_restarts: int = 3
+    continuation_restarts: int = 1
     max_inner: int = 2000
     sigma0: float = 1.0
     stall_iterations: int = 3
@@ -268,7 +268,9 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             step_delta=step_delta,
         )
         spent[0] += inner.inner_iterations
-        spent[1] += inner.backtracks
+        # the work model reads the metric's size, so it is taken before update
+        spent[1] += surrogate_work(metric, problem.terms, inner.inner_iterations,
+                                   inner.backtracks, len(inner.rounds))
         return inner, gamma(problem, x, inner.direction, grad)
 
     def stationary(gam, inner, scale):
@@ -278,7 +280,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner.converged and -gam <= 2.0 * inner.gap_estimate)
 
     for k in range(cfg.max_outer):
-        spent = [0, 0]   # this row's inner iterations and dual backtracks
+        spent = [0, 0.0]   # this row's inner iterations and modeled dual-loop work
         inner, gam = surrogate(tol, duals, step)
         scale = max(1.0, abs(f_val))
         if tol > eps_inner and stationary(gam, inner, scale):
@@ -306,9 +308,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
 
         delta = inner.direction
         dir_h_dir = float(delta @ metric.apply(delta))
-        # the work model reads the metric's size, so it is taken before update
-        work = (surrogate_work(metric, problem.terms, *spent)
-                + (probes + 1) * problem.loss.pass_cost)
+        work = spent[1] + (probes + 1) * problem.loss.pass_cost
 
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)

@@ -8,7 +8,7 @@ from sepqn import scd
 from sepqn.lbfgs import LbfgsMetric
 from sepqn.operators import ExplicitSparse, FirstDifference, GroupSelector, Identity
 from sepqn.problems import NormKind, RegularizerTerm, make_builtin
-from sepqn.projections import projection_cost
+from sepqn.projections import KERNELS, projection_cost
 from sepqn.scd import (
     DualState,
     continuation_solve,
@@ -430,15 +430,21 @@ def test_step_test_rejects_a_long_step_at_the_optimum(seed):
     assert res.converged
 
 
-def test_step_test_is_the_duals_exact_quadratic_form(rng):
-    # -D is quadratic with gradient u(z), the stacked images at xhat(z), so
-    # -D(v) - (-D(y)) - u_y'(v - y) = 1/2 (u_v - u_y)'(v - y) holds exactly
-    p = 12
+def _four_pair_toy(rng, p=12):
+    """A 4-pair metric, a point, a gradient and an l1 and a fused term."""
     metric = metric_with_pairs(rng, p, 0.7, 4)
     x = rng.standard_normal(p)
     grad = rng.standard_normal(p)
     terms = (RegularizerTerm(NormKind.L1, 0.3, Identity(p)),
              RegularizerTerm(NormKind.L1, 0.2, FirstDifference(p)))
+    return metric, x, grad, terms
+
+
+def test_step_test_is_the_duals_exact_quadratic_form(rng):
+    # -D is quadratic with gradient u(z), the stacked images at xhat(z), so
+    # -D(v) - (-D(y)) - u_y'(v - y) = 1/2 (u_v - u_y)'(v - y) holds exactly
+    p = 12
+    metric, x, grad, terms = _four_pair_toy(rng, p)
     sizes = np.cumsum([t.op.output_dim for t in terms])[:-1]
 
     def images(z):
@@ -453,6 +459,40 @@ def test_step_test_is_the_duals_exact_quadratic_form(rng):
                - float(u_y @ (v - y)))
         rhs = 0.5 * float((images(v) - u_y) @ (v - y))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_a_converged_solve_recovers_once_per_step_attempt(monkeypatch, rng):
+    # the images at y and v_new are combinations of the carried ones, so a
+    # solve recovers once per step attempt, at entry and at its stop check
+    metric, x, grad, terms = _four_pair_toy(rng)
+    recoveries = []
+    make_recovery = scd._recovery
+
+    def counting_recovery(*args):
+        recover = make_recovery(*args)
+        return lambda z: recoveries.append(1) or recover(z)
+
+    monkeypatch.setattr(scd, "_recovery", counting_recovery)
+    res = solve_surrogate(metric, x, grad, terms, tolerance=1e-10)
+    assert res.converged
+    assert len(recoveries) == res.inner_iterations + res.backtracks + 2
+
+
+@pytest.mark.parametrize("max_inner", [2000, 5])
+def test_gap_estimate_is_the_certificate_at_the_returned_duals(rng, max_inner):
+    # carried images only propose a stop or a best iterate: the returned gap
+    # and direction come from an exact recovery at the returned duals
+    metric, x, grad, terms = _four_pair_toy(rng)
+    res = solve_surrogate(metric, x, grad, terms, tolerance=1e-10,
+                          max_inner=max_inner)
+    assert res.converged == (max_inner > 5)
+    xhat = recover_primal(metric, x, grad, terms, res.duals.aux_v)
+    gap = 0.0
+    for t, z in zip(terms, res.duals.aux_v):
+        u = t.op.apply(xhat) + t.offset
+        gap += t.weight * KERNELS[t.kind].norm(u) + float(z @ u)
+    assert res.gap_estimate == pytest.approx(gap, rel=1e-12)
+    np.testing.assert_array_equal(res.direction, xhat - x)
 
 
 def test_non_converged_result_flagged(rng):
@@ -482,8 +522,9 @@ def test_hot_loop_tables_hold_the_kernel_table_entries():
 
 
 def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
-    """One solve_surrogate run that also reports each iteration's gap and the
-    number of metric.apply calls it made. Single L1 term only."""
+    """One solve_surrogate run that also reports the gap of each certified
+    image that a recovery returned, the entry's excepted, and the number of
+    metric.apply calls it made. Single L1 term only."""
     from sepqn import scd
 
     (term,) = terms
@@ -519,11 +560,12 @@ def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
     monkeypatch.setattr(metric, "apply", counting_apply)
     res = solve_surrogate(metric, x, grad, terms, **kwargs)
     monkeypatch.undo()
-    gaps = []
-    for u in certified[1:]:
-        z = next(z for z, seen in recovered if seen is u)
-        gaps.append(term.weight * norm(u) + float(z @ u))
-    assert len(gaps) == res.inner_iterations
+    # the other certificates read carried images, which no recovery returned
+    exact = [(z, u) for u in certified[1:] for z, seen in recovered if seen is u]
+    gaps = [term.weight * norm(u) + float(z @ u) for z, u in exact]
+    # one carried certificate per iteration, plus the exact ones
+    assert len(certified) == 1 + res.inner_iterations + len(gaps)
+    assert any(seen is certified[-1] for _, seen in recovered)
     return res, gaps, len(applies)
 
 
@@ -534,8 +576,9 @@ def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
 ])
 def test_dual_loop_makes_no_metric_apply(monkeypatch, rng, tolerance, max_inner,
                                          converges):
-    # the gap alone certifies a surrogate: the loop stops at the first gap
-    # that meets the tolerance and never applies H itself
+    # the gap alone certifies a surrogate: the loop stops at the first exact
+    # gap that meets the tolerance, its last certificate is exact, and it
+    # never applies H itself
     p = 10
     metric = metric_with_pairs(rng, p, 1.0, 4)
     x = rng.standard_normal(p)
@@ -569,8 +612,8 @@ def test_converged_means_gap_within_tolerance(rng, restarts, tolerance, max_inne
 
 @pytest.mark.parametrize("step_delta", [None, 64.0])
 def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
-    # recoveries (one at y per iteration, one per step attempt) and charged
-    # projections (one per step attempt, not the warm duals' first) counted
+    # recoveries (one per step attempt, one at entry, one at the stop check)
+    # and projections (one per step attempt, one of the warm duals) counted
     # in the loop, against the work model's formula over its counts
     p = 15
     metric = metric_with_pairs(rng, p, 0.5, 3)
@@ -593,16 +636,17 @@ def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
                           step_delta=step_delta)
     monkeypatch.undo()
     assert (res.backtracks > 0) == (step_delta is not None)
-    assert len(recoveries) == 2 * res.inner_iterations + res.backtracks
+    assert len(recoveries) == res.inner_iterations + res.backtracks + 2
     attempts = len(projections) // len(terms) - 1
     assert attempts == res.inner_iterations + res.backtracks
     stack_len = sum(t.op.output_dim for t in terms)
     recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
                + p + stack_len)
     proj = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
-    # one restart dot product over the stack per iteration
-    want = (len(recoveries) * recover + attempts * proj
-            + res.inner_iterations * stack_len)
+    # two carried image combinations and one restart dot product over the
+    # stack per iteration
+    want = (len(recoveries) * recover + (attempts + 1) * proj
+            + 3 * res.inner_iterations * stack_len)
     assert scd.surrogate_work(metric, terms, res.inner_iterations,
                               res.backtracks) == want
 

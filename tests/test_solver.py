@@ -42,6 +42,12 @@ def test_config_validates_alpha():
         SolverConfig(alpha=0.4999)
 
 
+def test_one_continuation_round_by_default():
+    # one solve per surrogate: a tenfold ladder pays every round's entry and
+    # stop-check recoveries again
+    assert SolverConfig().continuation_restarts == 1
+
+
 @pytest.mark.parametrize("setting", [
     {"max_inner": 0}, {"inner_tolerance": -1e-9}, {"inner_tolerance": float("nan")},
     {"lbfgs_memory": -1}, {"sigma0": float("nan")}, {"sigma0": float("inf")},
@@ -291,10 +297,14 @@ def test_accepted_step_reuses_probe_margins(matvec_calls, seed, backtracks):
     # the gradient at the accepted point takes A x from the line search's
     # last probe, so each outer iteration saves one data product, whether
     # that probe was the unit step or a backtracked one; a seed scale far
-    # below the loss's curvature makes the first unit step fail
+    # below the loss's curvature makes the first unit step fail, and a fixed
+    # metric at the loss's Lipschitz bound majorizes it, so every unit step
+    # meets the Armijo test
     prob = logistic_toy(seed=seed, n=100, p=15)
-    sigma0 = 1e-3 if backtracks else 1.0
-    sol = solve(prob, SolverConfig(max_outer=40, sigma0=sigma0))
+    settings = ({"sigma0": 1e-3} if backtracks
+                else {"lbfgs_memory": 0, "sigma0": prob.loss.lipschitz_bound()})
+    matvec_calls.clear()   # the bound's power iteration is not the solve's
+    sol = solve(prob, SolverConfig(max_outer=40, **settings))
     assert any(r.step < 1.0 for r in sol.trace.rows) == backtracks
     assert len(matvec_calls) == sol.trace.epochs - sol.trace.iterations
 
@@ -533,7 +543,7 @@ def _row_solves(monkeypatch):
     def spy(metric, x_k, grad_k, terms, **kwargs):
         result = real(metric, x_k, grad_k, terms, **kwargs)
         work = scd.surrogate_work(metric, terms, result.inner_iterations,
-                                  result.backtracks)
+                                  result.backtracks, len(result.rounds))
         calls.append((x_k, result, work))
         return result
 
@@ -570,6 +580,16 @@ def test_a_resolved_row_counts_the_loose_solve(monkeypatch):
     assert tolerances[floor][0] == eps
     assert sol.trace.rows[2].inner_iterations == (
         calls[loose][1].inner_iterations + calls[floor][1].inner_iterations)
+    _assert_rows_count_every_solve(prob, sol, calls)
+
+
+def test_a_row_charges_every_continuation_round(monkeypatch):
+    # each round of a ladder is a dual loop run of its own, with its own
+    # entry and stop-check recoveries, and the row's work charges them all
+    calls = _row_solves(monkeypatch)
+    prob = logistic_toy(seed=6, n=100, p=20)
+    sol = solve(prob, SolverConfig(max_outer=100, continuation_restarts=3))
+    assert any(len(c[1].rounds) > 1 for c in calls)
     _assert_rows_count_every_solve(prob, sol, calls)
 
 
