@@ -76,8 +76,7 @@ def run_axis(axis, doublings=1, seed=0):
     build, size0, max_inner, outer_iters = SWEEPS[axis]
     # tolerance 0 fixes the outer budget; see the module docstring for the inner
     cfg = SolverConfig(outer_tolerance=0.0, max_outer=outer_iters, inner_tolerance=0.0,
-                       max_inner=max_inner, continuation_restarts=1,
-                       stall_iterations=10 ** 9)
+                       max_inner=max_inner, stall_iterations=10 ** 9)
     points = []
     for k in range(doublings + 1):
         size = size0 * 2 ** k

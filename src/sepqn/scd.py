@@ -42,8 +42,9 @@ v_new and stops only if the exact gap still holds, else it resyncs u_v to
 the exact images and goes on. At max_inner one recovery at the best v gives
 the direction and the gap. So a returned gap is always an exact recovery's,
 and a solve makes iterations + backtracks + 2 recoveries, one more per
-failed stop check. The loop keeps no flop ledger: `surrogate_work` models a
-solve's cost from its counts. -D is exactly quadratic with gradient u(z), so
+failed stop check (`InnerResult.failed_checks`). The loop keeps no flop
+ledger: `surrogate_work` models a solve's cost from its counts. -D is
+exactly quadratic with gradient u(z), so
 the upper quadratic bound at step delta holds exactly when
 delta (u_v_new - u_y)'(v_new - y) <= ||v_new - y||^2. As v_new - y = theta dz
 and u_v_new - u_y = theta (u_z_new - u_z), the loop tests
@@ -101,6 +102,7 @@ class InnerResult:
     step_delta: float
     backtracks: int
     momentum_resets: int
+    failed_checks: int     # stop checks whose exact gap missed the tolerance
     rounds: tuple = ()     # (entry_gap, final_gap, iterations) per continuation round
 
 
@@ -184,19 +186,24 @@ def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     return 1.0 / low if low > 0.0 else math.inf
 
 
-def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks, solves=1) -> float:
-    """Modeled multiply-adds of `solves` dual loop runs with these summed
-    counts: each of the iterations + backtracks step attempts makes one
-    projection P and one recovery R, each run adds one P of its warm duals
-    and two R, at entry and at its stop check, and each iteration forms two
-    carried image combinations and the restart dot product over the S stacked
-    duals; (attempts + 2 solves) R + (attempts + solves) P + 3 iterations S."""
+def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
+                   failed_checks=0) -> float:
+    """Modeled multiply-adds of a dual loop run: each of the iterations +
+    backtracks step attempts makes one projection P and one recovery R, the
+    run adds one P of its warm duals and two R, at entry and at its last stop
+    check (or at max_inner), plus one R per failed stop check, and each
+    iteration forms two carried image combinations and the restart dot
+    product over the S stacked duals;
+    (attempts + 2 + failed_checks) R + (attempts + 1) P + 3 iterations S.
+    A continuation call of several rounds is charged as one run with its
+    summed counts, so its later rounds' entry recoveries, last checks and warm
+    projections are not charged."""
     stack_len = sum(t.op.output_dim for t in terms)
     recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
                + metric.dim + stack_len)
     project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
     attempts = iterations + backtracks
-    return float((attempts + 2 * solves) * recover + (attempts + solves) * project
+    return float((attempts + 2 + failed_checks) * recover + (attempts + 1) * project
                  + 3 * iterations * stack_len)
 
 
@@ -257,6 +264,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     best = None  # (gap, z, v) of the best iterate
     backtracks = 0
     resets = 0
+    failed_checks = 0
 
     for iterations in range(1, max_inner + 1):
         # u is affine, so the images at y = v + theta (z - v) are the same
@@ -284,6 +292,8 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             # resyncs the carried images to it
             xhat, u_vn = recover(v_new)
             gap = certificate(v_new, u_vn)
+            if gap > tolerance:
+                failed_checks += 1
 
         # gradient-mapping restart: (y - v_new)'(v_new - v) = -theta^2 dz'(z_new - v)
         if float(dz @ to_z) < 0.0:
@@ -314,6 +324,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
         gap_estimate=gap, converged=gap <= tolerance, entry_gap=entry_gap,
         step_delta=delta, backtracks=backtracks, momentum_resets=resets,
+        failed_checks=failed_checks,
     )
 
 
@@ -345,6 +356,7 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
         inner_iterations=sum(r.inner_iterations for r in rounds),
         backtracks=sum(r.backtracks for r in rounds),
         momentum_resets=sum(r.momentum_resets for r in rounds),
+        failed_checks=sum(r.failed_checks for r in rounds),
         converged=result.gap_estimate <= tolerance,
         entry_gap=rounds[0].entry_gap,
         rounds=tuple((r.entry_gap, r.gap_estimate, r.inner_iterations) for r in rounds),

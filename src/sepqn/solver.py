@@ -268,9 +268,11 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             step_delta=step_delta,
         )
         spent[0] += inner.inner_iterations
-        # the work model reads the metric's size, so it is taken before update
+        # each solve pays its own entry recovery and last stop check, so the
+        # work model is taken per solve; it reads the metric's size, so it is
+        # taken before update
         spent[1] += surrogate_work(metric, problem.terms, inner.inner_iterations,
-                                   inner.backtracks, len(inner.rounds))
+                                   inner.backtracks, inner.failed_checks)
         return inner, gamma(problem, x, inner.direction, grad)
 
     def stationary(gam, inner, scale):

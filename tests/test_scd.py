@@ -610,11 +610,11 @@ def test_converged_means_gap_within_tolerance(rng, restarts, tolerance, max_inne
         assert res.converged == (max_inner > 5)
 
 
-@pytest.mark.parametrize("step_delta", [None, 64.0])
-def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
-    # recoveries (one per step attempt, one at entry, one at the stop check)
-    # and projections (one per step attempt, one of the warm duals) counted
-    # in the loop, against the work model's formula over its counts
+def _assert_work_charges_events(monkeypatch, rng, **kwargs):
+    """Count recoveries (one per step attempt, one at entry, one at the last
+    stop check, one per failed check) and projections (one per step attempt,
+    one of the warm duals) in one solve_surrogate run, and check the work
+    model's formula over its counts against them. Returns the result."""
     p = 15
     metric = metric_with_pairs(rng, p, 0.5, 3)
     x = rng.standard_normal(p)
@@ -632,11 +632,9 @@ def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
     monkeypatch.setattr(scd, "_recovery", counting_recovery)
     monkeypatch.setitem(scd._PROJECT_RAW, NormKind.L1,
                         lambda *args: projections.append(1) or project(*args))
-    res = solve_surrogate(metric, x, grad, terms, tolerance=1e-10, max_inner=4000,
-                          step_delta=step_delta)
+    res = solve_surrogate(metric, x, grad, terms, max_inner=4000, **kwargs)
     monkeypatch.undo()
-    assert (res.backtracks > 0) == (step_delta is not None)
-    assert len(recoveries) == res.inner_iterations + res.backtracks + 2
+    assert len(recoveries) == res.inner_iterations + res.backtracks + 2 + res.failed_checks
     attempts = len(projections) // len(terms) - 1
     assert attempts == res.inner_iterations + res.backtracks
     stack_len = sum(t.op.output_dim for t in terms)
@@ -648,7 +646,23 @@ def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
     want = (len(recoveries) * recover + (attempts + 1) * proj
             + 3 * res.inner_iterations * stack_len)
     assert scd.surrogate_work(metric, terms, res.inner_iterations,
-                              res.backtracks) == want
+                              res.backtracks, res.failed_checks) == want
+    return res
+
+
+@pytest.mark.parametrize("step_delta", [None, 64.0])
+def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
+    res = _assert_work_charges_events(monkeypatch, rng, tolerance=1e-10,
+                                      step_delta=step_delta)
+    assert (res.backtracks > 0) == (step_delta is not None)
+
+
+def test_surrogate_work_charges_failed_stop_checks(monkeypatch):
+    # at tolerance 0 a carried gap <= 0 can hide an exact gap just above it:
+    # each such check costs one more recovery, and the work model charges it
+    res = _assert_work_charges_events(monkeypatch, np.random.default_rng(17),
+                                      tolerance=0.0, step_delta=64.0)
+    assert res.converged and res.failed_checks > 0
 
 
 def _explicit(terms):
