@@ -125,18 +125,43 @@ def check_lbfgs_roundtrip():
         assert np.linalg.norm(w - v) <= 1e-9 * np.linalg.norm(v)
 
 
-def check_spectral_bound():
-    rng = np.random.default_rng(10)
-    # p > 2m, p <= 2m, and rank-deficient pairs y = c s
+def _pair_cases(rng):
+    """(p, metric) with p > 2m, p <= 2m, and rank-deficient pairs y = c s."""
     for p, count, curved in ((15, 4, False), (6, 5, False), (5, 3, True)):
         metric = LbfgsMetric(p, capacity=count, sigma=0.7)
         while metric.pair_count < count:
             s = rng.standard_normal(p)
             metric.push_pair(s, (2.0 + rng.random()) * s if curved
                              else s + 0.3 * rng.standard_normal(p))
+        yield p, metric
+
+
+def check_spectral_bound():
+    for p, metric in _pair_cases(np.random.default_rng(10)):
         want = np.linalg.eigvalsh(np.linalg.inv(metric.materialize_dense())).max()
         got = metric.inv_norm_estimate()
         assert abs(got - want) <= 1e-9 * want, f"p={p}: {got} vs {want}"
+
+
+def check_restricted_submatrix():
+    # H[J, J] as its own metric: the principal submatrix, its exact inverse
+    # (which is not H^{-1}[J, J]) and the top eigenvalue of that inverse
+    rng = np.random.default_rng(14)
+    for p, metric in _pair_cases(rng):
+        full = metric.materialize_dense()
+        for size in (1, (p + 1) // 2, p - 1):
+            idx = np.sort(rng.choice(p, size=size, replace=False))
+            view = metric.restricted(idx)
+            sub = full[np.ix_(idx, idx)]
+            got = view.materialize_dense()
+            err = np.abs(got - sub).max()
+            assert err <= 1e-12 * np.abs(sub).max(), f"p={p}, J={idx}: H_JJ off by {err}"
+            inv = np.column_stack([view.inv_apply(e) for e in np.eye(size)])
+            err = np.abs(inv @ sub - np.eye(size)).max()
+            assert err <= 1e-9, f"p={p}, J={idx}: inverse off by {err}"
+            want = np.linalg.eigvalsh(np.linalg.inv(sub)).max()
+            top = view.inv_norm_estimate()
+            assert abs(top - want) <= 1e-9 * want, f"p={p}, J={idx}: {top} vs {want}"
 
 
 def check_seed_ordering():
@@ -257,6 +282,7 @@ CHECKS = [
     ("dual-projections-feasible-firm", check_dual_projections),
     ("lbfgs-apply-roundtrip", check_lbfgs_roundtrip),
     ("lbfgs-spectral-bound", check_spectral_bound),
+    ("lbfgs-restricted-submatrix", check_restricted_submatrix),
     ("seed-scale-ordering", check_seed_ordering),
     ("theta-recursion-bound", check_theta_recursion_bound),
     ("surrogate-prox-oracle", check_surrogate_prox_oracle),

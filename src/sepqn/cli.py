@@ -42,7 +42,6 @@ SOLVER_FLAGS = (
     ("--outer-tol", "outer_tolerance", float),
     ("--inner-tol", "inner_tolerance", float),
     ("--max-inner", "max_inner", int),
-    ("--restarts", "continuation_restarts", int),
     ("--memory", "lbfgs_memory", int),
 )
 BASELINE_FLAGS = (
@@ -57,7 +56,6 @@ SCD_DIRECT_FLAGS = tuple(f for f in SOLVER_FLAGS if f[0] != "--memory")
 FLAG_NOTES = {
     "--memory": " for sepqn only",
     "--inner-tol": ", fixing every surrogate's tolerance (absent: the forcing rule)",
-    "--restarts": ", the continuation rounds per surrogate, each ten times tighter",
 }
 
 

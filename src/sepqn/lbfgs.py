@@ -13,6 +13,9 @@ After an accepted unit step sigma lands between the two curvature scalings
 s'y / s's <= y'y / s'y of the latest pair (Barzilai & Borwein 1988), so it
 never stays below the curvature it has just measured. The outer loop makes
 one call per step, `update`, which does all three.
+
+`restricted(idx)` gives the principal submatrix H[idx, idx] as a metric of
+its own, for a surrogate solved over a working set of coordinates.
 """
 from __future__ import annotations
 
@@ -51,6 +54,7 @@ class LbfgsMetric:
         self._gram = np.empty((2 * self.capacity, 2 * self.capacity))
         self._middle = None
         self._spectrum = None
+        self._snapshot = False   # a restricted view takes no pairs and keeps its sigma
 
     @property
     def pair_count(self) -> int:
@@ -61,6 +65,7 @@ class LbfgsMetric:
         s, y = np.asarray(s, dtype=np.float64), np.asarray(y, dtype=np.float64)
         if s.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("pair vectors must have the metric's dimension")
+        self._writable()
         if self.capacity == 0 or float(s @ y) <= 0.0:
             return False
         rows, gram = self._rows, self._gram
@@ -79,6 +84,46 @@ class LbfgsMetric:
         self._spectrum = None
         return True
 
+    def _writable(self):
+        if self._snapshot:
+            raise TypeError("a restricted view is a snapshot of its metric; "
+                            "update the metric it was taken from")
+
+    def restricted(self, idx) -> "LbfgsMetric":
+        """H[idx, idx] over the len(idx) coordinates idx, as a metric.
+
+        H_JJ = sigma I + W_J' M_fwd W_J is H's compact form over the
+        gathered columns W_J of the pair rows, with H's own forward middle.
+        Its inverse is not H^{-1}[idx, idx]: by Woodbury it is
+        I / sigma + W_J' M_J W_J with M_J = (sigma K - W_J W_J')^{-1} / sigma,
+        where K = -M_fwd^{-1} = [[S'S / sigma, L / sigma], [L' / sigma, -D]],
+        so its middle is built from the restricted Gram W_J W_J'. With idx
+        every coordinate, M_J is H's M_inv. The view holds one gathered copy
+        of W_J and is a snapshot: it refuses pairs and seed changes.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        k, sigma = self._count, self.sigma
+        # built empty, so the only pair columns it holds are the gathered ones
+        view = LbfgsMetric(idx.size, capacity=0, sigma=sigma)
+        view.capacity, view.beta, view._count, view._snapshot = k, self.beta, k, True
+        if k:
+            view._rows = np.take(self._rows[:2 * k], idx, axis=1)
+            view._gram = sub = view._rows @ view._rows.T
+            ss, _, _, d, low = self._pair_blocks()
+            view._middle = (
+                _inverse(ss - sub[0::2, 0::2], low - sub[0::2, 1::2],
+                         -sigma * d - sub[1::2, 1::2]) / sigma,
+                self._middles()[1])
+        return view
+
+    def _pair_blocks(self):
+        """S'S, S'Y, Y'Y, D = diag(S'Y) and L, the strictly lower part of
+        S'Y, read from the Gram of the stored pairs."""
+        k = self._count
+        g = self._gram[:2 * k, :2 * k]
+        sy = g[0::2, 1::2]
+        return g[0::2, 0::2], sy, g[1::2, 1::2], np.diag(np.diag(sy)), np.tril(sy, -1)
+
     def _middles(self):
         """(M_inv, M_fwd): with S'Y = L + R, L strictly lower, D = diag(S'Y),
         M_fwd = -[[S'S / sigma, L / sigma], [L' / sigma, -D]]^{-1} and its
@@ -86,9 +131,7 @@ class LbfgsMetric:
         sigma Y'Y]]^{-1}."""
         if self._middle is None:
             k, sigma = self._count, self.sigma
-            g = self._gram[:2 * k, :2 * k]
-            ss, sy, yy = g[0::2, 0::2], g[0::2, 1::2], g[1::2, 1::2]
-            d, low = np.diag(np.diag(sy)), np.tril(sy, -1)
+            ss, sy, yy, d, low = self._pair_blocks()
             self._middle = (
                 _inverse(np.zeros((k, k)), sigma * (low - sy), -sigma * (sigma * d + yy)),
                 -_inverse(ss / sigma, low / sigma, -d))
@@ -128,6 +171,7 @@ class LbfgsMetric:
             raise ValueError("adapt_h0 requires s'y > 0")
         if not (0.0 < t_k <= 1.0):
             raise ValueError(f"step length must lie in (0, 1], got {t_k}")
+        self._writable()
         if t_k < 1.0:
             self.sigma /= t_k
             self._anneal_beta()

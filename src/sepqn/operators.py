@@ -23,10 +23,12 @@ __all__ = [
     "RowStack",
     "as_csr",
     "POWER_ITERATIONS",
+    "EIGEN_TOLERANCE",
     "spectral_norm_estimate",
 ]
 
-POWER_ITERATIONS = 100  # steps of every power-iteration norm estimate
+POWER_ITERATIONS = 100  # most steps of a power-iteration norm estimate
+EIGEN_TOLERANCE = 1e-13  # residual, relative to ||W'W v||, that ends the steps early
 
 
 class DimensionMismatch(ValueError):
@@ -77,10 +79,13 @@ def _dense_to_csr(a):
 
 
 def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
-    """Largest singular value of W, by POWER_ITERATIONS power steps on W'W.
+    """Largest singular value of W, by up to POWER_ITERATIONS power steps on W'W.
 
     The estimate approaches the true norm from below and is deterministic:
-    the start vector is drawn from seed 0. A zero operator yields 0.0.
+    the start vector is drawn from seed 0. A zero operator yields 0.0. The
+    steps stop early once the iterate v is an eigenvector to rounding,
+    ||u - ||u|| v|| <= EIGEN_TOLERANCE ||u|| for u = W'W v, as it is after
+    one step on an identity and two on a group selector.
     """
     if input_dim == 0:
         return 0.0
@@ -96,6 +101,10 @@ def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return 0.0
+        if np.linalg.norm(z - nz * v) <= EIGEN_TOLERANCE * nz:
+            # v is an eigenvector of W'W with eigenvalue ||W'W v|| / ||v||,
+            # exactly 1 when W'W v = v, as for an identity or a selector
+            return float(np.sqrt(nz / np.linalg.norm(v)))
         v = z / nz
     return float(np.linalg.norm(apply_fn(v)))
 

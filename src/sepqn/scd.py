@@ -79,6 +79,7 @@ __all__ = [
     "dual_objective",
     "initial_step_delta",
     "step_delta_cap",
+    "recovery_cost",
     "surrogate_work",
     "solve_surrogate",
     "continuation_solve",
@@ -98,12 +99,11 @@ class InnerResult:
     inner_iterations: int
     gap_estimate: float
     converged: bool
-    entry_gap: float
     step_delta: float
     backtracks: int
     momentum_resets: int
     failed_checks: int     # stop checks whose exact gap missed the tolerance
-    rounds: tuple = ()     # (entry_gap, final_gap, iterations) per continuation round
+    rounds: tuple = ()     # (final_gap, iterations) per continuation round
 
 
 def _warm_stack(warm, terms):
@@ -186,6 +186,13 @@ def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     return 1.0 / low if low > 0.0 else math.inf
 
 
+def recovery_cost(metric: LbfgsMetric, terms) -> int:
+    """Modeled multiply-adds of one recovery: the terms' pull-back and
+    images, one inverse metric apply, and the stacked images' offsets."""
+    return (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
+            + metric.dim + sum(t.op.output_dim for t in terms))
+
+
 def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
                    failed_checks=0) -> float:
     """Modeled multiply-adds of a dual loop run: each of the iterations +
@@ -199,8 +206,7 @@ def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
     summed counts, so its later rounds' entry recoveries, last checks and warm
     projections are not charged."""
     stack_len = sum(t.op.output_dim for t in terms)
-    recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
-               + metric.dim + stack_len)
+    recover = recovery_cost(metric, terms)
     project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
     attempts = iterations + backtracks
     return float((attempts + 2 + failed_checks) * recover + (attempts + 1) * project
@@ -255,7 +261,6 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     z = v = project(_warm_stack(warm_duals, terms))
     # the entry recovery; from here on the images at z and v are carried
     u_z = u_v = recover(z)[1]
-    entry_gap = certificate(z, u_z)
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
     delta_floor = delta * 1e-18
@@ -322,7 +327,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         tuple(v[sl] for sl in t_slice))
     return InnerResult(
         direction=xhat - x_k, duals=state, inner_iterations=iterations,
-        gap_estimate=gap, converged=gap <= tolerance, entry_gap=entry_gap,
+        gap_estimate=gap, converged=gap <= tolerance,
         step_delta=delta, backtracks=backtracks, momentum_resets=resets,
         failed_checks=failed_checks,
     )
@@ -358,6 +363,5 @@ def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e
         momentum_resets=sum(r.momentum_resets for r in rounds),
         failed_checks=sum(r.failed_checks for r in rounds),
         converged=result.gap_estimate <= tolerance,
-        entry_gap=rounds[0].entry_gap,
-        rounds=tuple((r.entry_gap, r.gap_estimate, r.inner_iterations) for r in rounds),
+        rounds=tuple((r.gap_estimate, r.inner_iterations) for r in rounds),
     )

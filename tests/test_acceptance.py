@@ -69,7 +69,7 @@ def consensus_runs():
             )
             results[(model, seed, "scd-direct")] = sepqn.scd_direct_solve(
                 prob, SolverConfig(outer_tolerance=1e-11, max_outer=30000,
-                                   max_inner=200, continuation_restarts=1)
+                                   max_inner=200)
             )
     return results, time.perf_counter() - t0
 

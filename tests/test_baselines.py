@@ -194,7 +194,6 @@ def test_scd_direct_agrees_on_l1_logistic():
                         lam=2.0 / handle.n)
     direct = scd_direct_solve(prob, SolverConfig(outer_tolerance=1e-11,
                                                  max_outer=20000,
-                                                 continuation_restarts=1,
                                                  max_inner=200))
     ref = fista_solve(prob, BaselineConfig(tolerance=1e-13, max_iterations=60000))
     rel = abs(direct.objective - ref.objective) / max(abs(ref.objective), 1e-30)

@@ -303,13 +303,13 @@ class TestCli:
         specs = []
         monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or 0)
         assert main(["compare", "--max-outer", "7", "--outer-tol", "1e-6",
-                     "--inner-tol", "1e-9", "--max-inner", "30", "--restarts", "2",
+                     "--inner-tol", "1e-9", "--max-inner", "30",
                      "--memory", "4", "--baseline-iters", "50",
                      "--baseline-tol", "1e-7", "--rho", "2.5"]) == 0
         (spec,) = specs
         assert spec.solver_config == SolverConfig(
             max_outer=7, outer_tolerance=1e-6, inner_tolerance=1e-9, max_inner=30,
-            continuation_restarts=2, lbfgs_memory=4)
+            lbfgs_memory=4)
         assert spec.baseline_config == BaselineConfig(
             max_iterations=50, tolerance=1e-7, rho=2.5)
 

@@ -376,3 +376,40 @@ def test_update_matches_the_inline_sequence(rng, capacity):
         assert new.pair_count > 0 and new.beta < 2.0
     else:
         assert new.pair_count == 0 and new.beta == 2.0 and new.sigma == 3.0
+
+
+def test_restricted_view_is_the_principal_submatrix(rng):
+    # H[J, J] and its exact inverse, which is not H^{-1}[J, J]
+    p = 30
+    metric = LbfgsMetric(p, capacity=4, sigma=0.6)
+    for s, y in random_pairs(rng, p, 5):
+        metric.push_pair(s, y)
+    idx = np.sort(rng.choice(p, size=11, replace=False))
+    view = metric.restricted(idx)
+    sub = metric.materialize_dense()[np.ix_(idx, idx)]
+    assert (view.dim, view.pair_count, view.sigma) == (11, 4, 0.6)
+    np.testing.assert_allclose(view.materialize_dense(), sub, rtol=0, atol=1e-13)
+    v = rng.standard_normal(11)
+    np.testing.assert_allclose(view.inv_apply(v), np.linalg.solve(sub, v), rtol=1e-11)
+    inv_sub = np.linalg.inv(metric.materialize_dense())[np.ix_(idx, idx)]
+    assert np.abs(inv_sub @ v - np.linalg.solve(sub, v)).max() > 1e-3
+    lo, hi = np.linalg.eigvalsh(np.linalg.inv(sub))[[0, -1]]
+    assert view.inv_spectrum() == pytest.approx((lo, hi), rel=1e-11)
+
+
+def test_restricted_view_of_no_pairs_is_the_seed():
+    view = LbfgsMetric(8, capacity=3, sigma=2.5).restricted([1, 4, 6])
+    np.testing.assert_array_equal(view.materialize_dense(), 2.5 * np.eye(3))
+    assert view.inv_apply(np.ones(3)).tolist() == [0.4, 0.4, 0.4]
+
+
+def test_restricted_view_refuses_updates(rng):
+    metric = LbfgsMetric(6, capacity=2, sigma=1.0)
+    s, y = random_pairs(rng, 6, 1)[0]
+    metric.push_pair(s, y)
+    view = metric.restricted([0, 2, 5])
+    with pytest.raises(TypeError, match="snapshot"):
+        view.push_pair(s[[0, 2, 5]], y[[0, 2, 5]])
+    with pytest.raises(TypeError, match="snapshot"):
+        view.adapt_h0(0.5, s[[0, 2, 5]], y[[0, 2, 5]])
+    assert metric.update(1.0, s, y)   # the metric itself still updates

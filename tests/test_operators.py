@@ -69,6 +69,23 @@ def test_norm_estimate_identity():
     assert Identity(7).norm_estimate() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("op, steps", [
+    (Identity(20000), 1),
+    (GroupSelector(range(3, 40, 3), 50), 2),
+    (FirstDifference(200), 100),
+])
+def test_norm_estimate_stops_at_an_eigenvector(monkeypatch, op, steps):
+    # an isometry's first iterate is already an eigenvector of W'W, a
+    # selector's second; the slow-converging first difference runs them all
+    applies = []
+    kernel = op._apply
+    monkeypatch.setattr(op, "_apply", lambda x: applies.append(1) or kernel(x))
+    norm = op.norm_estimate()
+    assert len(applies) == steps + (steps == 100)
+    if steps < 100:
+        assert norm == 1.0
+
+
 def test_norm_estimate_diagonal():
     op = ExplicitSparse(np.diag([3.0, 1.0]))
     assert op.norm_estimate() == pytest.approx(3.0, abs=1e-10)

@@ -309,9 +309,11 @@ def test_continuation_rounds_start_from_previous_gap():
                              max_inner=120, restarts=3)
     rounds = res.rounds
     assert len(rounds) >= 2
-    for (e0, g0, _), (e1, g1, _) in zip(rounds, rounds[1:]):
-        # warm start: next round opens at the previous round's final gap
-        assert e1 <= g0 * (1 + 1e-9) + 1e-15
+    assert sum(its for _, its in rounds) == res.inner_iterations
+    assert rounds[-1][0] == res.gap_estimate
+    for (g0, _), (g1, _) in zip(rounds, rounds[1:]):
+        # warm start: each round ends no worse than the one it starts from
+        assert g1 <= g0 * (1 + 1e-9) + 1e-15
 
 
 def test_continuation_sums_momentum_resets_over_rounds():
@@ -523,13 +525,13 @@ def test_hot_loop_tables_hold_the_kernel_table_entries():
 
 def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
     """One solve_surrogate run that also reports the gap of each certified
-    image that a recovery returned, the entry's excepted, and the number of
-    metric.apply calls it made. Single L1 term only."""
+    image that a recovery returned and the number of metric.apply calls it
+    made. Single L1 term only."""
     from sepqn import scd
 
     (term,) = terms
     recovered = []   # (z, u) per recovery
-    certified = []   # u per gap certificate, the entry gap first
+    certified = []   # u per gap certificate
     make_recovery = scd._recovery
 
     def recording_recovery(*args):
@@ -560,11 +562,12 @@ def _instrumented_surrogate(monkeypatch, metric, x, grad, terms, **kwargs):
     monkeypatch.setattr(metric, "apply", counting_apply)
     res = solve_surrogate(metric, x, grad, terms, **kwargs)
     monkeypatch.undo()
-    # the other certificates read carried images, which no recovery returned
-    exact = [(z, u) for u in certified[1:] for z, seen in recovered if seen is u]
+    # the certificates that read carried images match no recovery
+    exact = [(z, u) for u in certified for z, seen in recovered if seen is u]
     gaps = [term.weight * norm(u) + float(z @ u) for z, u in exact]
-    # one carried certificate per iteration, plus the exact ones
-    assert len(certified) == 1 + res.inner_iterations + len(gaps)
+    # one carried certificate per iteration, plus the exact ones; the entry
+    # recovery seeds the carried images and certifies nothing
+    assert len(certified) == res.inner_iterations + len(gaps)
     assert any(seen is certified[-1] for _, seen in recovered)
     return res, gaps, len(applies)
 

@@ -42,17 +42,30 @@ def test_config_validates_alpha():
         SolverConfig(alpha=0.4999)
 
 
-def test_one_continuation_round_by_default():
+def test_one_continuation_round_by_default(monkeypatch):
     # one solve per surrogate: a tenfold ladder pays every round's entry and
-    # stop-check recoveries again
-    assert SolverConfig().continuation_restarts == 1
+    # stop-check recoveries again, so solve asks for one round, on the full
+    # loop and on working sets alike
+    import sepqn.solver as solver_mod
+
+    real, rounds = solver_mod.continuation_solve, []
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        rounds.append((kwargs.get("restarts", 1), len(result.rounds)))
+        return result
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    solve(logistic_toy(seed=0, n=100, p=15), SolverConfig(max_outer=40))
+    solve(logistic_toy(seed=0, n=100, p=15, lam=0.05), SolverConfig(max_outer=40))
+    assert len(rounds) > 10 and set(rounds) == {(1, 1)}
 
 
 @pytest.mark.parametrize("setting", [
     {"max_inner": 0}, {"inner_tolerance": -1e-9}, {"inner_tolerance": float("nan")},
     {"lbfgs_memory": -1}, {"sigma0": float("nan")}, {"sigma0": float("inf")},
     {"sigma0": 0.0}, {"stall_iterations": 0}, {"max_outer": 0},
-    {"continuation_restarts": 0}, {"outer_tolerance": float("nan")},
+    {"outer_tolerance": -1.0}, {"outer_tolerance": float("nan")},
 ])
 def test_config_rejects_bad_settings(setting):
     (name,) = setting
@@ -672,3 +685,163 @@ def test_stop_reason_names_the_exit(monkeypatch):
     retried = solve(prob, SolverConfig())
     assert (retried.trace.status, retried.trace.stop_reason) == ("converged", "retry")
     assert retried.trace.iterations == 0
+
+
+def _sparse_toy(seed):
+    # supports of 41 of 100 and 7 of 40 coordinates, below half
+    n, p, lam = {4: (400, 100, 0.02), 5: (200, 40, 0.03)}[seed]
+    handle, _ = sepqn.synth_dataset(seed=seed, n=n, p=p, sparsity=0.5)
+    return make_builtin("l1-logistic", handle.matrix, handle.labels, lam=lam)
+
+
+def _spy_working_sets(monkeypatch):
+    """Record (x, J, result) for every working-set surrogate, J being the
+    set its last restricted round was solved over."""
+    import sepqn.solver as solver_mod
+
+    sets, solved = [], []
+    real_view, real_solve = LbfgsMetric.restricted, solver_mod._working_set_surrogate
+
+    def view(metric, idx):
+        sets.append(np.array(idx))
+        return real_view(metric, idx)
+
+    def working_set(metric, x, *args):
+        out = real_solve(metric, x, *args)
+        if out is not None:
+            solved.append((x, sets[-1], out[0]))
+            assert out[2] == sets[-1].size
+        return out
+
+    monkeypatch.setattr(LbfgsMetric, "restricted", view)
+    monkeypatch.setattr(solver_mod, "_working_set_surrogate", working_set)
+    return solved
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_working_set_solve_agrees_with_fista_and_pins_zeros(monkeypatch, seed):
+    # supports below half: the default solve runs working sets, ends where
+    # FISTA does, and each direction leaves x + d exactly 0 off its set
+    solved = _spy_working_sets(monkeypatch)
+    prob = _sparse_toy(seed)
+    sol = solve(prob, SolverConfig(max_outer=200))
+    ref = sepqn.fista_solve(prob, sepqn.BaselineConfig(tolerance=1e-12,
+                                                       max_iterations=60000))
+    assert abs(sol.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+    assert len(solved) >= sol.trace.iterations - 2
+    for x, idx, inner in solved:
+        off = np.ones(prob.dim, dtype=bool)
+        off[idx] = False
+        assert np.all((x + inner.direction)[off] == 0.0)
+        assert inner.duals.aux_v[0].shape == (prob.dim,)
+    rows = sol.trace.rows
+    assert [r.working_set for r in rows][-1] == solved[-1][1].size < prob.dim / 2
+    assert np.count_nonzero(sol.x) == np.count_nonzero(ref.x)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_working_set_rows_certify_their_full_gap(seed):
+    # a converged restricted row's gap is the full surrogate's, within its
+    # tolerance and never negative
+    prob = _sparse_toy(seed)
+    rows = solve(prob, SolverConfig(max_outer=200)).trace.rows
+    restricted = [r for r in rows if r.working_set < prob.dim]
+    assert restricted and all(r.inner_converged for r in restricted)
+    for r in restricted:
+        assert 0.0 <= r.gap_estimate <= r.inner_tolerance
+
+
+def test_a_coordinate_missed_by_the_working_set_joins_by_the_kkt_check(monkeypatch):
+    # H = I + s s' with s = e_0 - e_1 couples coordinates 0 and 1: the first
+    # set is {0}, and the step on 0 pushes q_1 = 0.9 + 1 past the weight, so
+    # coordinate 1 joins and a second restricted solve runs from the same x
+    import sepqn.solver as solver_mod
+
+    calls = []
+    real = solver_mod.continuation_solve
+
+    def spy(metric, x_k, grad_k, terms, **kwargs):
+        calls.append((metric.dim, x_k, grad_k))
+        return real(metric, x_k, grad_k, terms, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    p = 6
+    metric = LbfgsMetric(p, capacity=2, sigma=1.0)
+    s = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    metric.push_pair(s, 3.0 * s)
+    x = np.zeros(p)
+    grad = np.array([3.0, 0.9, 0.0, 0.1, 0.2, -0.3])
+    terms = (RegularizerTerm(NormKind.L1, 1.0, Identity(p)),)
+    inner, _, size = solver_mod._working_set_surrogate(
+        metric, x, grad, terms[0], None, 1e-12, 2000, None)
+    assert [dim for dim, _, _ in calls] == [1, 2] and size == 2
+    assert np.array_equal(calls[0][1], x[[0]]) and np.array_equal(calls[1][1], x[:2])
+    assert inner.converged and 0.0 <= inner.gap_estimate <= 1e-12
+    assert np.all(inner.direction[2:] == 0.0)
+    full = scd.solve_surrogate(metric, x, grad, terms, tolerance=1e-14)
+    assert np.abs(inner.direction - full.direction).max() <= 1e-10
+
+
+def test_dense_support_keeps_the_full_loop(monkeypatch):
+    # 40 of 50 coordinates nonzero: no working set holds half, so every
+    # surrogate runs over all p coordinates
+    calls = _spy_tolerances(monkeypatch)
+    dims = []
+    import sepqn.solver as solver_mod
+
+    spied = solver_mod.continuation_solve
+
+    def record(metric, *args, **kwargs):
+        dims.append(metric.dim)
+        return spied(metric, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", record)
+    prob = logistic_toy(seed=0, n=200, p=50)
+    sol = solve(prob, SolverConfig(max_outer=100))
+    assert len(dims) == len(calls) >= sol.trace.iterations
+    assert set(dims) == {prob.dim}
+    assert all(r.working_set == prob.dim for r in sol.trace.rows)
+
+
+def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
+    # a working set is charged each restricted round at its own size, every
+    # full apply it makes and the one full recovery that certifies it; a row
+    # sums its solves, full or restricted, plus its passes
+    import sepqn.solver as solver_mod
+
+    solves, rounds, inside = [], [], []   # (x, work) per solve; work per round
+    real_solve, real_ws = solver_mod.continuation_solve, solver_mod._working_set_surrogate
+
+    def spy(metric, x_k, grad_k, terms, **kwargs):
+        result = real_solve(metric, x_k, grad_k, terms, **kwargs)
+        work = scd.surrogate_work(metric, terms, result.inner_iterations,
+                                  result.backtracks, result.failed_checks)
+        (rounds.append(work) if inside else solves.append((x_k, work)))
+        return result
+
+    def working_set(metric, x, grad, term, *args):
+        applies, apply, start = [], metric.apply, len(rounds)
+        metric.apply = lambda v: applies.append(1) or apply(v)
+        inside.append(1)
+        try:
+            out = real_ws(metric, x, grad, term, *args)
+        finally:
+            del metric.apply
+            inside.pop()
+        if out is not None:
+            assert out[1] == (sum(rounds[start:]) + len(applies) * metric.inv_apply_cost
+                              + scd.recovery_cost(metric, (term,)))
+            solves.append((x, out[1]))
+        return out
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    monkeypatch.setattr(solver_mod, "_working_set_surrogate", working_set)
+    prob = _sparse_toy(4)
+    sol = solve(prob, SolverConfig(max_outer=200))
+    assert any(r.working_set < prob.dim for r in sol.trace.rows)
+    points = [x for i, (x, _) in enumerate(solves) if i == 0 or x is not solves[i - 1][0]]
+    epochs = 1
+    for row, x in zip(sol.trace.rows, points):
+        passes = (row.epochs - epochs) * prob.loss.pass_cost
+        assert row.work == sum(w for y, w in solves if y is x) + passes
+        epochs = row.epochs
