@@ -35,7 +35,6 @@ from .projections import (
 from .scd import (
     DualState,
     InnerResult,
-    continuation_solve,
     dual_objective,
     initial_step_delta,
     recover_primal,

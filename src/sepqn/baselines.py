@@ -31,7 +31,7 @@ from .operators import Identity
 from .problems import CompositeProblem, NormKind, stack
 from .projections import KERNELS
 from .solver import (Solution, SolverConfig, SolveTrace, TraceRow, _check_settings,
-                     _stall_count, solve)
+                     _integer_at_least, _stall_count, solve)
 
 __all__ = [
     "ABS_TOLERANCE",
@@ -66,7 +66,8 @@ class BaselineConfig:
 
     def __post_init__(self):
         _check_settings(self, (
-            ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("max_iterations", _integer_at_least(self.max_iterations, 1),
+             "an integer >= 1"),
             ("tolerance", self.tolerance >= 0, ">= 0"),
             ("rho", math.isfinite(self.rho) and self.rho > 0, "finite and > 0"),
         ))

@@ -59,7 +59,8 @@ the loop starts at `initial_step_delta`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +83,6 @@ __all__ = [
     "recovery_cost",
     "surrogate_work",
     "solve_surrogate",
-    "continuation_solve",
 ]
 
 
@@ -103,7 +103,13 @@ class InnerResult:
     backtracks: int
     momentum_resets: int
     failed_checks: int     # stop checks whose exact gap missed the tolerance
-    rounds: tuple = ()     # (final_gap, iterations) per continuation round
+
+    @property
+    def rounds(self) -> tuple:
+        """((gap_estimate, inner_iterations),): one round per solve. Kept only
+        for the benchmark tracer's `scd.rounds` count; it goes when the
+        tracer counts calls instead (ROADMAP item 4)."""
+        return ((self.gap_estimate, self.inner_iterations),)
 
 
 def _warm_stack(warm, terms):
@@ -202,9 +208,8 @@ def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
     iteration forms two carried image combinations and the restart dot
     product over the S stacked duals;
     (attempts + 2 + failed_checks) R + (attempts + 1) P + 3 iterations S.
-    A continuation call of several rounds is charged as one run with its
-    summed counts, so its later rounds' entry recoveries, last checks and warm
-    projections are not charged."""
+    Each `solve_surrogate` call is one run, charged on its own counts, so a
+    caller that solves more than once sums the model over its runs."""
     stack_len = sum(t.op.output_dim for t in terms)
     recover = recovery_cost(metric, terms)
     project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
@@ -229,10 +234,10 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     tolerance. `blocks`, when given, must be `problems.term_blocks(terms)`,
     such as a problem's `blocks`; it is built from the terms otherwise.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    if max_inner < 1:
-        raise ValueError("max_inner must be >= 1")
+    if not tolerance >= 0:   # written so that nan fails
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if not (isinstance(max_inner, numbers.Integral) and max_inner >= 1):
+        raise ValueError(f"max_inner must be an integer >= 1, got {max_inner}")
     x_k = np.asarray(x_k, dtype=np.float64)
     grad_k = np.asarray(grad_k, dtype=np.float64)
     terms = tuple(terms)
@@ -330,38 +335,4 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         gap_estimate=gap, converged=gap <= tolerance,
         step_delta=delta, backtracks=backtracks, momentum_resets=resets,
         failed_checks=failed_checks,
-    )
-
-
-def continuation_solve(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10,
-                       max_inner=2000, restarts=1, step_delta=None,
-                       blocks=None) -> InnerResult:
-    """Re-solve with geometrically tightening tolerance, re-centered each round.
-
-    Round r runs at tolerance * 10^(restarts-1-r), warm-started from the
-    previous round's duals, so the final round runs at the requested
-    tolerance; with restarts=1 this is exactly one solve_surrogate call.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rounds = []
-    for r in range(restarts):
-        round_tol = tolerance * (10.0 ** (restarts - 1 - r))
-        result = solve_surrogate(
-            metric, x_k, grad_k, terms, warm_duals=warm_duals,
-            tolerance=round_tol, max_inner=max_inner, step_delta=step_delta,
-            blocks=blocks,
-        )
-        rounds.append(result)
-        warm_duals, step_delta = result.duals, result.step_delta
-        if result.gap_estimate <= tolerance:
-            break
-    return replace(
-        result,
-        inner_iterations=sum(r.inner_iterations for r in rounds),
-        backtracks=sum(r.backtracks for r in rounds),
-        momentum_resets=sum(r.momentum_resets for r in rounds),
-        failed_checks=sum(r.failed_checks for r in rounds),
-        converged=result.gap_estimate <= tolerance,
-        rounds=tuple((r.gap_estimate, r.inner_iterations) for r in rounds),
     )

@@ -37,8 +37,9 @@ surrogate over a working set of coordinates instead, the proximal Newton
 restriction of Zhong, Yen, Dhillon & Ravikumar (2014) and Celer (Massias,
 Gramfort & Salmon 2018), whenever the set holds at most WORKING_SET_SHARE of
 them; `_working_set_surrogate` describes the rounds and the full-dimensional
-certificate. Every restricted solve still goes through `continuation_solve`,
-and a row's `working_set` is the size of its last surrogate's set.
+certificate. Every solve, restricted or full, is one call of the dual loop
+`scd.solve_surrogate` through this module's global `continuation_solve`, and a
+row's `working_set` is the size of its last surrogate's set.
 
 `epochs` counts loss evaluations: one per gradient and one per line-search
 probe; inner dual iterations touch only the surrogate and cost none. The
@@ -50,6 +51,7 @@ data's storage once, at construction, for every solver.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -59,8 +61,9 @@ from .lbfgs import LbfgsMetric
 from .operators import Identity
 from .problems import CompositeProblem, NormKind, RegularizerTerm
 from .projections import DualBlock
-from .scd import (DualState, continuation_solve, recovery_cost, step_delta_cap,
-                  surrogate_work)
+from .scd import DualState, recovery_cost, step_delta_cap, surrogate_work
+# the one dual-loop entry; the benchmark's tracer wraps this module global
+from .scd import solve_surrogate as continuation_solve
 
 __all__ = [
     "ARMIJO",
@@ -108,6 +111,11 @@ def _check_settings(config, rules):
             raise ValueError(f"{name} must be {rule}, got {getattr(config, name)}")
 
 
+def _integer_at_least(value, low) -> bool:
+    """value is an integer (numpy's included) and >= low; a float is not."""
+    return isinstance(value, numbers.Integral) and value >= low
+
+
 def _stall_count(stall, f_old, f_new, tolerance):
     """stall + 1 if f moved by at most tolerance relative to max(1, |f_old|), else 0."""
     rel = abs(f_old - f_new) / max(1.0, abs(f_old))
@@ -141,13 +149,14 @@ class SolverConfig:
     def __post_init__(self):
         _check_settings(self, (
             ("outer_tolerance", self.outer_tolerance >= 0, ">= 0"),
-            ("max_outer", self.max_outer >= 1, ">= 1"),
-            ("lbfgs_memory", self.lbfgs_memory >= 0, ">= 0"),
+            ("max_outer", _integer_at_least(self.max_outer, 1), "an integer >= 1"),
+            ("lbfgs_memory", _integer_at_least(self.lbfgs_memory, 0), "an integer >= 0"),
             ("inner_tolerance",
              self.inner_tolerance is None or self.inner_tolerance >= 0, "None or >= 0"),
-            ("max_inner", self.max_inner >= 1, ">= 1"),
+            ("max_inner", _integer_at_least(self.max_inner, 1), "an integer >= 1"),
             ("sigma0", math.isfinite(self.sigma0) and self.sigma0 > 0, "finite and > 0"),
-            ("stall_iterations", self.stall_iterations >= 1, ">= 1"),
+            ("stall_iterations", _integer_at_least(self.stall_iterations, 1),
+             "an integer >= 1"),
         ))
 
     def resolved_inner_tolerance(self) -> float:
@@ -331,8 +340,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         gap_estimate=gap, converged=gap <= tolerance,
         backtracks=sum(r.backtracks for r in results),
         momentum_resets=sum(r.momentum_resets for r in results),
-        failed_checks=sum(r.failed_checks for r in results),
-        rounds=sum((r.rounds for r in results), ()))
+        failed_checks=sum(r.failed_checks for r in results))
     return inner, work, idx.size
 
 

@@ -157,6 +157,7 @@ def test_admm_residuals_below_tolerance_at_stop(rng):
 @pytest.mark.parametrize("setting", [
     {"rho": 0.0}, {"rho": -1.0}, {"rho": float("nan")}, {"rho": float("inf")},
     {"tolerance": -1e-9}, {"tolerance": float("nan")}, {"max_iterations": 0},
+    {"max_iterations": 2.5},
 ])
 def test_config_rejects_bad_settings(setting):
     (name,) = setting

@@ -11,7 +11,6 @@ from sepqn.problems import NormKind, RegularizerTerm, make_builtin
 from sepqn.projections import KERNELS, projection_cost
 from sepqn.scd import (
     DualState,
-    continuation_solve,
     dual_objective,
     initial_step_delta,
     recover_primal,
@@ -263,75 +262,6 @@ def test_gap_estimate_nonnegative(rng):
         res = solve_surrogate(metric, x, grad, l1_terms(p, 0.3),
                               tolerance=0.0, max_inner=7)
         assert res.gap_estimate >= -1e-10
-
-
-def test_continuation_single_restart_identical(rng):
-    p = 6
-    metric = metric_with_pairs(rng, p, 1.1, 2)
-    x = rng.standard_normal(p)
-    grad = rng.standard_normal(p)
-    terms = l1_terms(p, 0.4)
-    a = solve_surrogate(metric, x, grad, terms, tolerance=1e-8, max_inner=500)
-    b = continuation_solve(metric, x, grad, terms, tolerance=1e-8,
-                           max_inner=500, restarts=1)
-    assert np.array_equal(a.direction, b.direction)
-    assert a.inner_iterations == b.inner_iterations
-    assert a.gap_estimate == b.gap_estimate
-    assert a.converged == b.converged
-
-
-def test_continuation_beats_single_round_at_equal_budget(rng):
-    # restarted rounds with a tightening ladder reach a smaller gap than one
-    # accelerated sweep of the same total length
-    p = 40
-    lam = 0.05
-    rng_local = np.random.default_rng(7)
-    metric = LbfgsMetric(p, capacity=0, sigma=0.7)
-    x = rng_local.standard_normal(p)
-    grad = rng_local.standard_normal(p)
-    terms = l1_terms(p, lam)
-    cont = continuation_solve(metric, x, grad, terms, tolerance=1e-10,
-                              max_inner=120, restarts=3)
-    single = solve_surrogate(metric, x, grad, terms, tolerance=1e-10,
-                             max_inner=max(cont.inner_iterations, 1))
-    assert cont.gap_estimate <= 1e-10
-    assert single.gap_estimate >= cont.gap_estimate
-
-
-def test_continuation_rounds_start_from_previous_gap():
-    rng_local = np.random.default_rng(7)
-    p = 40
-    metric = LbfgsMetric(p, capacity=0, sigma=0.7)
-    x = rng_local.standard_normal(p)
-    grad = rng_local.standard_normal(p)
-    terms = (RegularizerTerm(NormKind.L1, 0.3, FirstDifference(p)),)
-    res = continuation_solve(metric, x, grad, terms, tolerance=1e-12,
-                             max_inner=120, restarts=3)
-    rounds = res.rounds
-    assert len(rounds) >= 2
-    assert sum(its for _, its in rounds) == res.inner_iterations
-    assert rounds[-1][0] == res.gap_estimate
-    for (g0, _), (g1, _) in zip(rounds, rounds[1:]):
-        # warm start: each round ends no worse than the one it starts from
-        assert g1 <= g0 * (1 + 1e-9) + 1e-15
-
-
-def test_continuation_sums_momentum_resets_over_rounds():
-    rng_local = np.random.default_rng(7)
-    p = 40
-    metric = LbfgsMetric(p, capacity=0, sigma=0.7)
-    x = rng_local.standard_normal(p)
-    grad = rng_local.standard_normal(p)
-    terms = (RegularizerTerm(NormKind.L1, 0.3, FirstDifference(p)),)
-    res = continuation_solve(metric, x, grad, terms, tolerance=1e-12,
-                             max_inner=120, restarts=3)
-    duals, delta, resets = None, None, []
-    for tol, _ in zip((1e-10, 1e-11, 1e-12), res.rounds):
-        one = solve_surrogate(metric, x, grad, terms, warm_duals=duals,
-                              tolerance=tol, max_inner=120, step_delta=delta)
-        duals, delta = one.duals, one.step_delta
-        resets.append(one.momentum_resets)
-    assert res.momentum_resets == sum(resets) > 0
 
 
 def test_momentum_restart_keeps_sparse_group_surrogate_short():
@@ -595,22 +525,31 @@ def test_dual_loop_makes_no_metric_apply(monkeypatch, rng, tolerance, max_inner,
     assert met == [False] * (len(gaps) - 1) + [converges]
 
 
-@pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("tolerance, max_inner", [(1e-9, 8000), (1e-14, 5)])
-def test_converged_means_gap_within_tolerance(rng, restarts, tolerance, max_inner):
+def test_converged_means_gap_within_tolerance(rng, tolerance, max_inner):
     p = 12
     metric = metric_with_pairs(rng, p, 0.9, 3)
     x = rng.standard_normal(p)
     grad = rng.standard_normal(p)
     terms = (RegularizerTerm(NormKind.L1, 0.2, Identity(p)),
              RegularizerTerm(NormKind.L1, 0.1, FirstDifference(p)))
-    single = solve_surrogate(metric, x, grad, terms, tolerance=tolerance,
-                             max_inner=max_inner)
-    cont = continuation_solve(metric, x, grad, terms, tolerance=tolerance,
-                              max_inner=max_inner, restarts=restarts)
-    for res in (single, cont):
-        assert res.converged == (res.gap_estimate <= tolerance)
-        assert res.converged == (max_inner > 5)
+    res = solve_surrogate(metric, x, grad, terms, tolerance=tolerance,
+                          max_inner=max_inner)
+    assert res.converged == (res.gap_estimate <= tolerance)
+    assert res.converged == (max_inner > 5)
+
+
+@pytest.mark.parametrize("setting", [
+    {"tolerance": -1e-9}, {"tolerance": float("nan")}, {"max_inner": 0},
+    {"max_inner": 3.5},
+])
+def test_solve_surrogate_rejects_bad_settings(setting):
+    # a nan tolerance would run all of max_inner and never certify a stop
+    (name,) = setting
+    p = 5
+    with pytest.raises(ValueError, match=name):
+        solve_surrogate(LbfgsMetric(p), np.zeros(p), np.ones(p), l1_terms(p, 0.3),
+                        **setting)
 
 
 def _assert_work_charges_events(monkeypatch, rng, **kwargs):
