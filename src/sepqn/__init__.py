@@ -24,16 +24,11 @@ from .problems import (
 )
 from .lbfgs import LbfgsMetric
 from .projections import (
-    DualBlock,
-    dual_feasible,
-    dual_step,
-    dual_to_psi_certificate,
     project_box,
     project_l1_ball,
     project_l2_ball,
 )
 from .scd import (
-    DualState,
     InnerResult,
     dual_objective,
     initial_step_delta,

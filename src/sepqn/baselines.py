@@ -31,7 +31,7 @@ from .operators import Identity
 from .problems import CompositeProblem, NormKind, stack
 from .projections import KERNELS
 from .solver import (Solution, SolverConfig, SolveTrace, TraceRow, _check_settings,
-                     _integer_at_least, _stall_count, solve)
+                     _integer_at_least, _stall_count, _start_point, solve)
 
 __all__ = [
     "ABS_TOLERANCE",
@@ -93,14 +93,11 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
     if np.any(term.offset):
         raise UnsupportedStructure("fista needs a zero penalty offset")
 
-    p = problem.dim
-    x = np.zeros(p) if x0 is None else np.array(x0, dtype=np.float64)
     t0 = time.perf_counter()
+    x, _, f_x = _start_point(problem, x0)
     loss = problem.loss
     prox = KERNELS[term.kind].prox
     curvature = max(loss.lipschitz_bound(), 1e-12)
-
-    f_x = problem.objective(x)
     epochs = 1
     trace = SolveTrace(initial_objective=f_x)
 
@@ -185,6 +182,8 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     loss = problem.loss
     terms = problem.terms
     t0 = time.perf_counter()
+    x, grad, f_val = _start_point(problem, x0)
+    epochs = 1
 
     gram = loss.CURVATURE * _dense_gram(loss.data, loss.weights)
     if loss.ridge:
@@ -218,13 +217,8 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         return out
 
     work = loss.pass_cost + sum(3 * t.op.apply_cost for t in terms) + 2 * p * p
-    x = np.zeros(p) if x0 is None else np.array(x0, dtype=np.float64)
     u = images_of(x)
     d = np.zeros(q_dims)
-
-    g_val, grad = loss.value_grad(x)
-    epochs = 1
-    f_val = g_val + problem.penalty(x)
     trace = SolveTrace(initial_objective=f_val)
     status = "max_iterations"
 

@@ -15,7 +15,7 @@ from .operators import (
     ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack, as_csr,
 )
 from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin, term_blocks
-from .projections import DualBlock, dual_feasible, dual_step
+from .projections import KERNELS
 from .scd import _next_theta, solve_surrogate
 from .solver import SolverConfig, solve
 
@@ -102,14 +102,15 @@ def check_loss_storage_and_margins():
 
 def check_dual_projections():
     rng = np.random.default_rng(3)
+    # a projected step from the origin lands in the ball, and projecting
+    # again changes nothing
     for kind in NormKind:
+        kernels = KERNELS[kind]
         for _ in range(10):
-            z = rng.standard_normal(7) * 0.1
-            block = DualBlock(np.zeros(7), 0.5, kind)
-            stepped = dual_step(block, rng.standard_normal(7), 0.9)
-            assert dual_feasible(stepped, 1e-12)
-            again = dual_step(stepped, np.zeros(7), 0.0)
-            assert np.allclose(again.z, stepped.z, atol=1e-15)
+            stepped = kernels.project(-0.9 * rng.standard_normal(7), 0.5)
+            assert kernels.dual_norm(stepped) <= 0.5 + 1e-12
+            again = kernels.project(stepped, 0.5)
+            assert np.allclose(again, stepped, atol=1e-15)
 
 
 def check_lbfgs_roundtrip():
@@ -217,7 +218,7 @@ def check_surrogate_stationarity():
     x, g = rng.standard_normal(12), rng.standard_normal(12)
     res = solve_surrogate(metric, x, g, terms, tolerance=1e-10, max_inner=5000)
     assert res.converged, f"gap {res.gap_estimate} after {res.inner_iterations}"
-    r = g - sum(t.op.apply_transpose(v) for t, v in zip(terms, res.duals.aux_v))
+    r = g - sum(t.op.apply_transpose(v) for t, v in zip(terms, res.duals))
     resid = np.linalg.norm(metric.apply(res.direction) + r)
     allowed = 1e-12 * (1.0 + np.linalg.norm(r))
     assert resid <= allowed, f"||H d + r|| = {resid} > {allowed}"

@@ -20,6 +20,7 @@ its own, for a surrogate solved over a working set of coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -37,13 +38,13 @@ def _inverse(ss, sy, yy):
 
 class LbfgsMetric:
     def __init__(self, dim, capacity=10, sigma=1.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not (isinstance(dim, numbers.Integral) and dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         # a nan sigma would pass a plain `<= 0` test and stall the dual loop
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
+        if not (isinstance(capacity, numbers.Integral) and capacity >= 0):
+            raise ValueError(f"capacity must be an integer >= 0, got {capacity!r}")
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.sigma = float(sigma)

@@ -9,6 +9,7 @@ explicit sparse operator costs O(nnz). `spectral_norm` is estimated once.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -151,8 +152,8 @@ class LinearOperator:
 
 class Identity(LinearOperator):
     def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("Identity needs dim >= 1")
+        if not (isinstance(dim, numbers.Integral) and dim >= 1):
+            raise ValueError(f"Identity needs an integer dim >= 1, got {dim!r}")
         self.input_dim = self.output_dim = int(dim)
 
     def _apply(self, x):
@@ -173,8 +174,8 @@ class FirstDifference(LinearOperator):
     """Consecutive differences: (Wx)_j = x_{j+1} - x_j, so q = p - 1."""
 
     def __init__(self, dim):
-        if dim < 2:
-            raise ValueError("FirstDifference needs dim >= 2")
+        if not (isinstance(dim, numbers.Integral) and dim >= 2):
+            raise ValueError(f"FirstDifference needs an integer dim >= 2, got {dim!r}")
         self.input_dim = int(dim)
         self.output_dim = int(dim) - 1
 
@@ -202,6 +203,8 @@ class GroupSelector(LinearOperator):
     """Picks out a coordinate subset; the transpose scatters back with zeros."""
 
     def __init__(self, indices, dim):
+        if not isinstance(dim, numbers.Integral):
+            raise ValueError(f"GroupSelector needs an integer dim, got {dim!r}")
         idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.intp)
         if idx.size == 0:
             raise ValueError("GroupSelector needs a non-empty index set")

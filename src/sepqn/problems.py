@@ -10,6 +10,7 @@ penalty and ADMM walk them, and `solver.solve` hands them to the dual loop.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -284,6 +285,9 @@ class RegularizerTerm:
     offset: np.ndarray = None
 
     def __post_init__(self):
+        # a kind the kernel table does not hold would fail only mid-solve
+        if not isinstance(self.kind, NormKind):
+            raise ValueError(f"term kind must be a NormKind, got {self.kind!r}")
         if not (np.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"term weight must be finite and >= 0, got {self.weight}")
         if self.offset is None:
@@ -438,14 +442,17 @@ def _require_positive(name, value, default=None):
 
 
 def _resolve_groups(groups, dim):
-    """Accept a group count (contiguous equal split) or explicit index lists."""
+    """Accept a group count (contiguous equal split), numpy's integers
+    included, or explicit index lists."""
     if groups is None:
         groups = min(10, dim)
-    if isinstance(groups, int):
+    if isinstance(groups, numbers.Integral):
         if groups < 1 or groups > dim:
             raise ValueError(f"group count must be in [1, {dim}], got {groups}")
         bounds = np.linspace(0, dim, groups + 1).astype(int)
         return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if isinstance(groups, numbers.Real):
+        raise ValueError(f"groups must be an integer count or index lists, got {groups!r}")
     resolved = [sorted(int(i) for i in g) for g in groups]
     seen = set()
     for g in resolved:

@@ -1,4 +1,4 @@
-"""Norm kinds and their kernels; per-term dual updates on dual-norm balls.
+"""Norm kinds and their kernels: norm, dual norm and dual-ball projection.
 
 `KERNELS[kind]` is the one home of every numerical decision that depends on a
 penalty's norm. Each kind supplies three kernels: the norm itself, its dual
@@ -12,13 +12,12 @@ only that segmented form, and takes a whole vector as one segment.
 With the penalty weight folded into each term, a term's dual variable lives in
 the dual-norm ball of radius equal to that weight: the l1 penalty pairs with a
 box (sup-norm ball), the group l2 penalty with a Euclidean ball, and the
-sup-norm penalty with an l1 ball. Each dual step is a single projected
-gradient step on that ball and has a closed form.
+sup-norm penalty with an l1 ball. Each projection onto such a ball has a
+closed form, so the dual solver's projected steps call the kernels directly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -29,13 +28,9 @@ __all__ = [
     "NormKernels",
     "KERNELS",
     "SEGMENTED",
-    "DualBlock",
     "project_box",
     "project_l2_ball",
     "project_l1_ball",
-    "dual_step",
-    "dual_feasible",
-    "dual_to_psi_certificate",
     "projection_cost",
 ]
 
@@ -169,50 +164,6 @@ KERNELS = {
 # and l2 segments cost one reduction; an l1-ball projection would need a sort
 # per segment, so sup-norm terms keep one kernel call each
 SEGMENTED = frozenset({NormKind.L1, NormKind.L2})
-
-
-@dataclass(frozen=True, eq=False)
-class DualBlock:
-    """Dual variable of one penalty term, plus the ball that constrains it."""
-
-    z: np.ndarray
-    weight: float
-    kind: NormKind
-
-    def feasible(self, tolerance=0.0) -> bool:
-        return KERNELS[self.kind].dual_norm(self.z) <= self.weight + tolerance
-
-
-def dual_step(block: DualBlock, gradient_block, step) -> DualBlock:
-    """Projected gradient step on the block's dual ball.
-
-    Moves z against gradient_block by `step`, then projects back onto the
-    feasible ball; with step 0 this is plain (firm) projection.
-    """
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    candidate = block.z - step * np.asarray(gradient_block, dtype=np.float64)
-    projected = KERNELS[block.kind].project(candidate, block.weight)
-    return DualBlock(projected, block.weight, block.kind)
-
-
-def dual_feasible(block: DualBlock, tolerance=0.0) -> bool:
-    return block.feasible(tolerance)
-
-
-def dual_to_psi_certificate(term, z, x) -> float:
-    """Fenchel gap of one term: psi(Wx + b) - z'(Wx + b), >= 0 for feasible z.
-
-    `term` is a `RegularizerTerm` (anything with kind, weight and image(x)).
-    Zero exactly when z supports the penalty at Wx + b, which is the per-term
-    optimality certificate the inner solver sums for its stopping test.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    kernels = KERNELS[term.kind]
-    if kernels.dual_norm(z) > term.weight + 1e-9 * (1.0 + term.weight):
-        raise ValueError("dual point lies outside the term's feasible ball")
-    u = term.image(x)
-    return term.weight * kernels.norm(u) - float(z @ u)
 
 
 def projection_cost(kind: NormKind, q: int) -> int:

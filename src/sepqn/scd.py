@@ -66,7 +66,7 @@ import numpy as np
 
 from .lbfgs import LbfgsMetric
 from .problems import stack as _stack, term_blocks as _term_blocks
-from .projections import KERNELS, DualBlock, projection_cost
+from .projections import KERNELS, projection_cost
 
 # the hot loop's per-kind kernels, read on every solve_surrogate call; kept as
 # tables of their own so a wrapper installed here sees only this loop's calls
@@ -74,7 +74,6 @@ _PROJECT_RAW = {kind: k.project for kind, k in KERNELS.items()}
 _NORM_RAW = {kind: k.norm for kind, k in KERNELS.items()}
 
 __all__ = [
-    "DualState",
     "InnerResult",
     "recover_primal",
     "dual_objective",
@@ -87,15 +86,9 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class DualState:
-    blocks: tuple          # DualBlock per term (z sequence)
-    aux_v: tuple           # averaged sequence, one array per term
-
-
-@dataclass(frozen=True, eq=False)
 class InnerResult:
     direction: np.ndarray  # xhat - x_k
-    duals: DualState
+    duals: tuple           # the averaged duals v, one array per term
     inner_iterations: int
     gap_estimate: float
     converged: bool
@@ -113,12 +106,11 @@ class InnerResult:
 
 
 def _warm_stack(warm, terms):
-    """The warm duals, a DualState or one array per term, as one stacked
-    vector; zeros when there are none."""
+    """The warm duals, one array per term, as one stacked vector; zeros when
+    there are none."""
     if warm is None:
         return np.zeros(sum(t.op.output_dim for t in terms))
-    items = warm.aux_v if isinstance(warm, DualState) else warm
-    zs = [np.asarray(z, dtype=np.float64) for z in items]
+    zs = [np.asarray(z, dtype=np.float64) for z in warm]
     if len(zs) != len(terms):
         raise ValueError(f"warm duals carry {len(zs)} blocks for {len(terms)} terms")
     shapes = [z.shape for z in zs]
@@ -226,12 +218,12 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
                     max_inner=2000, step_delta=None, blocks=None) -> InnerResult:
     """Run the accelerated dual loop until the gap certificate meets tolerance.
 
-    Returns the search direction xhat - x_k together with the final dual state
-    for warm-starting the next call. Each step attempt recovers once, at
-    z_new, and only an exact recovery's gap stops the loop. Hitting max_inner
-    is not an error: the best iterate seen is recovered once and returned
-    with its exact gap, and converged=False unless that gap meets the
-    tolerance. `blocks`, when given, must be `problems.term_blocks(terms)`,
+    Returns the search direction xhat - x_k together with the averaged duals
+    v, one array per term, for warm-starting the next call. Each step attempt
+    recovers once, at z_new, and only an exact recovery's gap stops the loop.
+    Hitting max_inner is not an error: the best iterate seen is recovered once
+    and returned with its exact gap, and converged=False unless that gap meets
+    the tolerance. `blocks`, when given, must be `problems.term_blocks(terms)`,
     such as a problem's `blocks`; it is built from the terms otherwise.
     """
     if not tolerance >= 0:   # written so that nan fails
@@ -271,7 +263,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     delta_floor = delta * 1e-18
     delta_cap = step_delta_cap(metric, terms)
 
-    best = None  # (gap, z, v) of the best iterate
+    best = None  # (gap, v) of the best iterate
     backtracks = 0
     resets = 0
     failed_checks = 0
@@ -319,20 +311,16 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
             break
         # no copies: every array here is fresh and never written in place
         if best is None or gap < best[0]:
-            best = (gap, z_new, v_new)
+            best = (gap, v_new)
     else:
         # max_inner: xhat and the gap come from one recovery at the best v
-        _, z, v = best
+        _, v = best
         xhat, u_v = recover(v)
         gap = certificate(v, u_v)
 
-    t_slice = _block_slices(terms)
-    state = DualState(
-        tuple(DualBlock(z[sl], t.weight, t.kind) for t, sl in zip(terms, t_slice)),
-        tuple(v[sl] for sl in t_slice))
     return InnerResult(
-        direction=xhat - x_k, duals=state, inner_iterations=iterations,
-        gap_estimate=gap, converged=gap <= tolerance,
+        direction=xhat - x_k, duals=tuple(v[sl] for sl in _block_slices(terms)),
+        inner_iterations=iterations, gap_estimate=gap, converged=gap <= tolerance,
         step_delta=delta, backtracks=backtracks, momentum_resets=resets,
         failed_checks=failed_checks,
     )

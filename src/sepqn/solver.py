@@ -60,8 +60,7 @@ import numpy as np
 from .lbfgs import LbfgsMetric
 from .operators import Identity
 from .problems import CompositeProblem, NormKind, RegularizerTerm
-from .projections import DualBlock
-from .scd import DualState, recovery_cost, step_delta_cap, surrogate_work
+from .scd import recovery_cost, step_delta_cap, surrogate_work
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
 
@@ -114,6 +113,22 @@ def _check_settings(config, rules):
 def _integer_at_least(value, low) -> bool:
     """value is an integer (numpy's included) and >= low; a float is not."""
     return isinstance(value, numbers.Integral) and value >= low
+
+
+def _start_point(problem, x0):
+    """(x, grad, f) at the start: x0 as a fresh float vector, zeros when None,
+    the loss gradient and f = g + Psi there, from one data pass. Raises
+    ValueError when x0 is not of length p, and SolverError when f is not
+    finite, which no iteration could mend."""
+    p = problem.dim
+    x = np.zeros(p) if x0 is None else np.array(x0, dtype=np.float64)
+    if x.shape != (p,):
+        raise ValueError(f"x0 must have length {p}")
+    g_val, grad = problem.loss.value_grad(x)
+    f_val = g_val + problem.penalty(x)
+    if not np.isfinite(f_val):
+        raise SolverError(f"objective is not finite at the starting point: {f_val}")
+    return x, grad, f_val
 
 
 def _stall_count(stall, f_old, f_new, tolerance):
@@ -215,7 +230,7 @@ class Solution:
     x: np.ndarray
     objective: float
     trace: SolveTrace
-    duals: DualState = None
+    duals: tuple = None   # the last surrogate's duals, one array per term
 
 
 def gamma(problem: CompositeProblem, x_k, delta, grad_k) -> float:
@@ -289,12 +304,12 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     summed as its nonnegative parts
     weight ||x + d||_1 + z'(x + d) + (d - dhat)'(q - z) / 2.
 
-    Returns (InnerResult with full-length d and duals z, modeled work, |J|).
+    Returns (InnerResult with full-length d and duals (z,), modeled work, |J|).
     """
     p, weight = metric.dim, term.weight
     z = np.zeros(p)
     if warm_duals is not None:
-        (z,) = warm_duals.aux_v
+        (z,) = warm_duals
     edge = weight * (1.0 - WORKING_SET_MARGIN)
     member = (np.abs(grad) >= edge) | (np.abs(z) >= edge)
     if not 0 < np.count_nonzero(member) <= WORKING_SET_SHARE * p:
@@ -335,7 +350,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
            + 0.5 * float(clipped @ metric.inv_apply(clipped)))
     inner = replace(
         inner, direction=d,
-        duals=DualState((DualBlock(z, weight, NormKind.L1),), (z,)),
+        duals=(z,),
         inner_iterations=sum(r.inner_iterations for r in results),
         gap_estimate=gap, converged=gap <= tolerance,
         backtracks=sum(r.backtracks for r in results),
@@ -347,20 +362,13 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
 def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> Solution:
     cfg = config if config is not None else SolverConfig()
     p = problem.dim
-    x = np.zeros(p) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (p,):
-        raise ValueError(f"x0 must have length {p}")
-
     metric = LbfgsMetric(p, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0)
     l1_term = _l1_term(problem)
     eps_inner = cfg.resolved_inner_tolerance()
     t0 = time.perf_counter()
 
     epochs = 1
-    g_val, grad = problem.loss.value_grad(x)
-    f_val = g_val + problem.penalty(x)
-    if not np.isfinite(f_val):
-        raise SolverError(f"objective is not finite at the starting point: {f_val}")
+    x, grad, f_val = _start_point(problem, x0)
 
     trace = SolveTrace(initial_objective=f_val)
     if cfg.record_iterates:

@@ -16,7 +16,7 @@ from sepqn.cli import RunSpec, run
 from sepqn.lbfgs import LbfgsMetric
 from sepqn.operators import Identity
 from sepqn.problems import NormKind, RegularizerTerm, make_builtin
-from sepqn.projections import DualBlock, dual_step, project_l1_ball
+from sepqn.projections import KERNELS, project_l1_ball
 from sepqn.scd import recover_primal, dual_objective, solve_surrogate
 from sepqn.solver import SolverConfig, solve, unit_step_tail
 
@@ -285,11 +285,10 @@ def test_criterion_6_numerical_correctness(consensus_runs):
             for _ in range(3):
                 q = 3
                 radius = 0.3 + rng.random()
-                z0 = dual_step(DualBlock(rng.standard_normal(q), radius, kind),
-                               np.zeros(q), 0.0).z
+                z0 = KERNELS[kind].project(rng.standard_normal(q), radius)
                 grad = rng.standard_normal(q)
                 step = 0.2 + rng.random()
-                got = dual_step(DualBlock(z0, radius, kind), grad, step).z
+                got = KERNELS[kind].project(z0 - step * grad, radius)
                 ball = {
                     NormKind.L1: lambda v: np.clip(v, -radius, radius),
                     NormKind.L2: lambda v: v if np.linalg.norm(v) <= radius

@@ -23,7 +23,7 @@ from sepqn.problems import (
     RegularizerTerm,
     make_builtin,
 )
-from sepqn.solver import SolverConfig, solve
+from sepqn.solver import SolverConfig, SolverError, solve
 
 
 def lasso_toy(rng, n=40, p=12, lam=0.05):
@@ -94,6 +94,17 @@ def test_fista_requires_single_identity_term(rng):
     )
     with pytest.raises(UnsupportedStructure):
         fista_solve(tv_only)
+
+
+@pytest.mark.parametrize("solver", [solve, fista_solve, admm_solve])
+def test_start_point_is_checked_before_any_iteration(rng, solver):
+    # fista once ran all its iterations from a nan start, and admm failed
+    # inside numpy or scipy
+    prob, *_ = lasso_toy(rng)
+    with pytest.raises(ValueError, match="x0 must have length"):
+        solver(prob, x0=np.zeros(prob.dim - 1))
+    with pytest.raises(SolverError, match="not finite at the starting point"):
+        solver(prob, x0=np.full(prob.dim, np.nan))
 
 
 def test_fista_trace_monotone(rng):

@@ -205,6 +205,23 @@ def test_rejects_bad_seed_scale(setting):
         LbfgsMetric(4, **setting)
 
 
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((5.5,), {}, "dim"),
+    ((0,), {}, "dim"),
+    ((5,), {"capacity": 2.5}, "capacity"),
+    ((5,), {"capacity": -1}, "capacity"),
+])
+def test_rejects_sizes_that_are_not_integers_in_range(args, kwargs, name):
+    # a float size once truncated silently: capacity 2.5 kept 2 pairs
+    with pytest.raises(ValueError, match=name):
+        LbfgsMetric(*args, **kwargs)
+
+
+def test_numpy_integer_sizes_accepted():
+    m = LbfgsMetric(np.int64(5), capacity=np.int32(2))
+    assert (m.dim, m.capacity) == (5, 2)
+
+
 def test_materialize_empty_history():
     m = LbfgsMetric(3, sigma=2.0)
     assert np.allclose(m.materialize_dense(), 2.0 * np.eye(3))

@@ -177,6 +177,18 @@ def test_group_selector_validates_indices():
         GroupSelector([], 4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda dim: Identity(dim),
+    lambda dim: FirstDifference(dim),
+    lambda dim: GroupSelector([0, 1], dim),
+])
+def test_operator_sizes_are_integers(make):
+    # a float size once truncated silently: Identity(2.5) had dim 2
+    with pytest.raises(ValueError, match="dim"):
+        make(12.5)
+    assert make(np.int64(12)).input_dim == 12
+
+
 def test_norm_estimate_deterministic(rng):
     dense = rng.standard_normal((12, 18))
     op = ExplicitSparse(dense)

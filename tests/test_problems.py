@@ -307,6 +307,13 @@ def test_loss_rejects_bad_ridge_at_construction(loss_cls, ridge):
         loss_cls(np.eye(2), np.array([1.0, -1.0]), ridge=ridge)
 
 
+@pytest.mark.parametrize("kind", ["l1", "L1", None])
+def test_term_rejects_a_kind_that_is_not_a_norm_kind(kind):
+    # a string kind once constructed and then failed mid-solve on the kernel table
+    with pytest.raises(ValueError, match="kind"):
+        RegularizerTerm(kind, 0.1, Identity(12))
+
+
 def test_term_zero_weight_is_vacuous():
     term = RegularizerTerm(NormKind.L1, 0.0, Identity(3))
     assert term.value(np.ones(3)) == 0.0
@@ -501,6 +508,22 @@ def test_overlapping_groups_rejected(rng):
     with pytest.raises(ValueError, match="overlap"):
         make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
                      lam=0.1, group_weight=0.1, groups=[[0, 1, 2], [2, 3]])
+
+
+@pytest.mark.parametrize("groups", [np.int64(3), np.int32(3), 3])
+def test_group_count_may_be_any_integer(groups):
+    handle, _ = synth_dataset(seed=5, n=10, p=6)
+    prob = make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                        lam=0.1, groups=groups)
+    assert prob.n_terms == 1 + 3
+
+
+@pytest.mark.parametrize("groups", [3.0, np.float64(3.0), 2.5])
+def test_float_group_count_rejected(groups):
+    handle, _ = synth_dataset(seed=5, n=10, p=6)
+    with pytest.raises(ValueError, match="groups"):
+        make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                     lam=0.1, groups=groups)
 
 
 def test_unknown_model_rejected(rng):

@@ -8,10 +8,6 @@ from sepqn.problems import NormKind, RegularizerTerm
 from sepqn.projections import (
     KERNELS,
     SEGMENTED,
-    DualBlock,
-    dual_feasible,
-    dual_step,
-    dual_to_psi_certificate,
     project_l1_ball,
 )
 
@@ -34,16 +30,20 @@ def brute_force_constrained_quadratic(z0, grad, step, radius, kind, iters=100000
     return z
 
 
+def certificate(term, z, x):
+    """The dual loop's per-term gap at x: w ||u|| + z'u, u = W x + b."""
+    u = term.image(x)
+    return term.weight * KERNELS[term.kind].norm(u) + float(z @ u)
+
+
 def test_dual_step_l1_clamps():
-    block = DualBlock(np.array([0.5, -0.5]), 1.0, NormKind.L1)
-    out = dual_step(block, np.array([-1.0, 1.0]), 1.0)
-    assert np.allclose(out.z, [1.0, -1.0])
+    out = KERNELS[NormKind.L1].project(np.array([0.5, -0.5]) - np.array([-1.0, 1.0]), 1.0)
+    assert np.allclose(out, [1.0, -1.0])
 
 
 def test_dual_step_l2_radial():
-    block = DualBlock(np.zeros(2), 2.0, NormKind.L2)
-    out = dual_step(block, np.array([-3.0, -4.0]), 1.0)
-    assert np.allclose(out.z, [1.2, 1.6])
+    out = KERNELS[NormKind.L2].project(np.zeros(2) - np.array([-3.0, -4.0]), 2.0)
+    assert np.allclose(out, [1.2, 1.6])
 
 
 def test_dual_step_linf_l1_ball_projection():
@@ -63,15 +63,8 @@ def test_dual_step_linf_l1_ball_projection():
 
     oracle = bisect(v, 1.0)
     assert np.allclose(oracle, [2.0 / 3.0, 4.0 / 15.0, -1.0 / 15.0], atol=1e-9)
-    block = DualBlock(np.zeros(3), 1.0, NormKind.LINF)
-    out = dual_step(block, -v, 1.0)
-    assert np.allclose(out.z, oracle, atol=1e-9)
-
-
-def test_dual_step_rejects_negative_step():
-    block = DualBlock(np.zeros(2), 1.0, NormKind.L1)
-    with pytest.raises(ValueError):
-        dual_step(block, np.ones(2), -0.1)
+    out = KERNELS[NormKind.LINF].project(np.zeros(3) - (-v), 1.0)
+    assert np.allclose(out, oracle, atol=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -79,9 +72,9 @@ def test_dual_step_rejects_negative_step():
 def test_dual_step_output_always_feasible(seed, kind):
     rng = np.random.default_rng(seed)
     radius = 0.1 + 2 * rng.random()
-    block = DualBlock(np.zeros(5), radius, kind)
-    stepped = dual_step(block, rng.standard_normal(5), rng.random() * 3)
-    assert dual_feasible(stepped, 1e-12)
+    gradient = rng.standard_normal(5)
+    stepped = KERNELS[kind].project(np.zeros(5) - rng.random() * 3 * gradient, radius)
+    assert KERNELS[kind].dual_norm(stepped) <= radius + 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -89,10 +82,9 @@ def test_dual_step_output_always_feasible(seed, kind):
 def test_dual_step_firm_at_zero_step(seed, kind):
     rng = np.random.default_rng(seed)
     radius = 0.1 + rng.random()
-    raw = DualBlock(rng.standard_normal(4) * 2, radius, kind)
-    once = dual_step(raw, np.zeros(4), 0.0)
-    twice = dual_step(once, np.zeros(4), 0.0)
-    assert np.array_equal(once.z, twice.z)
+    once = KERNELS[kind].project(rng.standard_normal(4) * 2, radius)
+    twice = KERNELS[kind].project(once, radius)
+    assert np.array_equal(once, twice)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -100,12 +92,10 @@ def test_dual_step_matches_brute_force_oracle(kind, rng):
     for trial in range(3):
         q = 3 if trial else 2
         radius = 0.4 + rng.random()
-        z0 = dual_step(
-            DualBlock(rng.standard_normal(q), radius, kind), np.zeros(q), 0.0
-        ).z
+        z0 = KERNELS[kind].project(rng.standard_normal(q), radius)
         grad = rng.standard_normal(q)
         step = 0.3 + rng.random()
-        got = dual_step(DualBlock(z0, radius, kind), grad, step).z
+        got = KERNELS[kind].project(z0 - step * grad, radius)
         want = brute_force_constrained_quadratic(z0 - 0.0, grad, step, radius, kind)
         # oracle minimizes (1/2 step)||z - z0||^2 + z'grad over the ball
         assert np.linalg.norm(got - want) <= 1e-6
@@ -129,44 +119,36 @@ def test_l1_ball_projection_kkt(rng):
 
 
 def test_dual_feasible_boundary_cases():
-    assert dual_feasible(DualBlock(np.array([1.0, -1.0]), 1.0, NormKind.L1))
-    assert not dual_feasible(DualBlock(np.array([1.1, 0.0]), 1.0, NormKind.L1))
-    assert dual_feasible(DualBlock(np.array([1.2, 1.6]), 2.0, NormKind.L2))
+    assert KERNELS[NormKind.L1].dual_norm(np.array([1.0, -1.0])) <= 1.0
+    assert KERNELS[NormKind.L1].dual_norm(np.array([1.1, 0.0])) > 1.0
+    assert KERNELS[NormKind.L2].dual_norm(np.array([1.2, 1.6])) <= 2.0
 
 
 def test_certificate_tight_support():
     term = RegularizerTerm(NormKind.L1, 1.0, Identity(2))
     x = np.array([2.0, -3.0])
-    z = np.array([1.0, -1.0])
-    assert dual_to_psi_certificate(term, z, x) == pytest.approx(0.0, abs=1e-14)
+    z = np.array([-1.0, 1.0])
+    assert certificate(term, z, x) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_certificate_zero_dual_gives_psi():
     term = RegularizerTerm(NormKind.L1, 0.7, Identity(2))
     x = np.array([2.0, -3.0])
-    assert dual_to_psi_certificate(term, np.zeros(2), x) == pytest.approx(
+    assert certificate(term, np.zeros(2), x) == pytest.approx(
         term.value(x)
     )
-
-
-def test_certificate_rejects_infeasible():
-    term = RegularizerTerm(NormKind.L1, 1.0, Identity(2))
-    with pytest.raises(ValueError):
-        dual_to_psi_certificate(term, np.array([2.0, 0.0]), np.ones(2))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
        st.sampled_from(KINDS))
 def test_certificate_nonnegative_for_feasible_duals(seed, kind):
-    # Fenchel-Young: psi(u) >= z'u whenever z sits in the dual ball
+    # Fenchel-Young: psi(u) >= -z'u whenever z sits in the dual ball
     rng = np.random.default_rng(seed)
     weight = 0.2 + rng.random()
     term = RegularizerTerm(kind, weight, Identity(5))
     x = rng.standard_normal(5) * 3
-    z = dual_step(
-        DualBlock(rng.standard_normal(5) * weight, weight, kind), np.zeros(5), 0.0
-    ).z
-    assert dual_to_psi_certificate(term, z, x) >= -1e-12
+    z = KERNELS[kind].project(rng.standard_normal(5) * weight, weight)
+    assert certificate(term, z, x) >= -1e-12
 
 
 @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=8),

@@ -10,7 +10,6 @@ from sepqn.operators import ExplicitSparse, FirstDifference, GroupSelector, Iden
 from sepqn.problems import NormKind, RegularizerTerm, make_builtin
 from sepqn.projections import KERNELS, projection_cost
 from sepqn.scd import (
-    DualState,
     dual_objective,
     initial_step_delta,
     recover_primal,
@@ -228,11 +227,8 @@ def test_duals_feasible_throughout(rng):
     for cap in (1, 3, 10, 50):
         res = solve_surrogate(metric, x, grad, terms, tolerance=0.0,
                               max_inner=cap)
-        for block in res.duals.blocks:
-            assert block.feasible(1e-12)
-        for t, v in zip(terms, res.duals.aux_v):
-            from sepqn.projections import DualBlock, dual_feasible
-            assert dual_feasible(DualBlock(v, t.weight, t.kind), 1e-12)
+        for t, v in zip(terms, res.duals):
+            assert KERNELS[t.kind].dual_norm(v) <= t.weight + 1e-12
 
 
 def test_descent_bound_against_metric_curvature(rng):
@@ -418,9 +414,9 @@ def test_gap_estimate_is_the_certificate_at_the_returned_duals(rng, max_inner):
     res = solve_surrogate(metric, x, grad, terms, tolerance=1e-10,
                           max_inner=max_inner)
     assert res.converged == (max_inner > 5)
-    xhat = recover_primal(metric, x, grad, terms, res.duals.aux_v)
+    xhat = recover_primal(metric, x, grad, terms, res.duals)
     gap = 0.0
-    for t, z in zip(terms, res.duals.aux_v):
+    for t, z in zip(terms, res.duals):
         u = t.op.apply(xhat) + t.offset
         gap += t.weight * KERNELS[t.kind].norm(u) + float(z @ u)
     assert res.gap_estimate == pytest.approx(gap, rel=1e-12)
@@ -629,9 +625,10 @@ def _assert_same_surrogate(terms, blocks, seed=0):
     scale = 1.0 + np.linalg.norm(plain.direction)
     assert np.linalg.norm(fused.direction - plain.direction) <= 1e-9 * scale
     assert fused.gap_estimate == pytest.approx(plain.gap_estimate, rel=1e-6)
-    assert len(fused.duals.blocks) == len(terms)
-    for t, block in zip(terms, fused.duals.blocks):
-        assert block.z.shape == (t.op.output_dim,) and block.feasible(1e-12)
+    assert len(fused.duals) == len(terms)
+    for t, v in zip(terms, fused.duals):
+        assert v.shape == (t.op.output_dim,)
+        assert KERNELS[t.kind].dual_norm(v) <= t.weight + 1e-12
 
 
 @pytest.mark.parametrize("model, kwargs, blocks", [

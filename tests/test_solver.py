@@ -337,7 +337,7 @@ def test_solution_carries_duals_for_warm_start():
     prob = logistic_toy(seed=10, n=80, p=12)
     sol = solve(prob, SolverConfig(max_outer=40))
     assert sol.duals is not None
-    assert len(sol.duals.blocks) == prob.n_terms
+    assert len(sol.duals) == prob.n_terms
 
 
 def test_trace_records_sigma_beta_and_work():
@@ -736,7 +736,7 @@ def test_working_set_solve_agrees_with_fista_and_pins_zeros(monkeypatch, seed):
         off = np.ones(prob.dim, dtype=bool)
         off[idx] = False
         assert np.all((x + inner.direction)[off] == 0.0)
-        assert inner.duals.aux_v[0].shape == (prob.dim,)
+        assert inner.duals[0].shape == (prob.dim,)
     rows = sol.trace.rows
     assert [r.working_set for r in rows][-1] == solved[-1][1].size < prob.dim / 2
     assert np.count_nonzero(sol.x) == np.count_nonzero(ref.x)
