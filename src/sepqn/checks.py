@@ -146,10 +146,13 @@ def check_spectral_bound():
 
 def check_restricted_submatrix():
     # H[J, J] as its own metric: the principal submatrix, its exact inverse
-    # (which is not H^{-1}[J, J]) and the top eigenvalue of that inverse
+    # (which is not H^{-1}[J, J]) and the top eigenvalue of that inverse;
+    # and the working set's two other products, the cross block H[J, off]
+    # and the form of H^{-1}[J, J]
     rng = np.random.default_rng(14)
     for p, metric in _pair_cases(rng):
         full = metric.materialize_dense()
+        full_inv = np.column_stack([metric.inv_apply(e) for e in np.eye(p)])
         for size in (1, (p + 1) // 2, p - 1):
             idx = np.sort(rng.choice(p, size=size, replace=False))
             view = metric.restricted(idx)
@@ -163,6 +166,15 @@ def check_restricted_submatrix():
             want = np.linalg.eigvalsh(np.linalg.inv(sub)).max()
             top = view.inv_norm_estimate()
             assert abs(top - want) <= 1e-9 * want, f"p={p}, J={idx}: {top} vs {want}"
+            off = np.setdiff1d(np.arange(p), idx)
+            v = rng.standard_normal(off.size)
+            want = full[np.ix_(idx, off)] @ v
+            err = np.abs(metric.cross_apply(view, off, v) - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), f"p={p}, J={idx}: H[J, off] off by {err}"
+            u = rng.standard_normal(size)
+            want = float(u @ full_inv[np.ix_(idx, idx)] @ u)
+            got = metric.inv_form(view, u)
+            assert abs(got - want) <= 1e-12 * want, f"p={p}, J={idx}: form {got} vs {want}"
 
 
 def check_seed_ordering():

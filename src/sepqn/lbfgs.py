@@ -15,7 +15,9 @@ never stays below the curvature it has just measured. The outer loop makes
 one call per step, `update`, which does all three.
 
 `restricted(idx)` gives the principal submatrix H[idx, idx] as a metric of
-its own, for a surrogate solved over a working set of coordinates.
+its own, for a surrogate solved over a working set of coordinates;
+`cross_apply` and `inv_form` take the two other products such a surrogate
+needs over its own coordinates, not over all of them.
 """
 from __future__ import annotations
 
@@ -156,6 +158,28 @@ class LbfgsMetric:
         """H v = sigma v + W' M_fwd W v, O(M p)."""
         return self._compact(v, inverse=False)
 
+    def cross_apply(self, view, cols, v) -> np.ndarray:
+        """H[J, cols] v for the coordinates J of `view` = `self.restricted(J)`
+        and coordinates cols outside J, O(M (|J| + len(cols))).
+
+        sigma I adds nothing off the diagonal, so this is W_J' M_fwd W_cols v,
+        over the view's gathered columns W_J and the len(cols) columns W_cols.
+        """
+        k = self._count
+        if not k:
+            return np.zeros(view.dim)
+        return (self._middles()[1] @ (self._rows[:2 * k, cols] @ v)) @ view._rows
+
+    def inv_form(self, view, v) -> float:
+        """v' H^{-1}[J, J] v for v over the coordinates J of `view` =
+        `self.restricted(J)`: v'v / sigma + u' M_inv u with u = W_J v, over
+        the view's gathered columns W_J, O(M |J|)."""
+        quad = float(v @ v) / self.sigma
+        if self._count:
+            u = view._rows @ v
+            quad += float(u @ (self._middles()[0] @ u))
+        return quad
+
     def adapt_h0(self, t_k, s, y):
         """Rescale the seed matrix from the latest step length and pair.
 
@@ -233,6 +257,13 @@ class LbfgsMetric:
         """Exact largest eigenvalue of H^{-1}."""
         return self.inv_spectrum()[1]
 
+    def product_cost(self, n_in, n_out) -> int:
+        """Modeled multiply-adds of one compact product that reads n_in
+        coordinates and writes n_out: W over the inputs, the middle, W' over
+        the outputs and one scaled add per output. A quadratic form writes 1."""
+        k = self._count
+        return 2 * k * (n_in + n_out) + 4 * k * k + 2 * n_out
+
     @property
     def inv_apply_cost(self) -> int:  # multiply-adds
-        return (4 * self._count + 2) * self.dim + 4 * self._count ** 2
+        return self.product_cost(self.dim, self.dim)

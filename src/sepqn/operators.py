@@ -4,7 +4,9 @@ Every operator stands for some W in R^{q x p} and supports matrix-free
 apply (W x) and transpose-apply (W' u). The structured kinds (identity,
 first difference, group selector) cost O(q) per application, which is what
 keeps the dual solver's per-iteration work linear in the problem size; an
-explicit sparse operator costs O(nnz). `spectral_norm` is estimated once.
+explicit sparse operator costs O(nnz). `spectral_norm` is estimated once,
+by `norm_estimate`, which reads an operator's `exact_norm` when it has one
+(the identity's 1) and runs a power iteration otherwise.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ __all__ = [
     "ExplicitSparse",
     "RowStack",
     "as_csr",
+    "as_index",
     "POWER_ITERATIONS",
     "EIGEN_TOLERANCE",
     "spectral_norm_estimate",
@@ -79,6 +82,14 @@ def _dense_to_csr(a):
     return sp.csr_matrix((data, indices, indptr), shape=(n, p))
 
 
+def as_index(value) -> int:
+    """An index as an int. Integers pass, numpy's included; anything else,
+    such as 1.7 or 2.0, raises ValueError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"indices must be integers, got {value!r}")
+    return int(value)
+
+
 def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
     """Largest singular value of W, by up to POWER_ITERATIONS power steps on W'W.
 
@@ -130,7 +141,13 @@ class LinearOperator:
             )
         return self._apply_transpose(u)
 
+    # the norm of an operator whose norm is known exactly; None estimates it
+    exact_norm = None
+
     def norm_estimate(self):
+        """`exact_norm` when the operator has one, else the power iteration."""
+        if self.exact_norm is not None:
+            return self.exact_norm
         return spectral_norm_estimate(self._apply, self._apply_transpose, self.input_dim)
 
     @functools.cached_property
@@ -151,6 +168,8 @@ class LinearOperator:
 
 
 class Identity(LinearOperator):
+    exact_norm = 1.0   # W'W = I, so no power iteration draws its |x| normals
+
     def __init__(self, dim):
         if not (isinstance(dim, numbers.Integral) and dim >= 1):
             raise ValueError(f"Identity needs an integer dim >= 1, got {dim!r}")
@@ -180,7 +199,7 @@ class FirstDifference(LinearOperator):
         self.output_dim = int(dim) - 1
 
     def _apply(self, x):
-        return np.diff(x)
+        return x[1:] - x[:-1]   # np.diff's result, without its wrapper
 
     def _apply_transpose(self, u):
         out = np.zeros(self.input_dim)
@@ -205,7 +224,7 @@ class GroupSelector(LinearOperator):
     def __init__(self, indices, dim):
         if not isinstance(dim, numbers.Integral):
             raise ValueError(f"GroupSelector needs an integer dim, got {dim!r}")
-        idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.intp)
+        idx = np.asarray(sorted(set(as_index(i) for i in indices)), dtype=np.intp)
         if idx.size == 0:
             raise ValueError("GroupSelector needs a non-empty index set")
         if idx[0] < 0 or idx[-1] >= dim:

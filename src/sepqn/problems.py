@@ -26,6 +26,7 @@ from .operators import (
     Identity,
     LinearOperator,
     as_csr,
+    as_index,
     spectral_norm_estimate,
 )
 from .projections import KERNELS, SEGMENTED, NormKind
@@ -443,7 +444,7 @@ def _require_positive(name, value, default=None):
 
 def _resolve_groups(groups, dim):
     """Accept a group count (contiguous equal split), numpy's integers
-    included, or explicit index lists."""
+    included, or explicit index lists, whose indices must be integers."""
     if groups is None:
         groups = min(10, dim)
     if isinstance(groups, numbers.Integral):
@@ -453,7 +454,7 @@ def _resolve_groups(groups, dim):
         return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if isinstance(groups, numbers.Real):
         raise ValueError(f"groups must be an integer count or index lists, got {groups!r}")
-    resolved = [sorted(int(i) for i in g) for g in groups]
+    resolved = [sorted(as_index(i) for i in g) for g in groups]
     seen = set()
     for g in resolved:
         overlap = seen.intersection(g)

@@ -46,8 +46,10 @@ _WHOLE = np.zeros(1, dtype=np.intp)
 _WHOLE.setflags(write=False)
 
 
+# the hot kernels call the ufuncs directly: np.sum and np.clip add wrapper
+# layers that cost microseconds per call and give the same bits
 def norm_l1(u, starts=None):
-    return float(np.abs(u).sum())
+    return float(np.add.reduce(np.abs(u)))
 
 
 def _segment_norms(u, starts):
@@ -78,7 +80,7 @@ def norm_linf(u):
 
 
 def project_box(v, radius, starts=None):
-    return np.clip(v, -radius, radius)
+    return np.minimum(np.maximum(v, -radius), radius)
 
 
 def project_l2_ball(v, radius, starts=_WHOLE):

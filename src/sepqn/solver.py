@@ -60,7 +60,7 @@ import numpy as np
 from .lbfgs import LbfgsMetric
 from .operators import Identity
 from .problems import CompositeProblem, NormKind, RegularizerTerm
-from .scd import recovery_cost, step_delta_cap, surrogate_work
+from .scd import step_delta_cap, surrogate_work
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
 
@@ -144,8 +144,8 @@ FORCING = 0.1            # cap of the forcing term eta_k of the default inner to
 # this share of the l1 weight of the ball's edge, where a nonzero's dual sits
 WORKING_SET_MARGIN = 1e-3
 # largest share of the coordinates solved as a working set; past it the full
-# loop runs, as the rounds' full applies, recovery and gathered pair columns
-# cost more than the smaller loop saves (restricting every set slowed the
+# loop runs, as the rounds' full KKT applies and gathered pair columns cost
+# more than the smaller loop saves (restricting every set slowed the
 # l1 solves of all three benchmark workloads)
 WORKING_SET_SHARE = 0.5
 
@@ -295,16 +295,21 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     of the coordinates, this returns None and the caller runs the full
     loop. Otherwise xhat is pinned to 0 off J (d_j = -x_j there), and the
     surrogate over J, with metric H_JJ = `metric.restricted(J)` and linear
-    term (grad + H d_off)_J, goes to `continuation_solve`. One full apply
-    gives q = grad + H d: coordinates off J with |q_j| > weight join J and
-    the restricted solve repeats, warm. Each round starts from the carried
-    dual step capped by its view's `step_delta_cap`. Once none join,
-    z = clip(q) and the recovery at z, dhat = H^{-1}(z - grad) =
-    d - H^{-1}(q - z), certify d by the full primal-dual gap P(d) - D(z),
+    term grad_J + H[J, off] d_off, the cross product over the nonzeros of d
+    off J, goes to `continuation_solve`. The KKT check is the one full
+    product of a round: q = grad + H d. Coordinates off J with
+    |q_j| > weight join J and the restricted solve repeats, warm. Each round
+    starts from the carried dual step capped by its view's `step_delta_cap`.
+    Once none join, z = clip(q) and the recovery at z, dhat = H^{-1}(z - grad)
+    = d - H^{-1}(q - z), certify d by the full primal-dual gap P(d) - D(z),
     summed as its nonnegative parts
-    weight ||x + d||_1 + z'(x + d) + (d - dhat)'(q - z) / 2.
+    weight ||x + d||_1 + z'(x + d) + (d - dhat)'(q - z) / 2,
+    where q - z is zero off J, so `metric.inv_form` takes its form over J
+    from the last view's columns. Each product is charged at the size it is
+    computed at.
 
-    Returns (InnerResult with full-length d and duals (z,), modeled work, |J|).
+    Returns (InnerResult with full-length d and duals (z,), modeled work, |J|,
+    H d from the last KKT check).
     """
     p, weight = metric.dim, term.weight
     z = np.zeros(p)
@@ -319,11 +324,12 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         idx = np.flatnonzero(member)
         d = -x
         d[idx] = 0.0
-        linear = grad[idx]
-        if d.any():
-            linear = linear + metric.apply(d)[idx]
-            work += metric.inv_apply_cost   # an apply costs what an inverse apply does
         view = metric.restricted(idx)
+        linear = grad[idx]
+        off = np.flatnonzero(d)
+        if off.size:
+            linear = linear + metric.cross_apply(view, off, d[off])
+            work += metric.product_cost(off.size, idx.size)
         terms = (RegularizerTerm(NormKind.L1, weight, Identity(idx.size)),)
         if step_delta is not None:
             step_delta = min(step_delta, step_delta_cap(view, terms))
@@ -333,10 +339,10 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         results.append(inner)
         work += surrogate_work(view, terms, inner.inner_iterations, inner.backtracks,
                                inner.failed_checks)
-        del view   # one gathered copy of the pair columns at a time
         d[idx] = inner.direction
-        q = grad + metric.apply(d)
-        work += metric.inv_apply_cost
+        h_d = metric.apply(d)
+        q = grad + h_d
+        work += metric.inv_apply_cost   # an apply costs what an inverse apply does
         z = np.clip(q, -weight, weight)
         joining = np.abs(q) > weight
         joining[idx] = False
@@ -344,10 +350,11 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
             break
         member |= joining
         step_delta = inner.step_delta
-    work += recovery_cost(metric, (term,))
+        del view   # one gathered copy of the pair columns at a time
     w, clipped = x + d, q - z
+    work += metric.product_cost(idx.size, 1)
     gap = (float(np.sum(weight * np.abs(w) + z * w))
-           + 0.5 * float(clipped @ metric.inv_apply(clipped)))
+           + 0.5 * metric.inv_form(view, clipped[idx]))
     inner = replace(
         inner, direction=d,
         duals=(z,),
@@ -356,7 +363,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         backtracks=sum(r.backtracks for r in results),
         momentum_resets=sum(r.momentum_resets for r in results),
         failed_checks=sum(r.failed_checks for r in results))
-    return inner, work, idx.size
+    return inner, work, idx.size, h_d
 
 
 def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> Solution:
@@ -397,8 +404,8 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             # the work model is taken per solve
             solved = inner, surrogate_work(
                 metric, problem.terms, inner.inner_iterations, inner.backtracks,
-                inner.failed_checks), p
-        inner, work, spent[2] = solved
+                inner.failed_checks), p, None
+        inner, work, spent[2], spent[3] = solved
         spent[0] += inner.inner_iterations
         spent[1] += work
         return inner, gamma(problem, x, inner.direction, grad)
@@ -410,8 +417,9 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner.converged and -gam <= 2.0 * inner.gap_estimate)
 
     for k in range(cfg.max_outer):
-        # this row's inner iterations, modeled dual-loop work and working set
-        spent = [0, 0.0, p]
+        # this row's inner iterations, modeled dual-loop work, working set and
+        # the H d its last surrogate formed (a working set's KKT product), if any
+        spent = [0, 0.0, p, None]
         inner, gam = surrogate(tol, duals, step)
         scale = max(1.0, abs(f_val))
         if tol > eps_inner and stationary(gam, inner, scale):
@@ -438,7 +446,8 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             raise SolverError(f"objective became non-finite at iteration {k + 1}")
 
         delta = inner.direction
-        dir_h_dir = float(delta @ metric.apply(delta))
+        h_delta = metric.apply(delta) if spent[3] is None else spent[3]
+        dir_h_dir = float(delta @ h_delta)
         work = spent[1] + (probes + 1) * problem.loss.pass_cost
 
         x_new = x + t * delta

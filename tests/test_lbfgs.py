@@ -414,6 +414,37 @@ def test_restricted_view_is_the_principal_submatrix(rng):
     assert view.inv_spectrum() == pytest.approx((lo, hi), rel=1e-11)
 
 
+@pytest.mark.parametrize("p, count", [(30, 4), (7, 5)])
+def test_cross_product_and_inverse_form_match_the_full_products(rng, p, count):
+    # H[J, off] v from the view's columns is the J-part of the full apply,
+    # and u' H^{-1}[J, J] u the full inverse apply's form, with v and u
+    # scattered to full length; p = 7 leaves W no null space
+    metric = LbfgsMetric(p, capacity=count, sigma=0.6)
+    for s, y in random_pairs(rng, p, count + 1):
+        metric.push_pair(s, y)
+    order = rng.permutation(p)
+    idx, off = np.sort(order[:p // 2]), np.sort(order[p // 2:])
+    view = metric.restricted(idx)
+    v = rng.standard_normal(off.size)
+    full = np.zeros(p)
+    full[off] = v
+    want = metric.apply(full)[idx]
+    got = metric.cross_apply(view, off, v)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    u = rng.standard_normal(idx.size)
+    full = np.zeros(p)
+    full[idx] = u
+    want = float(full @ metric.inv_apply(full))
+    assert metric.inv_form(view, u) == pytest.approx(want, rel=1e-12)
+
+
+def test_cross_product_and_inverse_form_of_no_pairs():
+    metric = LbfgsMetric(6, capacity=3, sigma=2.5)
+    view = metric.restricted([0, 2])
+    assert metric.cross_apply(view, np.array([1, 4]), np.ones(2)).tolist() == [0.0, 0.0]
+    assert metric.inv_form(view, np.array([1.0, 2.0])) == 2.0
+
+
 def test_restricted_view_of_no_pairs_is_the_seed():
     view = LbfgsMetric(8, capacity=3, sigma=2.5).restricted([1, 4, 6])
     np.testing.assert_array_equal(view.materialize_dense(), 2.5 * np.eye(3))

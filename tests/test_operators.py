@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,8 +12,10 @@ from sepqn.operators import (
     FirstDifference,
     GroupSelector,
     Identity,
+    LinearOperator,
     RowStack,
     as_csr,
+    spectral_norm_estimate,
 )
 
 
@@ -74,16 +78,37 @@ def test_norm_estimate_identity():
     (GroupSelector(range(3, 40, 3), 50), 2),
     (FirstDifference(200), 100),
 ])
-def test_norm_estimate_stops_at_an_eigenvector(monkeypatch, op, steps):
+def test_norm_estimate_stops_at_an_eigenvector(op, steps):
     # an isometry's first iterate is already an eigenvector of W'W, a
     # selector's second; the slow-converging first difference runs them all
     applies = []
-    kernel = op._apply
-    monkeypatch.setattr(op, "_apply", lambda x: applies.append(1) or kernel(x))
-    norm = op.norm_estimate()
+
+    def apply(x):
+        applies.append(1)
+        return op._apply(x)
+
+    norm = spectral_norm_estimate(apply, op._apply_transpose, op.input_dim)
     assert len(applies) == steps + (steps == 100)
     if steps < 100:
         assert norm == 1.0
+
+
+def test_identity_norm_is_read_inside_the_base_method(monkeypatch):
+    # an identity's norm is exact and skips the power iteration, but still
+    # passes through LinearOperator.norm_estimate, so a wrapper installed
+    # there sees it; a selector and a first difference keep their estimates
+    seen, real = [], LinearOperator.norm_estimate
+    monkeypatch.setattr(LinearOperator, "norm_estimate",
+                        lambda op: seen.append(op) or real(op))
+    ops = [Identity(20000), GroupSelector(range(3, 40, 3), 50), FirstDifference(30)]
+    applies = []
+    for op in ops:
+        kernel = op._apply
+        monkeypatch.setattr(op, "_apply", lambda x, k=kernel: applies.append(1) or k(x))
+    assert ops[0].spectral_norm == 1.0 and applies == []
+    assert ops[1].spectral_norm == 1.0 and len(applies) == 2
+    assert ops[2].spectral_norm == pytest.approx(2.0 * np.cos(np.pi / 60), rel=1e-2)
+    assert len(applies) == 2 + 101 and seen == ops
 
 
 def test_norm_estimate_diagonal():
@@ -175,6 +200,15 @@ def test_group_selector_validates_indices():
         GroupSelector([5], 4)
     with pytest.raises(ValueError):
         GroupSelector([], 4)
+
+
+@pytest.mark.parametrize("index", [0.5, 1.7, 2.0, np.float64(3.0)])
+def test_group_selector_refuses_float_indices(index):
+    # a float index once truncated silently: [0.5, 1.7] selected [0, 1]
+    with pytest.raises(ValueError, match=re.escape(repr(index))):
+        GroupSelector([4, index], 12)
+    picked = GroupSelector([np.int64(4), np.int32(1), 7], 12).indices
+    assert picked.tolist() == [1, 4, 7]
 
 
 @pytest.mark.parametrize("make", [

@@ -510,6 +510,17 @@ def test_overlapping_groups_rejected(rng):
                      lam=0.1, group_weight=0.1, groups=[[0, 1, 2], [2, 3]])
 
 
+def test_group_lists_refuse_float_indices():
+    # explicit group lists once truncated a float index silently
+    handle, _ = synth_dataset(seed=5, n=10, p=6)
+    with pytest.raises(ValueError, match="1.5"):
+        make_builtin("sparse-group-logistic", handle.matrix, handle.labels,
+                     lam=0.1, group_weight=0.1, groups=[[0, 1.5], [2, 3]])
+    prob = make_builtin("sparse-group-logistic", handle.matrix, handle.labels, lam=0.1,
+                        groups=[np.arange(3), [np.int64(3), 5]])
+    assert [t.op.indices.tolist() for t in prob.terms[1:]] == [[0, 1, 2], [3, 5]]
+
+
 @pytest.mark.parametrize("groups", [np.int64(3), np.int32(3), 3])
 def test_group_count_may_be_any_integer(groups):
     handle, _ = synth_dataset(seed=5, n=10, p=6)

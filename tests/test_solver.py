@@ -775,9 +775,10 @@ def test_a_coordinate_missed_by_the_working_set_joins_by_the_kkt_check(monkeypat
     x = np.zeros(p)
     grad = np.array([3.0, 0.9, 0.0, 0.1, 0.2, -0.3])
     terms = (RegularizerTerm(NormKind.L1, 1.0, Identity(p)),)
-    inner, _, size = solver_mod._working_set_surrogate(
+    inner, _, size, h_d = solver_mod._working_set_surrogate(
         metric, x, grad, terms[0], None, 1e-12, 2000, None)
     assert [dim for dim, _, _ in calls] == [1, 2] and size == 2
+    assert np.array_equal(h_d, metric.apply(inner.direction))
     assert np.array_equal(calls[0][1], x[[0]]) and np.array_equal(calls[1][1], x[:2])
     assert inner.converged and 0.0 <= inner.gap_estimate <= 1e-12
     assert np.all(inner.direction[2:] == 0.0)
@@ -807,9 +808,10 @@ def test_dense_support_keeps_the_full_loop(monkeypatch):
 
 
 def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
-    # a working set is charged each restricted round at its own size, every
-    # full apply it makes and the one full recovery that certifies it; a row
-    # sums its solves, full or restricted, plus its passes
+    # a working set is charged each restricted round at its own size, each
+    # full KKT apply, each cross product at the sizes it reads and writes,
+    # and the certificate's form at the set's size; a row sums its solves,
+    # full or restricted, plus its passes
     import sepqn.solver as solver_mod
 
     solves, rounds, inside = [], [], []   # (x, work) per solve; work per round
@@ -823,17 +825,21 @@ def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
         return result
 
     def working_set(metric, x, grad, term, *args):
-        applies, apply, start = [], metric.apply, len(rounds)
-        metric.apply = lambda v: applies.append(1) or apply(v)
+        products, start = [], len(rounds)
+        apply, cross, form = metric.apply, metric.cross_apply, metric.inv_form
+        metric.apply = lambda v: products.append(metric.inv_apply_cost) or apply(v)
+        metric.cross_apply = lambda view, cols, v: products.append(
+            metric.product_cost(len(cols), view.dim)) or cross(view, cols, v)
+        metric.inv_form = lambda view, v: products.append(
+            metric.product_cost(view.dim, 1)) or form(view, v)
         inside.append(1)
         try:
             out = real_ws(metric, x, grad, term, *args)
         finally:
-            del metric.apply
+            del metric.apply, metric.cross_apply, metric.inv_form
             inside.pop()
         if out is not None:
-            assert out[1] == (sum(rounds[start:]) + len(applies) * metric.inv_apply_cost
-                              + scd.recovery_cost(metric, (term,)))
+            assert out[1] == sum(rounds[start:]) + sum(products)
             solves.append((x, out[1]))
         return out
 
@@ -848,3 +854,29 @@ def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
         passes = (row.epochs - epochs) * prob.loss.pass_cost
         assert row.work == sum(w for y, w in solves if y is x) + passes
         epochs = row.epochs
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_a_working_set_row_reuses_its_kkt_product_for_dir_h_dir(monkeypatch, seed):
+    # the last KKT check's H d is the product a fresh apply gives: a
+    # restricted row's dir_h_dir is bitwise d' H d, with no apply of its own
+    import sepqn.solver as solver_mod
+
+    calls, real = [], solver_mod._working_set_surrogate
+
+    def working_set(metric, x, *args):
+        out = real(metric, x, *args)
+        d = None if out is None else out[0].direction
+        calls.append((x, None if d is None else float(d @ metric.apply(d))))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_working_set_surrogate", working_set)
+    sol = solve(_sparse_toy(seed), SolverConfig(max_outer=200))
+    points = [x for i, (x, _) in enumerate(calls) if i == 0 or x is not calls[i - 1][0]]
+    checked = 0
+    for row, x in zip(sol.trace.rows, points):
+        last = [want for y, want in calls if y is x][-1]
+        if last is not None:
+            assert row.dir_h_dir == last
+            checked += 1
+    assert checked >= sol.trace.iterations - 2
