@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -26,7 +28,7 @@ from .baselines import (SCD_DIRECT_SETTINGS, BaselineConfig, admm_solve, fista_s
 from .bench import AXES, cost_ratios, run_axis
 from .data import read_libsvm, synth_dataset, write_libsvm
 from .problems import BUILTIN_MODELS, make_builtin
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _check_settings, solve
 
 __all__ = ["RunSpec", "run", "main", "TRACE_COLUMNS"]
 
@@ -59,6 +61,11 @@ FLAG_NOTES = {
 }
 
 
+def _finite_positive(value) -> bool:
+    """value is a finite number > 0; None and nan are not."""
+    return value is not None and math.isfinite(value) and value > 0
+
+
 @dataclass
 class RunSpec:
     model: str = "l1-logistic"
@@ -81,15 +88,19 @@ class RunSpec:
     baseline_config: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
-        if self.model not in BUILTIN_MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        for s in self.solvers:
-            if s not in SOLVER_KINDS:
-                raise ValueError(f"unknown solver {s!r}; expected {SOLVER_KINDS}")
-        for name in ("lam", "fused_weight", "group_weight", "ridge"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"hyperparameter {name} must be positive, got {v}")
+        # each rule is written so that nan fails it; a family weight left None
+        # takes lam, and a ridge of 0 adds nothing
+        _check_settings(self, (
+            ("model", self.model in BUILTIN_MODELS, f"one of {BUILTIN_MODELS}"),
+            ("solvers", 0 < len(set(self.solvers)) == len(self.solvers)
+             and set(self.solvers) <= set(SOLVER_KINDS), f"distinct names of {SOLVER_KINDS}"),
+            ("lam", _finite_positive(self.lam), "finite and > 0"),
+            ("fused_weight", self.fused_weight is None or _finite_positive(self.fused_weight),
+             "None or finite and > 0"),
+            ("group_weight", self.group_weight is None or _finite_positive(self.group_weight),
+             "None or finite and > 0"),
+            ("ridge", math.isfinite(self.ridge) and self.ridge >= 0, "finite and >= 0"),
+        ))
         if self.data_path is not None and not os.path.exists(self.data_path):
             raise FileNotFoundError(self.data_path)
 
@@ -161,8 +172,7 @@ def run(spec: RunSpec) -> int:
 
     results = {}
     for solver in spec.solvers:
-        prefix = solver if len(spec.solvers) > 1 else ""
-        tag = f"{prefix}_" if prefix else ""
+        tag = f"{solver}_" if len(spec.solvers) > 1 else ""
         try:
             sol = _run_one(spec, solver, problem)
         except Exception as exc:  # surfaced with a machine-readable reason
@@ -201,13 +211,11 @@ def run(spec: RunSpec) -> int:
     if len(spec.solvers) > 1:
         lines = []
         worst = 0.0
-        names = list(results)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                a, b = results[names[i]].objective, results[names[j]].objective
-                rel = abs(a - b) / max(abs(a), abs(b), 1e-30)
-                worst = max(worst, rel)
-                lines.append((f"{names[i]} vs {names[j]}", rel))
+        for first, second in itertools.combinations(results, 2):
+            a, b = results[first].objective, results[second].objective
+            rel = abs(a - b) / max(abs(a), abs(b), 1e-30)
+            worst = max(worst, rel)
+            lines.append((f"{first} vs {second}", rel))
         lines.append(("worst_pairwise", worst))
         write_summary(os.path.join(out, "consensus.txt"), lines)
         print(f"consensus: worst pairwise relative gap {worst:.3e}")

@@ -108,7 +108,7 @@ class LbfgsMetric:
         k, sigma = self._count, self.sigma
         # built empty, so the only pair columns it holds are the gathered ones
         view = LbfgsMetric(idx.size, capacity=0, sigma=sigma)
-        view.capacity, view.beta, view._count, view._snapshot = k, self.beta, k, True
+        view._count, view._snapshot = k, True
         if k:
             view._rows = np.take(self._rows[:2 * k], idx, axis=1)
             view._gram = sub = view._rows @ view._rows.T
@@ -263,7 +263,3 @@ class LbfgsMetric:
         the outputs and one scaled add per output. A quadratic form writes 1."""
         k = self._count
         return 2 * k * (n_in + n_out) + 4 * k * k + 2 * n_out
-
-    @property
-    def inv_apply_cost(self) -> int:  # multiply-adds
-        return self.product_cost(self.dim, self.dim)

@@ -437,8 +437,8 @@ BUILTIN_MODELS = tuple(BUILTIN_LAYOUTS)
 
 def _require_positive(name, value, default=None):
     value = default if value is None else value
-    if value is None or value <= 0:
-        raise ValueError(f"hyperparameter {name!r} must be positive, got {value}")
+    if value is None or not (np.isfinite(value) and value > 0):   # nan fails
+        raise ValueError(f"hyperparameter {name!r} must be finite and positive, got {value}")
     return float(value)
 
 

@@ -43,7 +43,8 @@ the exact images and goes on. At max_inner one recovery at the best v gives
 the direction and the gap. So a returned gap is always an exact recovery's,
 and a solve makes iterations + backtracks + 2 recoveries, one more per
 failed stop check (`InnerResult.failed_checks`). The loop keeps no flop
-ledger: `surrogate_work` models a solve's cost from its counts. -D is
+ledger: at return, `surrogate_work` models the solve's cost from its
+counts, as `InnerResult.work`. -D is
 exactly quadratic with gradient u(z), so
 the upper quadratic bound at step delta holds exactly when
 delta (u_v_new - u_y)'(v_new - y) <= ||v_new - y||^2. As v_new - y = theta dz
@@ -79,7 +80,6 @@ __all__ = [
     "dual_objective",
     "initial_step_delta",
     "step_delta_cap",
-    "recovery_cost",
     "surrogate_work",
     "solve_surrogate",
 ]
@@ -96,6 +96,9 @@ class InnerResult:
     backtracks: int
     momentum_resets: int
     failed_checks: int     # stop checks whose exact gap missed the tolerance
+    work: float            # modeled multiply-adds of the solve, from its counts
+    working_set: int       # coordinates the surrogate was solved over
+    h_direction: np.ndarray   # H d, where the solve formed it; None from the dual loop
 
     @property
     def rounds(self) -> tuple:
@@ -184,13 +187,6 @@ def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     return 1.0 / low if low > 0.0 else math.inf
 
 
-def recovery_cost(metric: LbfgsMetric, terms) -> int:
-    """Modeled multiply-adds of one recovery: the terms' pull-back and
-    images, one inverse metric apply, and the stacked images' offsets."""
-    return (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
-            + metric.dim + sum(t.op.output_dim for t in terms))
-
-
 def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
                    failed_checks=0) -> float:
     """Modeled multiply-adds of a dual loop run: each of the iterations +
@@ -199,11 +195,13 @@ def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
     check (or at max_inner), plus one R per failed stop check, and each
     iteration forms two carried image combinations and the restart dot
     product over the S stacked duals;
-    (attempts + 2 + failed_checks) R + (attempts + 1) P + 3 iterations S.
-    Each `solve_surrogate` call is one run, charged on its own counts, so a
-    caller that solves more than once sums the model over its runs."""
+    (attempts + 2 + failed_checks) R + (attempts + 1) P + 3 iterations S,
+    where R is the terms' pull-back and images, one inverse metric apply and
+    the stacked images' offsets. `solve_surrogate` charges each run on its
+    own counts, as its `InnerResult.work`."""
     stack_len = sum(t.op.output_dim for t in terms)
-    recover = recovery_cost(metric, terms)
+    recover = (metric.product_cost(metric.dim, metric.dim)
+               + sum(2 * t.op.apply_cost for t in terms) + metric.dim + stack_len)
     project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
     attempts = iterations + backtracks
     return float((attempts + 2 + failed_checks) * recover + (attempts + 1) * project
@@ -323,4 +321,6 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         inner_iterations=iterations, gap_estimate=gap, converged=gap <= tolerance,
         step_delta=delta, backtracks=backtracks, momentum_resets=resets,
         failed_checks=failed_checks,
+        work=surrogate_work(metric, terms, iterations, backtracks, failed_checks),
+        working_set=metric.dim, h_direction=None,
     )

@@ -8,10 +8,10 @@ length by BACKTRACK_FACTOR against the sufficient-descent test
 
 and hands the step's curvature pair to `LbfgsMetric.update`, which keeps it
 when s'y > 0 and rescales the seed matrix. Each surrogate's dual loop starts
-from the step size the previous one ended with, capped by
-`scd.step_delta_cap` of the updated metric, as TFOCS (Becker, Candes & Grant
-2011) keeps its step from one solve to the next; only the first iteration
-starts at `scd.initial_step_delta`. Besides the gamma test, the loop
+from the step size the previous one ended with, capped by `scd.step_delta_cap`
+of the metric it is solved over, as TFOCS (Becker, Candes & Grant 2011) keeps
+its step from one solve to the next; only the first iteration starts at
+`scd.initial_step_delta`. Besides the gamma test, the loop
 stops after `stall_iterations` consecutive small objective changes, counted
 by `_stall_count`, the rule FISTA shares.
 
@@ -28,9 +28,11 @@ that surrogate is re-solved at eps, warm from its own duals and final step,
 and tested again; when the stall count is reached on a looser one, the next
 surrogate is solved at eps before the stall may stop the solve. An explicit
 `inner_tolerance` fixes every surrogate's tolerance. `SolveTrace.stop_reason`
-names the exit that fired. A row's `inner_iterations` and `work` count every
-surrogate solve made for it, the guard's and the retry's re-solves included;
-its gap and `inner_converged` are the last solve's.
+names the exit that fired. Every surrogate solve returns an `InnerResult`
+that carries its own modeled `work`. A row's `inner_iterations` and `work`
+sum every solve made for it, the guard's and the retry's re-solves included;
+its gap, `inner_converged` and `working_set` are the last solve's, and so
+are the duals a `Solution` returns.
 
 A penalty that is one l1 term over the identity (l1-logistic) may solve its
 surrogate over a working set of coordinates instead, the proximal Newton
@@ -60,7 +62,7 @@ import numpy as np
 from .lbfgs import LbfgsMetric
 from .operators import Identity
 from .problems import CompositeProblem, NormKind, RegularizerTerm
-from .scd import step_delta_cap, surrogate_work
+from .scd import step_delta_cap
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
 
@@ -308,18 +310,18 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     from the last view's columns. Each product is charged at the size it is
     computed at.
 
-    Returns (InnerResult with full-length d and duals (z,), modeled work, |J|,
-    H d from the last KKT check).
+    Returns the last round's InnerResult with the full-length d, duals (z,),
+    the gap, the rounds' summed counts, `work` over every round and product,
+    and `h_direction`, the H d of the last KKT check; its `working_set` is
+    the last round's |J|.
     """
     p, weight = metric.dim, term.weight
-    z = np.zeros(p)
-    if warm_duals is not None:
-        (z,) = warm_duals
+    z = np.zeros(p) if warm_duals is None else warm_duals[0]
     edge = weight * (1.0 - WORKING_SET_MARGIN)
     member = (np.abs(grad) >= edge) | (np.abs(z) >= edge)
     if not 0 < np.count_nonzero(member) <= WORKING_SET_SHARE * p:
         return None
-    results, work = [], 0.0
+    rounds, work = [], 0.0
     while True:
         idx = np.flatnonzero(member)
         d = -x
@@ -336,13 +338,12 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         inner = continuation_solve(view, x[idx], linear, terms, warm_duals=[z[idx]],
                                    tolerance=tolerance, max_inner=max_inner,
                                    step_delta=step_delta)
-        results.append(inner)
-        work += surrogate_work(view, terms, inner.inner_iterations, inner.backtracks,
-                               inner.failed_checks)
+        rounds.append(inner)
+        work += inner.work
         d[idx] = inner.direction
         h_d = metric.apply(d)
         q = grad + h_d
-        work += metric.inv_apply_cost   # an apply costs what an inverse apply does
+        work += metric.product_cost(p, p)
         z = np.clip(q, -weight, weight)
         joining = np.abs(q) > weight
         joining[idx] = False
@@ -355,21 +356,20 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     work += metric.product_cost(idx.size, 1)
     gap = (float(np.sum(weight * np.abs(w) + z * w))
            + 0.5 * metric.inv_form(view, clipped[idx]))
-    inner = replace(
+    return replace(
         inner, direction=d,
         duals=(z,),
-        inner_iterations=sum(r.inner_iterations for r in results),
+        inner_iterations=sum(r.inner_iterations for r in rounds),
         gap_estimate=gap, converged=gap <= tolerance,
-        backtracks=sum(r.backtracks for r in results),
-        momentum_resets=sum(r.momentum_resets for r in results),
-        failed_checks=sum(r.failed_checks for r in results))
-    return inner, work, idx.size, h_d
+        backtracks=sum(r.backtracks for r in rounds),
+        momentum_resets=sum(r.momentum_resets for r in rounds),
+        failed_checks=sum(r.failed_checks for r in rounds),
+        work=work, h_direction=h_d)
 
 
 def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> Solution:
     cfg = config if config is not None else SolverConfig()
-    p = problem.dim
-    metric = LbfgsMetric(p, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0)
+    metric = LbfgsMetric(problem.dim, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0)
     l1_term = _l1_term(problem)
     eps_inner = cfg.resolved_inner_tolerance()
     t0 = time.perf_counter()
@@ -383,31 +383,26 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     adaptive = cfg.inner_tolerance is None
     tol = eps_inner   # this surrogate's tolerance; the first is at the floor
     duals = None
-    step = None   # the dual step carried from the last surrogate, capped
+    step = None   # the dual step the last surrogate ended with, uncapped
     stall = 0
     reason = "max_outer"
 
     def surrogate(tolerance, warm_duals, step_delta):
-        # every solve of a row counts toward its inner iterations and work;
-        # the work model reads the metric's size, so it is taken before update
-        solved = None
+        # the carried step is capped by the metric solved over: a working set
+        # caps it by each view, as lambda_max(H_JJ) <= lambda_max(H)
+        inner = None
         if l1_term is not None:
-            solved = _working_set_surrogate(metric, x, grad, l1_term, warm_duals,
-                                            tolerance, cfg.max_inner, step_delta)
-        if solved is None:
+            inner = _working_set_surrogate(metric, x, grad, l1_term, warm_duals,
+                                           tolerance, cfg.max_inner, step_delta)
+        if inner is None:
+            if step_delta is not None:
+                step_delta = min(step_delta, step_delta_cap(metric, problem.terms))
             inner = continuation_solve(
                 metric, x, grad, problem.terms, warm_duals=warm_duals,
                 tolerance=tolerance, max_inner=cfg.max_inner,
                 blocks=problem.blocks, step_delta=step_delta,
             )
-            # each solve pays its own entry recovery and last stop check, so
-            # the work model is taken per solve
-            solved = inner, surrogate_work(
-                metric, problem.terms, inner.inner_iterations, inner.backtracks,
-                inner.failed_checks), p, None
-        inner, work, spent[2], spent[3] = solved
-        spent[0] += inner.inner_iterations
-        spent[1] += work
+        solves.append(inner)
         return inner, gamma(problem, x, inner.direction, grad)
 
     def stationary(gam, inner, scale):
@@ -417,9 +412,9 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner.converged and -gam <= 2.0 * inner.gap_estimate)
 
     for k in range(cfg.max_outer):
-        # this row's inner iterations, modeled dual-loop work, working set and
-        # the H d its last surrogate formed (a working set's KKT product), if any
-        spent = [0, 0.0, p, None]
+        # every surrogate solved for this row; the row sums their inner
+        # iterations and work, and reads the rest from the last one
+        solves = []
         inner, gam = surrogate(tol, duals, step)
         scale = max(1.0, abs(f_val))
         if tol > eps_inner and stationary(gam, inner, scale):
@@ -446,24 +441,24 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             raise SolverError(f"objective became non-finite at iteration {k + 1}")
 
         delta = inner.direction
-        h_delta = metric.apply(delta) if spent[3] is None else spent[3]
+        h_delta = metric.apply(delta) if inner.h_direction is None else inner.h_direction
         dir_h_dir = float(delta @ h_delta)
-        work = spent[1] + (probes + 1) * problem.loss.pass_cost
+        work = sum(s.work for s in solves) + (probes + 1) * problem.loss.pass_cost
 
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)
         epochs += 1
         accepted = metric.update(t, x_new - x, grad_new - grad)
-        step = min(inner.step_delta, step_delta_cap(metric, problem.terms))
+        step = inner.step_delta
 
         trace.rows.append(TraceRow(
             iteration=k + 1, objective=f_new, step=t, gamma=gam,
-            inner_iterations=spent[0], epochs=epochs,
+            inner_iterations=sum(s.inner_iterations for s in solves), epochs=epochs,
             seconds=time.perf_counter() - t0, sigma=metric.sigma,
             beta=metric.beta, work=work, gap_estimate=inner.gap_estimate,
             dir_h_dir=dir_h_dir,
             curvature_accepted=accepted, inner_converged=inner.converged,
-            inner_tolerance=tol, working_set=spent[2],
+            inner_tolerance=tol, working_set=inner.working_set,
         ))
         if cfg.record_iterates:
             trace.iterates.append(x_new.copy())
@@ -484,4 +479,4 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
 
     trace.stop_reason = reason
     trace.status = "max_outer" if reason == "max_outer" else "converged"
-    return Solution(x=x, objective=f_val, trace=trace, duals=duals)
+    return Solution(x=x, objective=f_val, trace=trace, duals=inner.duals)

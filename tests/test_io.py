@@ -328,6 +328,29 @@ class TestCli:
         assert "bad-arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, rule", [
+        (["solve", "--lambda", "0"], "lam must be finite and > 0, got 0.0"),
+        (["solve", "--lambda", "nan"], "lam must be finite and > 0"),
+        (["solve", "--group-weight", "nan"], "group_weight must be None or finite and > 0"),
+        (["solve", "--ridge", "nan"], "ridge must be finite and >= 0"),
+        (["solve", "--ridge", "-1"], "ridge must be finite and >= 0, got -1.0"),
+        (["compare", "--solvers", ","], "solvers must be distinct names"),
+        (["compare", "--solvers", "sepqn,sepqn"], "solvers must be distinct names"),
+    ])
+    def test_bad_weight_or_solver_list_is_exit_2_before_any_directory(
+            self, tmp_path, capsys, argv, rule):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad-arguments" in err and rule in err
+        assert not out.exists()
+
+    def test_zero_ridge_runs(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", "--ridge", "0", "--synth-n", "60", "--synth-p", "12",
+                     "--out", str(out)]) == 0
+        assert (out / "solution.txt").exists()
+
     def test_scd_direct_honours_solver_flags(self, tmp_path, monkeypatch):
         out = str(tmp_path / "run")
         assert main(["solve", "--solver", "scd-direct", "--max-outer", "5",

@@ -460,4 +460,6 @@ def test_restricted_view_refuses_updates(rng):
         view.push_pair(s[[0, 2, 5]], y[[0, 2, 5]])
     with pytest.raises(TypeError, match="snapshot"):
         view.adapt_h0(0.5, s[[0, 2, 5]], y[[0, 2, 5]])
+    with pytest.raises(TypeError, match="snapshot"):
+        view.update(1.0, s[[0, 2, 5]], y[[0, 2, 5]])
     assert metric.update(1.0, s, y)   # the metric itself still updates

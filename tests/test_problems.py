@@ -549,6 +549,18 @@ def test_builtin_requires_positive_hyperparameters(rng):
         make_builtin("l1-logistic", handle.matrix, handle.labels, lam=0.0)
 
 
+@pytest.mark.parametrize("weights", [
+    {"lam": float("nan")}, {"lam": float("inf")},
+    {"lam": 0.1, "fused_weight": float("nan")},
+])
+def test_builtin_names_a_non_finite_hyperparameter(weights):
+    # nan passes a plain `<= 0` test; the hyperparameter is named, not the term
+    handle, _ = synth_dataset(seed=5, n=10, p=6)
+    name = list(weights)[-1]
+    with pytest.raises(ValueError, match=f"'{name}' must be finite and positive"):
+        make_builtin("fused-sparse-logistic", handle.matrix, handle.labels, **weights)
+
+
 def test_builtin_model_list_is_complete():
     assert set(BUILTIN_MODELS) == {
         "l1-logistic", "fused-sparse-logistic", "sparse-group-logistic",

@@ -576,7 +576,7 @@ def _assert_work_charges_events(monkeypatch, rng, **kwargs):
     attempts = len(projections) // len(terms) - 1
     assert attempts == res.inner_iterations + res.backtracks
     stack_len = sum(t.op.output_dim for t in terms)
-    recover = (metric.inv_apply_cost + sum(2 * t.op.apply_cost for t in terms)
+    recover = (metric.product_cost(p, p) + sum(2 * t.op.apply_cost for t in terms)
                + p + stack_len)
     proj = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
     # two carried image combinations and one restart dot product over the
@@ -585,6 +585,9 @@ def _assert_work_charges_events(monkeypatch, rng, **kwargs):
             + 3 * res.inner_iterations * stack_len)
     assert scd.surrogate_work(metric, terms, res.inner_iterations,
                               res.backtracks, res.failed_checks) == want
+    # the solve carries its own account, at the size it was solved at
+    assert res.work == want
+    assert res.working_set == metric.dim and res.h_direction is None
     return res
 
 

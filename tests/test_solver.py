@@ -712,8 +712,8 @@ def _spy_working_sets(monkeypatch):
     def working_set(metric, x, *args):
         out = real_solve(metric, x, *args)
         if out is not None:
-            solved.append((x, sets[-1], out[0]))
-            assert out[2] == sets[-1].size
+            solved.append((x, sets[-1], out))
+            assert out.working_set == sets[-1].size
         return out
 
     monkeypatch.setattr(LbfgsMetric, "restricted", view)
@@ -775,10 +775,10 @@ def test_a_coordinate_missed_by_the_working_set_joins_by_the_kkt_check(monkeypat
     x = np.zeros(p)
     grad = np.array([3.0, 0.9, 0.0, 0.1, 0.2, -0.3])
     terms = (RegularizerTerm(NormKind.L1, 1.0, Identity(p)),)
-    inner, _, size, h_d = solver_mod._working_set_surrogate(
+    inner = solver_mod._working_set_surrogate(
         metric, x, grad, terms[0], None, 1e-12, 2000, None)
-    assert [dim for dim, _, _ in calls] == [1, 2] and size == 2
-    assert np.array_equal(h_d, metric.apply(inner.direction))
+    assert [dim for dim, _, _ in calls] == [1, 2] and inner.working_set == 2
+    assert np.array_equal(inner.h_direction, metric.apply(inner.direction))
     assert np.array_equal(calls[0][1], x[[0]]) and np.array_equal(calls[1][1], x[:2])
     assert inner.converged and 0.0 <= inner.gap_estimate <= 1e-12
     assert np.all(inner.direction[2:] == 0.0)
@@ -827,7 +827,8 @@ def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
     def working_set(metric, x, grad, term, *args):
         products, start = [], len(rounds)
         apply, cross, form = metric.apply, metric.cross_apply, metric.inv_form
-        metric.apply = lambda v: products.append(metric.inv_apply_cost) or apply(v)
+        metric.apply = lambda v: products.append(
+            metric.product_cost(metric.dim, metric.dim)) or apply(v)
         metric.cross_apply = lambda view, cols, v: products.append(
             metric.product_cost(len(cols), view.dim)) or cross(view, cols, v)
         metric.inv_form = lambda view, v: products.append(
@@ -839,8 +840,8 @@ def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
             del metric.apply, metric.cross_apply, metric.inv_form
             inside.pop()
         if out is not None:
-            assert out[1] == sum(rounds[start:]) + sum(products)
-            solves.append((x, out[1]))
+            assert out.work == sum(rounds[start:]) + sum(products)
+            solves.append((x, out.work))
         return out
 
     monkeypatch.setattr(solver_mod, "continuation_solve", spy)
@@ -866,7 +867,7 @@ def test_a_working_set_row_reuses_its_kkt_product_for_dir_h_dir(monkeypatch, see
 
     def working_set(metric, x, *args):
         out = real(metric, x, *args)
-        d = None if out is None else out[0].direction
+        d = None if out is None else out.direction
         calls.append((x, None if d is None else float(d @ metric.apply(d))))
         return out
 
@@ -880,3 +881,61 @@ def test_a_working_set_row_reuses_its_kkt_product_for_dir_h_dir(monkeypatch, see
             assert row.dir_h_dir == last
             checked += 1
     assert checked >= sol.trace.iterations - 2
+
+
+def test_a_working_set_row_never_computes_the_full_spectrum(monkeypatch):
+    # a restricted round caps its step by its view, and lambda_max(H_JJ) <=
+    # lambda_max(H), so only the full loop needs the full metric's spectrum
+    import sepqn.solver as solver_mod
+
+    prob = _sparse_toy(4)
+    rows = [[]]   # per metric state: the sizes solved over, and "spectrum"
+    real_spectrum, real_update = LbfgsMetric.inv_spectrum, LbfgsMetric.update
+    real_solve = solver_mod.continuation_solve
+
+    def spectrum(metric):
+        if metric._spectrum is None and metric.dim == prob.dim:
+            rows[-1].append("spectrum")
+        return real_spectrum(metric)
+
+    def update(metric, *args):
+        rows.append([])
+        return real_update(metric, *args)
+
+    def record(metric, *args, **kwargs):
+        rows[-1].append(metric.dim)
+        return real_solve(metric, *args, **kwargs)
+
+    monkeypatch.setattr(LbfgsMetric, "inv_spectrum", spectrum)
+    monkeypatch.setattr(LbfgsMetric, "update", update)
+    monkeypatch.setattr(solver_mod, "continuation_solve", record)
+    sol = solve(prob, SolverConfig(max_outer=200))
+    restricted = [r for r in rows if r and prob.dim not in r]
+    assert len(restricted) >= sol.trace.iterations - 2
+    assert not any("spectrum" in r for r in restricted)
+    assert all("spectrum" in r for r in rows if prob.dim in r)
+
+
+def test_solution_duals_are_the_last_surrogates(monkeypatch):
+    # a gamma stop returns the duals of the surrogate that certified it, and
+    # a solve started at its own optimum returns its one surrogate's duals
+    import sepqn.solver as solver_mod
+
+    results, real = [], solver_mod.continuation_solve
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver_mod, "continuation_solve", spy)
+    handle, _ = sepqn.synth_dataset(seed=3, n=200, p=30, sparsity=0.5)
+    prob = make_builtin("fused-sparse-logistic", handle.matrix, handle.labels,
+                        lam=0.01)
+    sol = solve(prob, SolverConfig(max_outer=100))
+    assert sol.trace.stop_reason == "gamma"
+    assert sol.duals is results[-1].duals
+    results.clear()
+    again = solve(prob, SolverConfig(max_outer=100), x0=sol.x)
+    assert (again.trace.iterations, again.trace.stop_reason) == (0, "gamma")
+    assert len(results) == 1 and again.duals is results[0].duals
+    assert len(again.duals) == prob.n_terms
