@@ -142,8 +142,6 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
             iteration=k + 1, objective=f_new, step=1.0 / curvature, gamma=0.0,
             inner_iterations=backtracks, epochs=epochs,
             seconds=time.perf_counter() - t0, sigma=curvature, beta=momentum,
-            work=(backtracks + 2) * loss.pass_cost, gap_estimate=0.0,
-            dir_h_dir=0.0, curvature_accepted=False, inner_converged=True,
         ))
 
         stall = _stall_count(stall, f_x, f_new, cfg.tolerance)
@@ -216,7 +214,6 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             out += b.transpose(vec[b.sl])
         return out
 
-    work = loss.pass_cost + sum(3 * t.op.apply_cost for t in terms) + 2 * p * p
     u = images_of(x)
     d = np.zeros(q_dims)
     trace = SolveTrace(initial_objective=f_val)
@@ -256,9 +253,6 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             iteration=k + 1, objective=f_val, step=rho, gamma=0.0,
             inner_iterations=0, epochs=epochs, seconds=time.perf_counter() - t0,
             sigma=r_norm, beta=s_norm,
-            work=work,
-            gap_estimate=0.0, dir_h_dir=0.0, curvature_accepted=False,
-            inner_converged=True,
         ))
 
         if r_norm <= eps_pri and s_norm <= eps_dual:

@@ -306,17 +306,16 @@ CHECKS = [
 ]
 
 
-def run_all(verbose=True):
-    """Run every check; returns the list of (name, exception) failures."""
+def run_all():
+    """Run every check, printing a PASS or FAIL line for each; returns the
+    list of (name, exception) failures."""
     failures = []
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:
             failures.append((name, exc))
-            if verbose:
-                print(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         else:
-            if verbose:
-                print(f"PASS {name}")
+            print(f"PASS {name}")
     return failures

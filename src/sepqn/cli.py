@@ -162,13 +162,13 @@ def write_summary(path, entries):
 
 def run(spec: RunSpec) -> int:
     """Execute one RunSpec, write artifacts, return a process exit status."""
-    out = _out_dir(spec.out_dir)
-    os.makedirs(out, exist_ok=True)
     try:
         problem, handle = _load_problem(spec)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: bad-problem: {exc}", file=sys.stderr)
         return 2
+    out = _out_dir(spec.out_dir)
+    os.makedirs(out, exist_ok=True)
 
     results = {}
     for solver in spec.solvers:
@@ -271,7 +271,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    failures = checks.run_all(verbose=True)
+    failures = checks.run_all()
     return 1 if failures else 0
 
 

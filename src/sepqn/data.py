@@ -9,6 +9,7 @@ kept as-is for the multitask construction.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -62,8 +63,11 @@ def read_libsvm(path, num_features=None) -> DatasetHandle:
     """Parse a LIBSVM text file into a CSR matrix plus labels.
 
     Feature count defaults to the largest index seen; pass num_features to
-    widen it (it may not be smaller). An empty file is an error.
+    widen it (it may not be smaller, and it must be an integer). An empty
+    file is an error.
     """
+    if num_features is not None and not isinstance(num_features, numbers.Integral):
+        raise ValueError(f"num_features must be an integer, got {num_features!r}")
     labels = []
     indptr = [0]
     indices = []
@@ -106,7 +110,7 @@ def read_libsvm(path, num_features=None) -> DatasetHandle:
             indptr.append(len(indices))
     if not labels:
         raise ParseError(path, 0, "dataset is empty")
-    p = max_index if num_features is None else int(num_features)
+    p = max_index if num_features is None else num_features
     if p < max_index:
         raise ValueError(f"num_features={p} is below the largest index seen ({max_index})")
     matrix = sp.csr_matrix(
@@ -138,12 +142,12 @@ def synth_dataset(seed, n, p, sparsity=0.5, model="logistic", noise=0.1):
     The truth vector is built from max(1, p // 10) contiguous segments, cut
     at random, whose values are zero with probability `sparsity` (0 means
     every segment is drawn, so the truth is dense). Features are standard
-    Gaussian; labels follow the generative model of the chosen loss. Returns
-    (handle, record) where the record holds the ground truth for diagnostics
-    only.
+    Gaussian; labels follow the generative model of the chosen loss. n and p
+    must be integers >= 1. Returns (handle, {"x_true": truth vector}).
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
+    for name, size in (("n", n), ("p", p)):
+        if not (isinstance(size, numbers.Integral) and size >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
     if not (0.0 <= sparsity <= 1.0):
         raise ValueError("sparsity must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -167,14 +171,4 @@ def synth_dataset(seed, n, p, sparsity=0.5, model="logistic", noise=0.1):
     else:
         raise ValueError(f"unknown generative model {model!r}")
 
-    handle = DatasetHandle(as_csr(features), labels)
-    record = {
-        "x_true": x_true,
-        "seed": seed,
-        "n": n,
-        "p": p,
-        "sparsity": sparsity,
-        "model": model,
-        "pieces": int(n_pieces),
-    }
-    return handle, record
+    return DatasetHandle(as_csr(features), labels), {"x_true": x_true}

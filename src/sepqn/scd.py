@@ -159,15 +159,12 @@ def recover_primal(metric: LbfgsMetric, x_k, grad_k, terms, duals) -> np.ndarray
     return _recover_at(metric, x_k, grad_k, terms, duals)[1]
 
 
-def dual_objective(metric: LbfgsMetric, x_k, grad_k, terms, duals, g_value=0.0) -> float:
-    """Negated dual value -D(z) = z'u - grad'd - 1/2 d'Hd at d = xhat - x_k.
-
-    Includes the model's constant term only when g_value is supplied; the
-    solver uses differences, where the constant cancels.
-    """
+def dual_objective(metric: LbfgsMetric, x_k, grad_k, terms, duals) -> float:
+    """Negated dual value -D(z) = z'u - grad'd - 1/2 d'Hd at d = xhat - x_k,
+    without the model's constant g(x_k), which cancels in differences."""
     z, xhat, u = _recover_at(metric, x_k, grad_k, terms, duals)
     d = xhat - x_k
-    return float(z @ u) - float(d @ grad_k) - 0.5 * float(d @ metric.apply(d)) - g_value
+    return float(z @ u) - float(d @ grad_k) - 0.5 * float(d @ metric.apply(d))
 
 
 def initial_step_delta(metric: LbfgsMetric, terms) -> float:
@@ -221,13 +218,17 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     recovers once, at z_new, and only an exact recovery's gap stops the loop.
     Hitting max_inner is not an error: the best iterate seen is recovered once
     and returned with its exact gap, and converged=False unless that gap meets
-    the tolerance. `blocks`, when given, must be `problems.term_blocks(terms)`,
-    such as a problem's `blocks`; it is built from the terms otherwise.
+    the tolerance. `step_delta` must be finite and > 0; None starts the loop
+    at `initial_step_delta`. `blocks`, when given, must be
+    `problems.term_blocks(terms)`, such as a problem's `blocks`; it is built
+    from the terms otherwise.
     """
     if not tolerance >= 0:   # written so that nan fails
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if not (isinstance(max_inner, numbers.Integral) and max_inner >= 1):
         raise ValueError(f"max_inner must be an integer >= 1, got {max_inner}")
+    if step_delta is not None and not (math.isfinite(step_delta) and step_delta > 0):
+        raise ValueError(f"step_delta must be None or finite and > 0, got {step_delta}")
     x_k = np.asarray(x_k, dtype=np.float64)
     grad_k = np.asarray(grad_k, dtype=np.float64)
     terms = tuple(terms)

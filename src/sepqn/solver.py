@@ -161,7 +161,6 @@ class SolverConfig:
     max_inner: int = 2000
     sigma0: float = 1.0
     stall_iterations: int = 3
-    record_iterates: bool = False
 
     def __post_init__(self):
         _check_settings(self, (
@@ -194,14 +193,15 @@ class TraceRow:
     seconds: float            # cumulative wall time
     sigma: float
     beta: float
-    work: float               # cumulative-free: flops attributed to this iteration
-    gap_estimate: float
-    dir_h_dir: float          # d' H d for the accepted direction
-    curvature_accepted: bool
-    inner_converged: bool
+    # the surrogate's fields below keep their defaults on the baselines' rows
+    work: float = 0.0         # cumulative-free: flops attributed to this iteration
+    gap_estimate: float = 0.0
+    dir_h_dir: float = 0.0    # d' H d for the accepted direction
+    curvature_accepted: bool = False
+    inner_converged: bool = True
     inner_tolerance: float = float("nan")   # the tolerance this surrogate was solved to
     working_set: int = 0      # size of the last surrogate's working set: p on the
-                              # full loop, 0 on the baselines' rows
+                              # full loop
 
 
 @dataclass
@@ -210,13 +210,9 @@ class SolveTrace:
     status: str = "running"
     stop_reason: str = None   # sepqn's exit: "gamma", "stall", "retry" or "max_outer"
     initial_objective: float = float("nan")
-    iterates: list = field(default_factory=list)
 
     def objectives(self):
         return np.array([r.objective for r in self.rows])
-
-    def steps(self):
-        return np.array([r.step for r in self.rows])
 
     @property
     def iterations(self) -> int:
@@ -241,9 +237,9 @@ def gamma(problem: CompositeProblem, x_k, delta, grad_k) -> float:
     return float(grad_k @ delta) + problem.penalty(x_k + delta) - problem.penalty(x_k)
 
 
-def line_search(problem, x_k, delta, gamma_k, f_value=None):
+def line_search(problem, x_k, delta, gamma_k, f_value):
     """Largest t in {1, c, c^2, ...}, c = BACKTRACK_FACTOR, meeting the
-    sufficient-descent test.
+    sufficient-descent test, where f_value is f(x_k).
 
     Returns (t, f(x + t*delta), probes). Every probe is one data pass.
     A non-finite gamma_k means the direction or the data overflowed, which
@@ -254,8 +250,6 @@ def line_search(problem, x_k, delta, gamma_k, f_value=None):
                           "overflowed, check the data scale")
     if gamma_k > 0:
         raise ValueError(f"gamma must be <= 0 for a descent direction, got {gamma_k}")
-    if f_value is None:
-        f_value = problem.objective(x_k)
     t = 1.0
     probes = 0
     while True:
@@ -378,8 +372,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     x, grad, f_val = _start_point(problem, x0)
 
     trace = SolveTrace(initial_objective=f_val)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
     adaptive = cfg.inner_tolerance is None
     tol = eps_inner   # this surrogate's tolerance; the first is at the floor
     duals = None
@@ -460,8 +452,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             curvature_accepted=accepted, inner_converged=inner.converged,
             inner_tolerance=tol, working_set=inner.working_set,
         ))
-        if cfg.record_iterates:
-            trace.iterates.append(x_new.copy())
 
         stall = _stall_count(stall, f_val, f_new, cfg.outer_tolerance)
         x, grad, f_val = x_new, grad_new, f_new

@@ -2,7 +2,7 @@ from sepqn import checks
 
 
 def test_invariant_suite_all_pass(capsys):
-    failures = checks.run_all(verbose=True)
+    failures = checks.run_all()
     out = capsys.readouterr().out
     assert failures == []
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]

@@ -106,6 +106,23 @@ def test_num_features_override(tmp_path):
         read_libsvm(path, num_features=1)
 
 
+@pytest.mark.parametrize("bad", [10.7, 10.0])
+def test_num_features_must_be_an_integer(tmp_path, bad):
+    # a float is refused, not truncated
+    path = tmp_path / "toy.svm"
+    path.write_text("+1 1:1\n-1 2:1\n")
+    with pytest.raises(ValueError, match="num_features"):
+        read_libsvm(path, num_features=bad)
+    assert read_libsvm(path, num_features=np.int64(10)).p == 10
+
+
+@pytest.mark.parametrize("name, bad", [("n", 10.0), ("p", 3.0), ("p", 3.5), ("n", 0)])
+def test_synth_sizes_must_be_integers(name, bad):
+    sizes = {"n": 10, "p": 3, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        synth_dataset(seed=0, **sizes)
+
+
 def test_roundtrip_exact(tmp_path):
     handle, _ = synth_dataset(seed=13, n=25, p=9, sparsity=0.3)
     path = tmp_path / "round.svm"
@@ -184,6 +201,16 @@ class TestCli:
         rc = main(["solve", "--data", str(tmp_path / "nope.svm"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "sparse-group-logistic", "--num-groups", "0"],
+        ["--synth-n", "0"],
+    ])
+    def test_bad_problem_makes_no_directory(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert main(["solve", *flags, "--out", str(out)]) == 2
+        assert "bad-problem" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_writes_consensus(self, tmp_path):
         out = str(tmp_path / "cmp")

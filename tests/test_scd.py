@@ -74,8 +74,7 @@ def test_dual_objective_at_zero_duals(rng):
     x = rng.standard_normal(p)
     grad = rng.standard_normal(p)
     g_val = 1.23
-    got = dual_objective(metric, x, grad, l1_terms(p, 0.4), [np.zeros(p)],
-                         g_value=g_val)
+    got = dual_objective(metric, x, grad, l1_terms(p, 0.4), [np.zeros(p)]) - g_val
     want = -(g_val - 0.5 * float(grad @ metric.inv_apply(grad)))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -537,10 +536,12 @@ def test_converged_means_gap_within_tolerance(rng, tolerance, max_inner):
 
 @pytest.mark.parametrize("setting", [
     {"tolerance": -1e-9}, {"tolerance": float("nan")}, {"max_inner": 0},
-    {"max_inner": 3.5},
+    {"max_inner": 3.5}, {"step_delta": float("nan")}, {"step_delta": 0.0},
+    {"step_delta": -1.0}, {"step_delta": float("inf")},
 ])
 def test_solve_surrogate_rejects_bad_settings(setting):
-    # a nan tolerance would run all of max_inner and never certify a stop
+    # a nan tolerance would run all of max_inner and never certify a stop; a
+    # nan step would backtrack forever, and a zero one never moves
     (name,) = setting
     p = 5
     with pytest.raises(ValueError, match=name):

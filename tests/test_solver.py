@@ -147,7 +147,8 @@ def test_line_search_trivial_zero_direction(rng):
 def test_line_search_rejects_positive_gamma(rng):
     prob = logistic_toy(seed=1, n=50, p=10)
     with pytest.raises(ValueError):
-        line_search(prob, np.zeros(prob.dim), np.ones(prob.dim), 0.5)
+        line_search(prob, np.zeros(prob.dim), np.ones(prob.dim), 0.5,
+                    f_value=prob.objective(np.zeros(prob.dim)))
 
 
 def test_line_search_underflow_raises():
@@ -159,7 +160,7 @@ def test_line_search_underflow_raises():
     x = np.ones(p)
     _, grad = loss.value_grad(x)
     with pytest.raises(LineSearchFailure) as exc:
-        line_search(prob, x, grad, -1e-18)
+        line_search(prob, x, grad, -1e-18, f_value=prob.objective(x))
     assert exc.value.step < 1e-12
     assert exc.value.probes > 30
 
@@ -168,7 +169,8 @@ def test_line_search_underflow_raises():
 def test_line_search_rejects_non_finite_gamma(bad_gamma):
     prob = logistic_toy(seed=1, n=50, p=10)
     with pytest.raises(SolverError, match="gamma is not finite"):
-        line_search(prob, np.zeros(prob.dim), -np.ones(prob.dim), bad_gamma)
+        line_search(prob, np.zeros(prob.dim), -np.ones(prob.dim), bad_gamma,
+                    f_value=prob.objective(np.zeros(prob.dim)))
 
 
 def test_overflowing_feature_raises_solver_error():
@@ -350,6 +352,36 @@ def test_trace_records_sigma_beta_and_work():
         assert r.epochs > 0
 
 
+@pytest.mark.parametrize("model, extra", [
+    ("l1-logistic", {}), ("sparse-group-logistic", {"groups": 4}),
+])
+def test_gradients_are_taken_at_the_start_and_at_each_accepted_point(
+        monkeypatch, model, extra):
+    # one value_grad at the start point, then one per row, right after the
+    # line-search probe that accepted the row's point; criterion 3 reads a
+    # solve's iterates from these calls
+    handle, _ = sepqn.synth_dataset(seed=7, n=120, p=20, sparsity=0.5)
+    prob = make_builtin(model, handle.matrix, handle.labels, lam=0.02, **extra)
+    loss = prob.loss
+    calls = []
+    for name in ("value", "value_grad"):
+        def spy(x, _real=getattr(loss, name), _name=name):
+            calls.append((_name, x.copy()))
+            return _real(x)
+        monkeypatch.setattr(loss, name, spy)
+    x0 = np.full(prob.dim, 0.01)
+    sol = solve(prob, SolverConfig(), x0=x0)
+    grads = [i for i, (name, _) in enumerate(calls) if name == "value_grad"]
+    assert sol.trace.iterations > 3
+    assert len(grads) == 1 + sol.trace.iterations
+    assert grads[0] == 0 and np.array_equal(calls[0][1], x0)
+    for row, i in zip(sol.trace.rows, grads[1:]):
+        name, x = calls[i - 1]
+        assert name == "value" and np.array_equal(x, calls[i][1])
+        assert prob.objective(x) == row.objective
+    assert np.array_equal(calls[grads[-1]][1], sol.x)
+
+
 def test_line_search_failure_triggers_tighter_retry(monkeypatch):
     # a failed line search must trigger exactly one retry of the inner solve
     # at a hundredfold tighter tolerance before the step is re-searched
@@ -364,10 +396,10 @@ def test_line_search_failure_triggers_tighter_retry(monkeypatch):
         state["tols"].append(kwargs.get("tolerance"))
         return real_continuation(*args, **kwargs)
 
-    def failing_once(problem, x_k, delta, gamma_k, f_value=None):
+    def failing_once(problem, x_k, delta, gamma_k, f_value):
         state["searches"] += 1
         if state["searches"] == 1:
-            raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+            raise LineSearchFailure(1e-13, gamma_k, f_value, 40)
         return real_line_search(problem, x_k, delta, gamma_k, f_value=f_value)
 
     monkeypatch.setattr(solver_mod, "continuation_solve", spying_continuation)
@@ -429,10 +461,10 @@ def test_line_search_retry_keeps_the_carried_step(monkeypatch):
     calls = _spy_continuation(monkeypatch)
     searches = []
 
-    def failing_second(problem, x_k, delta, gamma_k, f_value=None):
+    def failing_second(problem, x_k, delta, gamma_k, f_value):
         searches.append(len(calls))
         if len(searches) == 2:
-            raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+            raise LineSearchFailure(1e-13, gamma_k, f_value, 40)
         return real_line_search(problem, x_k, delta, gamma_k, f_value=f_value)
 
     monkeypatch.setattr(solver_mod, "line_search", failing_second)
@@ -605,10 +637,10 @@ def test_a_retried_row_counts_the_failed_solve(monkeypatch):
 
     searches = []
 
-    def failing_once(problem, x_k, delta, gamma_k, f_value=None):
+    def failing_once(problem, x_k, delta, gamma_k, f_value):
         searches.append(1)
         if len(searches) == 1:
-            raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+            raise LineSearchFailure(1e-13, gamma_k, f_value, 40)
         return real_line_search(problem, x_k, delta, gamma_k, f_value=f_value)
 
     calls = _row_solves(monkeypatch)
@@ -680,8 +712,8 @@ def test_stop_reason_names_the_exit(monkeypatch):
             result = dataclasses.replace(result, direction=0.0 * result.direction)
         return result
 
-    def failing(problem, x_k, delta, gamma_k, f_value=None):
-        raise LineSearchFailure(1e-13, gamma_k, f_value or 0.0, 40)
+    def failing(problem, x_k, delta, gamma_k, f_value):
+        raise LineSearchFailure(1e-13, gamma_k, f_value, 40)
 
     monkeypatch.setattr(solver_mod, "continuation_solve", null_retry)
     monkeypatch.setattr(solver_mod, "line_search", failing)
