@@ -18,7 +18,6 @@ residual, with step = the penalty parameter.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -27,11 +26,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .lbfgs import SIGMA_FLOOR
-from .operators import Identity
+from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, require
 from .problems import CompositeProblem, NormKind, stack
 from .projections import KERNELS
-from .solver import (Solution, SolverConfig, SolveTrace, TraceRow, _check_settings,
-                     _integer_at_least, _stall_count, _start_point, solve)
+from .solver import (Solution, SolverConfig, SolveTrace, TraceRow, _stall_count,
+                     _start_point, solve)
 
 __all__ = [
     "ABS_TOLERANCE",
@@ -65,12 +64,9 @@ class BaselineConfig:
     rho: float = 1.0               # admm penalty parameter
 
     def __post_init__(self):
-        _check_settings(self, (
-            ("max_iterations", _integer_at_least(self.max_iterations, 1),
-             "an integer >= 1"),
-            ("tolerance", self.tolerance >= 0, ">= 0"),
-            ("rho", math.isfinite(self.rho) and self.rho > 0, "finite and > 0"),
-        ))
+        require("max_iterations", self.max_iterations, integer(1))
+        require("tolerance", self.tolerance, NONNEGATIVE)
+        require("rho", self.rho, FINITE_POSITIVE)
 
 
 def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,

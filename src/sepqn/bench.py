@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import synth_dataset
-from .operators import ExplicitSparse, Identity
+from .operators import ExplicitSparse, Identity, integer, require
 from .problems import CompositeProblem, LogisticLoss, NormKind, RegularizerTerm, make_builtin
 from .solver import SolverConfig, solve
 
@@ -73,6 +73,7 @@ def run_axis(axis, doublings=1, seed=0):
     """Run the sweep for one axis; returns BenchPoints at size, 2*size, ..."""
     if axis not in SWEEPS:
         raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
+    require("doublings", doublings, integer(1))
     build, size0, max_inner, outer_iters = SWEEPS[axis]
     # tolerance 0 fixes the outer budget; see the module docstring for the inner
     cfg = SolverConfig(outer_tolerance=0.0, max_outer=outer_iters, inner_tolerance=0.0,

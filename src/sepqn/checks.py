@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from .baselines import BaselineConfig, fista_solve
 from .data import synth_dataset
@@ -72,9 +73,9 @@ def check_gradient_finite_difference():
 
 def check_loss_storage_and_margins():
     # a dense design packs into the CSR scipy builds, byte for byte; a full
-    # CSR design is stored dense and agrees with CSR arithmetic; a gradient
-    # after a value at an equal x is a fresh loss's, bit for bit, and
-    # evaluates the per-sample losses only once
+    # CSR design is stored dense and agrees with the CSR's own products; a
+    # gradient after a value at an equal x is a fresh loss's, bit for bit,
+    # and evaluates the per-sample losses only once
     handle, _ = synth_dataset(seed=6, n=50, p=9)
     dense = handle.matrix.toarray()
     got, want = as_csr(dense), sp.csr_matrix(dense, dtype=np.float64)
@@ -83,10 +84,10 @@ def check_loss_storage_and_margins():
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"CSR {name} differs"
     loss = LogisticLoss(handle.matrix, handle.labels)
     assert isinstance(loss.data, np.ndarray), type(loss.data)
-    csr = LogisticLoss(handle.matrix, handle.labels)
-    csr.data = handle.matrix  # the same loss over the CSR it was given
     x = np.random.default_rng(12).standard_normal(9)
-    (v, g), (v_csr, g_csr) = loss.value_grad(x), csr.value_grad(x)
+    t = handle.labels * (handle.matrix @ x)
+    (v, g), v_csr = loss.value_grad(x), float(loss.weights @ np.logaddexp(0.0, -t))
+    g_csr = handle.matrix.T @ (-loss.weights * handle.labels * expit(-t))
     assert abs(v - v_csr) <= 1e-14, f"value off by {abs(v - v_csr)}"
     assert np.abs(g - g_csr).max() <= 1e-14, f"gradient off by {np.abs(g - g_csr).max()}"
     evaluations = []

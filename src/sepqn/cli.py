@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -27,8 +26,9 @@ from .baselines import (SCD_DIRECT_SETTINGS, BaselineConfig, admm_solve, fista_s
                         scd_direct_solve)
 from .bench import AXES, cost_ratios, run_axis
 from .data import read_libsvm, synth_dataset, write_libsvm
+from .operators import FINITE_NONNEGATIVE, FINITE_POSITIVE, Rule, optional, require
 from .problems import BUILTIN_MODELS, make_builtin
-from .solver import SolverConfig, _check_settings, solve
+from .solver import SolverConfig, solve
 
 __all__ = ["RunSpec", "run", "main", "TRACE_COLUMNS"]
 
@@ -61,11 +61,6 @@ FLAG_NOTES = {
 }
 
 
-def _finite_positive(value) -> bool:
-    """value is a finite number > 0; None and nan are not."""
-    return value is not None and math.isfinite(value) and value > 0
-
-
 @dataclass
 class RunSpec:
     model: str = "l1-logistic"
@@ -88,21 +83,16 @@ class RunSpec:
     baseline_config: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
-        # each rule is written so that nan fails it; a family weight left None
-        # takes lam, and a ridge of 0 adds nothing
-        _check_settings(self, (
-            ("model", self.model in BUILTIN_MODELS, f"one of {BUILTIN_MODELS}"),
-            ("solvers", 0 < len(set(self.solvers)) == len(self.solvers)
-             and set(self.solvers) <= set(SOLVER_KINDS), f"distinct names of {SOLVER_KINDS}"),
-            ("lam", _finite_positive(self.lam), "finite and > 0"),
-            ("fused_weight", self.fused_weight is None or _finite_positive(self.fused_weight),
-             "None or finite and > 0"),
-            ("group_weight", self.group_weight is None or _finite_positive(self.group_weight),
-             "None or finite and > 0"),
-            ("ridge", math.isfinite(self.ridge) and self.ridge >= 0, "finite and >= 0"),
-        ))
-        if self.data_path is not None and not os.path.exists(self.data_path):
-            raise FileNotFoundError(self.data_path)
+        require("model", self.model,
+                Rule(BUILTIN_MODELS.__contains__, f"one of {BUILTIN_MODELS}"))
+        require("solvers", self.solvers, Rule(
+            lambda s: 0 < len(set(s)) == len(s) and set(s) <= set(SOLVER_KINDS),
+            f"distinct names of {SOLVER_KINDS}"))
+        # a family weight left None takes lam, and a ridge of 0 adds nothing
+        require("lam", self.lam, FINITE_POSITIVE)
+        require("fused_weight", self.fused_weight, optional(FINITE_POSITIVE))
+        require("group_weight", self.group_weight, optional(FINITE_POSITIVE))
+        require("ridge", self.ridge, FINITE_NONNEGATIVE)
 
 
 def _out_dir(path):
@@ -164,7 +154,7 @@ def run(spec: RunSpec) -> int:
     """Execute one RunSpec, write artifacts, return a process exit status."""
     try:
         problem, handle = _load_problem(spec)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:   # OSError: a missing or unreadable --data
         print(f"error: bad-problem: {exc}", file=sys.stderr)
         return 2
     out = _out_dir(spec.out_dir)
@@ -235,8 +225,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     axes = AXES if args.axis == "all" else (args.axis,)
-    out = _out_dir(args.out)
-    os.makedirs(out, exist_ok=True)
     status = 0
     rows = ["axis,size,outer_iterations,mean_work,ratio"]
     for axis in axes:
@@ -252,6 +240,9 @@ def _cmd_bench(args) -> int:
             status = 4
         print(f"bench {axis}: cost ratios [{shown}] "
               f"{'within' if ok else 'OUTSIDE'} [1.7, 2.3]")
+    # made only once the sweeps ran, so a refused setting leaves no directory
+    out = _out_dir(args.out)
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "bench.csv"), "w") as fh:
         fh.write("\n".join(rows) + "\n")
     return status

@@ -9,15 +9,13 @@ kept as-is for the multitask construction.
 from __future__ import annotations
 
 import math
-import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .operators import as_csr
+from .operators import as_csr, integer, optional, require
 
 __all__ = ["DatasetHandle", "ParseError", "read_libsvm", "write_libsvm", "synth_dataset"]
 
@@ -66,8 +64,7 @@ def read_libsvm(path, num_features=None) -> DatasetHandle:
     widen it (it may not be smaller, and it must be an integer). An empty
     file is an error.
     """
-    if num_features is not None and not isinstance(num_features, numbers.Integral):
-        raise ValueError(f"num_features must be an integer, got {num_features!r}")
+    require("num_features", num_features, optional(integer(0)))
     labels = []
     indptr = [0]
     indices = []
@@ -145,9 +142,8 @@ def synth_dataset(seed, n, p, sparsity=0.5, model="logistic", noise=0.1):
     Gaussian; labels follow the generative model of the chosen loss. n and p
     must be integers >= 1. Returns (handle, {"x_true": truth vector}).
     """
-    for name, size in (("n", n), ("p", p)):
-        if not (isinstance(size, numbers.Integral) and size >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+    require("n", n, integer(1))
+    require("p", p, integer(1))
     if not (0.0 <= sparsity <= 1.0):
         raise ValueError("sparsity must lie in [0, 1]")
     rng = np.random.default_rng(seed)

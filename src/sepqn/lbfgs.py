@@ -21,10 +21,9 @@ needs over its own coordinates, not over all of them.
 """
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
+
+from .operators import FINITE_POSITIVE, integer, require
 
 __all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
 
@@ -40,16 +39,9 @@ def _inverse(ss, sy, yy):
 
 class LbfgsMetric:
     def __init__(self, dim, capacity=10, sigma=1.0):
-        if not (isinstance(dim, numbers.Integral) and dim >= 1):
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-        # a nan sigma would pass a plain `<= 0` test and stall the dual loop
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        if not (isinstance(capacity, numbers.Integral) and capacity >= 0):
-            raise ValueError(f"capacity must be an integer >= 0, got {capacity!r}")
-        self.dim = int(dim)
-        self.capacity = int(capacity)
-        self.sigma = float(sigma)
+        self.dim = int(require("dim", dim, integer(1)))
+        self.capacity = int(require("capacity", capacity, integer(0)))
+        self.sigma = float(require("sigma", sigma, FINITE_POSITIVE))
         self.beta = 2.0
         self.floor_hits = 0
         self._count = 0

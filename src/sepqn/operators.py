@@ -7,11 +7,16 @@ keeps the dual solver's per-iteration work linear in the problem size; an
 explicit sparse operator costs O(nnz). `spectral_norm` is estimated once,
 by `norm_estimate`, which reads an operator's `exact_norm` when it has one
 (the identity's 1) and runs a power iteration otherwise.
+
+The module also holds the one set of rules every setting in the package is
+checked by, once, where it is given: `require` and the `Rule`s beside it.
 """
 from __future__ import annotations
 
 import functools
+import math
 import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +31,13 @@ __all__ = [
     "RowStack",
     "as_csr",
     "as_index",
+    "Rule",
+    "integer",
+    "FINITE_POSITIVE",
+    "FINITE_NONNEGATIVE",
+    "NONNEGATIVE",
+    "optional",
+    "require",
     "POWER_ITERATIONS",
     "EIGEN_TOLERANCE",
     "spectral_norm_estimate",
@@ -88,6 +100,42 @@ def as_index(value) -> int:
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"indices must be integers, got {value!r}")
     return int(value)
+
+
+class Rule(NamedTuple):
+    """A rule a setting must hold, and the words an error states it in."""
+
+    holds: Callable[[object], bool]
+    text: str
+
+
+def integer(low) -> Rule:
+    """An integer >= low, numpy's included; a float such as 2.0 is not one."""
+    return Rule(lambda v: isinstance(v, numbers.Integral) and v >= low, f"an integer >= {low}")
+
+
+def _finite(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+FINITE_POSITIVE = Rule(lambda v: _finite(v) and v > 0, "finite and > 0")
+FINITE_NONNEGATIVE = Rule(lambda v: _finite(v) and v >= 0, "finite and >= 0")
+NONNEGATIVE = Rule(lambda v: isinstance(v, numbers.Real) and v >= 0, ">= 0")   # inf holds
+
+
+def optional(rule) -> Rule:
+    return Rule(lambda v: v is None or rule.holds(v), f"None or {rule.text}")
+
+
+def require(name, value, rule):
+    """value, if it holds rule; else a ValueError naming name and value.
+
+    Each rule states what a good value meets, so nan fails it: a comparison
+    with nan is false, and `v >= 0` refuses nan where `not v < 0` passes it.
+    """
+    if not rule.holds(value):
+        raise ValueError(f"{name} must be {rule.text}, got {value!r}")
+    return value
 
 
 def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
@@ -171,8 +219,7 @@ class Identity(LinearOperator):
     exact_norm = 1.0   # W'W = I, so no power iteration draws its |x| normals
 
     def __init__(self, dim):
-        if not (isinstance(dim, numbers.Integral) and dim >= 1):
-            raise ValueError(f"Identity needs an integer dim >= 1, got {dim!r}")
+        require("Identity dim", dim, integer(1))
         self.input_dim = self.output_dim = int(dim)
 
     def _apply(self, x):
@@ -193,8 +240,7 @@ class FirstDifference(LinearOperator):
     """Consecutive differences: (Wx)_j = x_{j+1} - x_j, so q = p - 1."""
 
     def __init__(self, dim):
-        if not (isinstance(dim, numbers.Integral) and dim >= 2):
-            raise ValueError(f"FirstDifference needs an integer dim >= 2, got {dim!r}")
+        require("FirstDifference dim", dim, integer(2))
         self.input_dim = int(dim)
         self.output_dim = int(dim) - 1
 
@@ -222,8 +268,7 @@ class GroupSelector(LinearOperator):
     """Picks out a coordinate subset; the transpose scatters back with zeros."""
 
     def __init__(self, indices, dim):
-        if not isinstance(dim, numbers.Integral):
-            raise ValueError(f"GroupSelector needs an integer dim, got {dim!r}")
+        require("GroupSelector dim", dim, integer(1))
         idx = np.asarray(sorted(set(as_index(i) for i in indices)), dtype=np.intp)
         if idx.size == 0:
             raise ValueError("GroupSelector needs a non-empty index set")

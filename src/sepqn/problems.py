@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,6 +20,8 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .operators import (
+    FINITE_NONNEGATIVE,
+    FINITE_POSITIVE,
     DimensionMismatch,
     FirstDifference,
     GroupSelector,
@@ -27,6 +29,7 @@ from .operators import (
     LinearOperator,
     as_csr,
     as_index,
+    require,
     spectral_norm_estimate,
 )
 from .projections import KERNELS, SEGMENTED, NormKind
@@ -83,6 +86,11 @@ def _stored(data):
     return as_csr(data)
 
 
+def _check_design(data):
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ValueError(f"data must be 2-D with at least one row, got shape {data.shape}")
+
+
 def _nnz(data) -> int:
     if sp.issparse(data):
         return int(data.nnz)
@@ -101,6 +109,10 @@ class SmoothLoss:
     solver runs its passes on the same matrix. A loss declares `CURVATURE`,
     a bound on the second derivative of its per-sample loss in the margin;
     `lipschitz_bound` and ADMM's majorizer both scale by it.
+
+    A loss is a value: its inputs are checked and fixed at construction, and
+    assigning one raises AttributeError (build a new loss), so each cache is
+    made at first use and holds its result alone.
     """
 
     CURVATURE: float
@@ -110,11 +122,12 @@ class SmoothLoss:
     ridge: float
 
     def __init__(self, data, labels, weights=None, ridge=0.0):
-        """Validate once, so a bad dataset cannot surface mid-solve.
-
-        Weights default to 1/n; given weights must be finite and >= 0, and so
-        must the ridge. Labels and the stored data values must be finite.
+        """Validate once, so a bad dataset cannot surface mid-solve: the design
+        must be 2-D with a row, its stored values and the labels finite, and
+        given weights (default 1/n) and the ridge finite and >= 0.
         """
+        data = _stored(data)
+        _check_design(data)
         n = data.shape[0]
         labels = np.asarray(labels, dtype=np.float64).ravel()
         weights = (np.full(n, 1.0 / n) if weights is None
@@ -122,7 +135,6 @@ class SmoothLoss:
         for name, values in (("label", labels), ("weight", weights)):
             if values.shape[0] != n:
                 raise ValueError(f"{name} count {values.shape[0]} != sample count {n}")
-        data = _stored(data)
         stored = data.data if sp.issparse(data) else data
         for name, values in (("labels", labels), ("sample weights", weights),
                              ("data values", stored)):
@@ -132,12 +144,15 @@ class SmoothLoss:
                 raise ValueError(f"{name} must be finite; found nan or inf")
         if (weights < 0).any():
             raise ValueError(f"sample weights must be >= 0; smallest is {weights.min()}")
-        if not (np.isfinite(ridge) and ridge >= 0):
-            raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
         self.data = data
         self.labels = labels
         self.weights = weights
-        self.ridge = float(ridge)
+        self.ridge = float(require("ridge", ridge, FINITE_NONNEGATIVE))
+
+    def __setattr__(self, name, value):
+        if name in ("data", "labels", "weights", "ridge") and name in self.__dict__:
+            raise AttributeError(f"a loss's {name} is fixed; build a new loss to change it")
+        super().__setattr__(name, value)
 
     @property
     def n_samples(self) -> int:
@@ -159,7 +174,7 @@ class SmoothLoss:
         raise NotImplementedError
 
     def lipschitz_bound(self) -> float:
-        return self.CURVATURE * self._weighted_norm_sq() + self.ridge
+        return self.CURVATURE * self._weighted_norm_sq + self.ridge
 
     def _value(self, x):
         """g(x) and the per-sample term its gradient reuses.
@@ -167,23 +182,20 @@ class SmoothLoss:
         `value` and `value_grad` both take g from here, which keeps them
         bitwise equal; a loss supplies `_sample_losses(ax)`, the per-sample
         losses and that term from the margins A x. A call at the bitwise-same
-        x as the call before it, over the same data, labels and weights
-        arrays and an equal ridge, returns that call's result: the point a
-        line search accepts is the array its last probe evaluated. The key
-        holds a copy of x's bits, so -0.0 and 0.0 differ and a caller that
-        mutates x in place gets a fresh evaluation.
+        x as the call before it returns that call's result: the point a line
+        search accepts is the array its last probe evaluated. The memo holds
+        a copy of x's bits, so -0.0 and 0.0 differ and a caller that mutates
+        x in place gets a fresh evaluation.
         """
         bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-        key = (self.data, self.labels, self.weights)
         memo = self.__dict__.get("_value_memo")
-        if (memo is not None and all(a is b for a, b in zip(memo[0], key))
-                and memo[1] == self.ridge and np.array_equal(memo[2], bits)):
-            return memo[3]
+        if memo is not None and np.array_equal(memo[0], bits):
+            return memo[1]
         losses, state = self._sample_losses(_matvec(self.data, x))
         v = float(self.weights @ losses)
         if self.ridge:
             v += 0.5 * self.ridge * float(x @ x)
-        self._value_memo = (key, self.ridge, bits.copy(), (v, state))
+        self._value_memo = (bits.copy(), (v, state))
         return v, state
 
     def _plus_ridge(self, x, g):
@@ -191,29 +203,20 @@ class SmoothLoss:
             g = g + self.ridge * x
         return np.asarray(g, dtype=np.float64)
 
-    def _rmatvec(self, u):
-        # A'u. A sparse matrix's .T builds a new view object on every access,
+    @cached_property
+    def _transpose(self):
+        # A sparse matrix's .T builds a new view object on every access,
         # which with its dispatch costs about a sixth of the matvec itself at
-        # n=2000, p=200; keep one view per data matrix
-        if self.__dict__.get("_transpose_of") is not self.data:
-            self._transpose = self.data.T
-            self._transpose_of = self.data
-        return self._transpose @ u
+        # n=2000, p=200; the loss keeps one
+        return self.data.T
 
+    @cached_property
     def _weighted_norm_sq(self):
-        # sigma_max(diag(sqrt(w)) A)^2 via power iteration, cached for the
-        # data and weights arrays it was estimated from
-        key = (self.data, self.weights)
-        memo = self.__dict__.get("_wnorm_memo")
-        if memo is None or not all(a is b for a, b in zip(memo[0], key)):
-            rw = np.sqrt(self.weights)
-            est = spectral_norm_estimate(
-                lambda v: rw * _matvec(self.data, v),
-                lambda u: self._rmatvec(rw * u),
-                self.dim,
-            )
-            memo = self._wnorm_memo = (key, est * est)
-        return memo[1]
+        # sigma_max(diag(sqrt(w)) A)^2 via power iteration
+        rw = np.sqrt(self.weights)
+        est = spectral_norm_estimate(lambda v: rw * _matvec(self.data, v),
+                                     lambda u: self._transpose @ (rw * u), self.dim)
+        return est * est
 
 
 class LogisticLoss(SmoothLoss):
@@ -238,20 +241,17 @@ class LogisticLoss(SmoothLoss):
         t = self.labels * ax
         return _logistic_losses(t), t
 
+    @cached_property
     def _weighted_labels(self):
-        # w * y, made once and again only when weights or labels are reassigned
-        memo = self.__dict__.get("_wy_memo")
-        if memo is None or memo[0] is not self.weights or memo[1] is not self.labels:
-            memo = self._wy_memo = (self.weights, self.labels, self.weights * self.labels)
-        return memo[2]
+        return self.weights * self.labels
 
     def value(self, x):
         return self._value(x)[0]
 
     def value_grad(self, x):
         v, t = self._value(x)
-        coeff = self._weighted_labels() * expit(-t)
-        return v, self._plus_ridge(x, -self._rmatvec(coeff))
+        coeff = self._weighted_labels * expit(-t)
+        return v, self._plus_ridge(x, -(self._transpose @ coeff))
 
 
 class LeastSquaresLoss(SmoothLoss):
@@ -268,7 +268,7 @@ class LeastSquaresLoss(SmoothLoss):
 
     def value_grad(self, x):
         v, r = self._value(x)
-        return v, self._plus_ridge(x, 2.0 * self._rmatvec(self.weights * r))
+        return v, self._plus_ridge(x, 2.0 * (self._transpose @ (self.weights * r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +289,7 @@ class RegularizerTerm:
         # a kind the kernel table does not hold would fail only mid-solve
         if not isinstance(self.kind, NormKind):
             raise ValueError(f"term kind must be a NormKind, got {self.kind!r}")
-        if not (np.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError(f"term weight must be finite and >= 0, got {self.weight}")
+        require("term weight", self.weight, FINITE_NONNEGATIVE)
         if self.offset is None:
             object.__setattr__(self, "offset", np.zeros(self.op.output_dim))
         else:
@@ -435,13 +434,6 @@ BUILTIN_LAYOUTS = {
 BUILTIN_MODELS = tuple(BUILTIN_LAYOUTS)
 
 
-def _require_positive(name, value, default=None):
-    value = default if value is None else value
-    if value is None or not (np.isfinite(value) and value > 0):   # nan fails
-        raise ValueError(f"hyperparameter {name!r} must be finite and positive, got {value}")
-    return float(value)
-
-
 def _resolve_groups(groups, dim):
     """Accept a group count (contiguous equal split), numpy's integers
     included, or explicit index lists, whose indices must be integers."""
@@ -455,6 +447,8 @@ def _resolve_groups(groups, dim):
     if isinstance(groups, numbers.Real):
         raise ValueError(f"groups must be an integer count or index lists, got {groups!r}")
     resolved = [sorted(as_index(i) for i in g) for g in groups]
+    if not resolved:
+        raise ValueError("groups must hold at least one index list, got none")
     seen = set()
     for g in resolved:
         overlap = seen.intersection(g)
@@ -492,13 +486,16 @@ def make_builtin(model_name, data, labels, *, lam=None, fused_weight=None,
         )
     if not sp.issparse(data):
         data = np.asarray(data, dtype=np.float64)
+    _check_design(data)
     labels = np.asarray(labels, dtype=np.float64).ravel()
     p = data.shape[1]
-    lam = _require_positive("lam", lam)
+    lam = float(require("lam", lam, FINITE_POSITIVE))
     if "fused" in layout:
-        fused_weight = _require_positive("fused_weight", fused_weight, default=lam)
+        fused_weight = float(require(
+            "fused_weight", lam if fused_weight is None else fused_weight, FINITE_POSITIVE))
     if "groups" in layout:
-        group_weight = _require_positive("group_weight", group_weight, default=lam)
+        group_weight = float(require(
+            "group_weight", lam if group_weight is None else group_weight, FINITE_POSITIVE))
 
     if "tasks" in layout:
         tasks = _one_vs_all(labels)

@@ -60,12 +60,12 @@ the loop starts at `initial_step_delta`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lbfgs import LbfgsMetric
+from .operators import FINITE_POSITIVE, NONNEGATIVE, integer, optional, require
 from .problems import stack as _stack, term_blocks as _term_blocks
 from .projections import KERNELS, projection_cost
 
@@ -223,12 +223,9 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     `problems.term_blocks(terms)`, such as a problem's `blocks`; it is built
     from the terms otherwise.
     """
-    if not tolerance >= 0:   # written so that nan fails
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if not (isinstance(max_inner, numbers.Integral) and max_inner >= 1):
-        raise ValueError(f"max_inner must be an integer >= 1, got {max_inner}")
-    if step_delta is not None and not (math.isfinite(step_delta) and step_delta > 0):
-        raise ValueError(f"step_delta must be None or finite and > 0, got {step_delta}")
+    require("tolerance", tolerance, NONNEGATIVE)
+    require("max_inner", max_inner, integer(1))
+    require("step_delta", step_delta, optional(FINITE_POSITIVE))
     x_k = np.asarray(x_k, dtype=np.float64)
     grad_k = np.asarray(grad_k, dtype=np.float64)
     terms = tuple(terms)

@@ -52,16 +52,15 @@ data's storage once, at construction, for every solver.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lbfgs import LbfgsMetric
-from .operators import Identity
+from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, optional, require
 from .problems import CompositeProblem, NormKind, RegularizerTerm
+from .projections import KERNELS
 from .scd import step_delta_cap
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
@@ -100,21 +99,6 @@ class LineSearchFailure(RuntimeError):
             f"f={objective:.6e}, probes={probes}); the search direction is "
             "corrupted or the inner tolerance is too loose"
         )
-
-
-def _check_settings(config, rules):
-    """Raise ValueError for the first (field, holds, rule) that does not hold.
-
-    Each condition is written so that nan fails it.
-    """
-    for name, ok, rule in rules:
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {getattr(config, name)}")
-
-
-def _integer_at_least(value, low) -> bool:
-    """value is an integer (numpy's included) and >= low; a float is not."""
-    return isinstance(value, numbers.Integral) and value >= low
 
 
 def _start_point(problem, x0):
@@ -163,17 +147,13 @@ class SolverConfig:
     stall_iterations: int = 3
 
     def __post_init__(self):
-        _check_settings(self, (
-            ("outer_tolerance", self.outer_tolerance >= 0, ">= 0"),
-            ("max_outer", _integer_at_least(self.max_outer, 1), "an integer >= 1"),
-            ("lbfgs_memory", _integer_at_least(self.lbfgs_memory, 0), "an integer >= 0"),
-            ("inner_tolerance",
-             self.inner_tolerance is None or self.inner_tolerance >= 0, "None or >= 0"),
-            ("max_inner", _integer_at_least(self.max_inner, 1), "an integer >= 1"),
-            ("sigma0", math.isfinite(self.sigma0) and self.sigma0 > 0, "finite and > 0"),
-            ("stall_iterations", _integer_at_least(self.stall_iterations, 1),
-             "an integer >= 1"),
-        ))
+        require("outer_tolerance", self.outer_tolerance, NONNEGATIVE)
+        require("max_outer", self.max_outer, integer(1))
+        require("lbfgs_memory", self.lbfgs_memory, integer(0))
+        require("inner_tolerance", self.inner_tolerance, optional(NONNEGATIVE))
+        require("max_inner", self.max_inner, integer(1))
+        require("sigma0", self.sigma0, FINITE_POSITIVE)
+        require("stall_iterations", self.stall_iterations, integer(1))
 
     def resolved_inner_tolerance(self) -> float:
         """The explicit inner tolerance, else the forcing rule's floor."""
@@ -296,9 +276,9 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     product of a round: q = grad + H d. Coordinates off J with
     |q_j| > weight join J and the restricted solve repeats, warm. Each round
     starts from the carried dual step capped by its view's `step_delta_cap`.
-    Once none join, z = clip(q) and the recovery at z, dhat = H^{-1}(z - grad)
-    = d - H^{-1}(q - z), certify d by the full primal-dual gap P(d) - D(z),
-    summed as its nonnegative parts
+    Once none join, z = q projected onto the dual box |z_j| <= weight and
+    the recovery at z, dhat = H^{-1}(z - grad) = d - H^{-1}(q - z), certify
+    d by the full primal-dual gap P(d) - D(z), summed as its nonnegative parts
     weight ||x + d||_1 + z'(x + d) + (d - dhat)'(q - z) / 2,
     where q - z is zero off J, so `metric.inv_form` takes its form over J
     from the last view's columns. Each product is charged at the size it is
@@ -338,7 +318,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         h_d = metric.apply(d)
         q = grad + h_d
         work += metric.product_cost(p, p)
-        z = np.clip(q, -weight, weight)
+        z = KERNELS[NormKind.L1].project(q, weight)
         joining = np.abs(q) > weight
         joining[idx] = False
         if not joining.any():

@@ -212,6 +212,16 @@ class TestCli:
         assert "bad-problem" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", ["", "nope.svm"])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_unreadable_data_path_is_a_bad_problem(self, tmp_path, capsys, command, path):
+        # a directory once escaped as an IsADirectoryError traceback (exit 1),
+        # and a missing file was reported as bad-arguments
+        out = tmp_path / "o"
+        assert main([command, "--data", str(tmp_path / path), "--out", str(out)]) == 2
+        assert "bad-problem" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_writes_consensus(self, tmp_path):
         out = str(tmp_path / "cmp")
         rc = main(["compare", "--solvers", "sepqn,fista,admm",
@@ -303,6 +313,15 @@ class TestCli:
         rc = main(["bench", "--axis", "p", "--out", out])
         assert rc == 0
         assert os.path.exists(os.path.join(out, "bench.csv"))
+
+    @pytest.mark.parametrize("doublings", ["0", "-1"])
+    def test_bench_needs_a_doubling(self, tmp_path, capsys, doublings):
+        # 0 once printed "cost ratios [] within [1.7, 2.3]" and exited 0
+        out = tmp_path / "bench"
+        assert main(["bench", "--doublings", doublings, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad-arguments" in err and "doublings must be an integer >= 1" in err
+        assert not out.exists()
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPQN_OUT_DIR", str(tmp_path / "envout"))

@@ -7,6 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepqn.operators import (
+    FINITE_NONNEGATIVE,
+    FINITE_POSITIVE,
+    NONNEGATIVE,
     DimensionMismatch,
     ExplicitSparse,
     FirstDifference,
@@ -15,6 +18,9 @@ from sepqn.operators import (
     LinearOperator,
     RowStack,
     as_csr,
+    integer,
+    optional,
+    require,
     spectral_norm_estimate,
 )
 
@@ -261,3 +267,20 @@ def test_as_csr_of_dense_owns_its_values(rng):
     m = as_csr(dense)
     dense[0, 0] = 99.0
     assert m[0, 0] != 99.0
+
+
+@pytest.mark.parametrize("rule, good, bad", [
+    (FINITE_POSITIVE, [1e-300, 2, np.float64(0.5)], [0.0, -1.0, np.nan, np.inf, None, "1"]),
+    (FINITE_NONNEGATIVE, [0.0, 3, np.float32(2.0)], [-1e-300, np.nan, np.inf, None]),
+    (NONNEGATIVE, [0.0, np.inf], [-1.0, np.nan, -np.inf, None]),
+    (integer(1), [1, np.int64(5), np.int32(2)], [0, -3, 2.0, np.float64(3.0), 1.5, None]),
+    (optional(FINITE_POSITIVE), [None, 0.5], [0.0, np.nan]),
+])
+def test_setting_rules_refuse_nan_and_name_the_setting(rule, good, bad):
+    # each rule states what a good value meets, so nan and non-numbers fail
+    for value in good:
+        assert require("knob", value, rule) is value
+    for value in bad:
+        message = f"knob must be {rule.text}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            require("knob", value, rule)
