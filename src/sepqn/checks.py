@@ -15,7 +15,9 @@ from .lbfgs import LbfgsMetric
 from .operators import (
     ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack, as_csr,
 )
-from .problems import LogisticLoss, NormKind, RegularizerTerm, make_builtin, term_blocks
+from .problems import (
+    _BLOCK_BYTES, LogisticLoss, NormKind, RegularizerTerm, make_builtin, term_blocks,
+)
 from .projections import KERNELS
 from .scd import _next_theta, solve_surrogate
 from .solver import SolverConfig, solve
@@ -55,6 +57,24 @@ def check_sparse_matvec_oracle():
         got = op.apply(x)
         want = dense @ x
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
+    # a dense design's loss walks row blocks: its value and gradient agree
+    # with the CSR products of the same matrix across every block seam
+    p = 50
+    n = 3 * _BLOCK_BYTES // (8 * p) + 11
+    dense = rng.standard_normal((n, p))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    loss = LogisticLoss(dense, y)
+    assert len(loss._row_blocks) > 3, f"{len(loss._row_blocks)} row blocks"
+    csr = sp.csr_matrix(dense)
+    x = 0.1 * rng.standard_normal(p)
+    t = y * (csr @ x)
+    v, g = loss.value_grad(x)
+    v_csr = float(loss.weights @ np.logaddexp(0.0, -t))
+    g_csr = csr.T @ (-loss.weights * y * expit(-t))
+    assert abs(v - v_csr) <= 1e-14, f"value off by {abs(v - v_csr)}"
+    scale = np.abs(g_csr).max()
+    assert np.abs(g - g_csr).max() <= 1e-13 * scale, \
+        f"gradient off by {np.abs(g - g_csr).max() / scale:.2e} relative"
 
 
 def check_gradient_finite_difference():

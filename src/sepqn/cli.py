@@ -344,8 +344,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: bad-arguments: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # an output path that cannot be made or written
+        print(f"error: bad-output: {exc}", file=sys.stderr)
         return 2
 
 

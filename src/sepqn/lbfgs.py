@@ -1,7 +1,10 @@
 """Limited-memory BFGS metric with an adaptive scalar seed matrix.
 
 The curvature pairs (s, y) with s'y > 0 are kept once, as the rows of W =
-(s_1, y_1, s_2, y_2, ...), oldest first, next to their Gram matrix W W'. Both
+(s_1, y_1, s_2, y_2, ...), oldest first, next to their Gram matrix W W'. W is
+a window of a buffer with SLACK spare pairs: at capacity a push moves the
+window up by one pair, and only when it reaches the buffer's end are the rows
+copied back to its start, in order, so one push in SLACK + 1 copies them. Both
 directions use the compact form of Byrd, Nocedal & Schnabel (1994): two GEMVs
 with W around a small middle matrix that folds in sigma, is rebuilt only when
 the pairs or sigma change, and yields the exact top eigenvalue of H^{-1}.
@@ -28,6 +31,7 @@ from .operators import FINITE_POSITIVE, integer, require
 __all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
 
 SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
+SLACK = 4            # spare pairs in the buffer beyond capacity
 
 
 def _inverse(ss, sy, yy):
@@ -45,8 +49,10 @@ class LbfgsMetric:
         self.beta = 2.0
         self.floor_hits = 0
         self._count = 0
-        self._rows = np.empty((2 * self.capacity, self.dim))   # s_1, y_1, s_2, ...
-        self._gram = np.empty((2 * self.capacity, 2 * self.capacity))
+        self._start = 0   # the oldest stored pair's slot in the buffer
+        slots = 2 * (self.capacity + SLACK) if self.capacity else 0
+        self._buffer = np.empty((slots, self.dim))   # ..., s_1, y_1, s_2, ...
+        self._gram_buffer = np.empty((slots, slots))
         self._middle = None
         self._spectrum = None
         self._snapshot = False   # a restricted view takes no pairs and keeps its sigma
@@ -54,6 +60,18 @@ class LbfgsMetric:
     @property
     def pair_count(self) -> int:
         return self._count
+
+    @property
+    def _rows(self):
+        """W, the stored pairs' rows, oldest first: a view of the buffer."""
+        lo = 2 * self._start
+        return self._buffer[lo:lo + 2 * self._count]
+
+    @property
+    def _gram(self):
+        """W W', a view of the Gram buffer."""
+        lo = 2 * self._start
+        return self._gram_buffer[lo:lo + 2 * self._count, lo:lo + 2 * self._count]
 
     def push_pair(self, s, y) -> bool:
         """Store (s, y) iff s'y > 0, evicting the oldest pair at capacity."""
@@ -63,18 +81,24 @@ class LbfgsMetric:
         self._writable()
         if self.capacity == 0 or float(s @ y) <= 0.0:
             return False
-        rows, gram = self._rows, self._gram
         if self._count == self.capacity:
-            flat = rows.reshape(-1)  # a 1-d shift runs in place, without a temporary
-            flat[:-2 * self.dim] = flat[2 * self.dim:]
-            gram[:-2, :-2] = gram[2:, 2:]
+            self._start += 1
             self._count -= 1
-        new = 2 * self._count
-        rows[new], rows[new + 1] = s, y
-        cross = rows[:new + 2] @ rows[new:new + 2].T
-        gram[:new + 2, new:new + 2] = cross
-        gram[new:new + 2, :new + 2] = cross.T
+        lo, k = 2 * self._start, 2 * self._count
+        if lo + k + 2 > len(self._buffer):
+            # slide the window back to the buffer's start, order kept; a 1-d
+            # shift runs in place, without a temporary
+            flat = self._buffer.reshape(-1)
+            flat[:k * self.dim] = flat[lo * self.dim:(lo + k) * self.dim]
+            gram = self._gram_buffer
+            gram[:k, :k] = gram[lo:lo + k, lo:lo + k]
+            self._start = 0
         self._count += 1
+        rows, gram = self._rows, self._gram
+        rows[k], rows[k + 1] = s, y
+        cross = rows @ rows[k:].T
+        gram[:, k:] = cross
+        gram[k:, :] = cross.T
         self._middle = None
         self._spectrum = None
         return True
@@ -102,8 +126,8 @@ class LbfgsMetric:
         view = LbfgsMetric(idx.size, capacity=0, sigma=sigma)
         view._count, view._snapshot = k, True
         if k:
-            view._rows = np.take(self._rows[:2 * k], idx, axis=1)
-            view._gram = sub = view._rows @ view._rows.T
+            view._buffer = np.take(self._rows, idx, axis=1)
+            view._gram_buffer = sub = view._buffer @ view._buffer.T
             ss, _, _, d, low = self._pair_blocks()
             view._middle = (
                 _inverse(ss - sub[0::2, 0::2], low - sub[0::2, 1::2],
@@ -114,8 +138,7 @@ class LbfgsMetric:
     def _pair_blocks(self):
         """S'S, S'Y, Y'Y, D = diag(S'Y) and L, the strictly lower part of
         S'Y, read from the Gram of the stored pairs."""
-        k = self._count
-        g = self._gram[:2 * k, :2 * k]
+        g = self._gram
         sy = g[0::2, 1::2]
         return g[0::2, 0::2], sy, g[1::2, 1::2], np.diag(np.diag(sy)), np.tril(sy, -1)
 
@@ -138,7 +161,7 @@ class LbfgsMetric:
             raise ValueError("vector length must equal the metric dimension")
         out = v / self.sigma if inverse else self.sigma * v
         if self._count:
-            w = self._rows[:2 * self._count]
+            w = self._rows
             out += (self._middles()[0 if inverse else 1] @ (w @ v)) @ w
         return out
 
@@ -157,10 +180,9 @@ class LbfgsMetric:
         sigma I adds nothing off the diagonal, so this is W_J' M_fwd W_cols v,
         over the view's gathered columns W_J and the len(cols) columns W_cols.
         """
-        k = self._count
-        if not k:
+        if not self._count:
             return np.zeros(view.dim)
-        return (self._middles()[1] @ (self._rows[:2 * k, cols] @ v)) @ view._rows
+        return (self._middles()[1] @ (self._rows[:, cols] @ v)) @ view._rows
 
     def inv_form(self, view, v) -> float:
         """v' H^{-1}[J, J] v for v over the coordinates J of `view` =
@@ -232,11 +254,10 @@ class LbfgsMetric:
         if self._spectrum is None:
             lo = hi = 0.0
             if self._count:
-                k2 = 2 * self._count
-                if self.dim <= k2:
-                    factor, null = self._rows[:k2], False
+                if self.dim <= 2 * self._count:
+                    factor, null = self._rows, False
                 else:
-                    lam, vec = np.linalg.eigh(self._gram[:k2, :k2])
+                    lam, vec = np.linalg.eigh(self._gram)
                     factor, null = vec * np.sqrt(np.maximum(lam, 0.0)), True
                 eig = np.linalg.eigh(factor.T @ self._middles()[0] @ factor)[0]
                 lo, hi = float(eig[0]), float(eig[-1])

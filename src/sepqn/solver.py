@@ -44,11 +44,13 @@ certificate. Every solve, restricted or full, is one call of the dual loop
 row's `working_set` is the size of its last surrogate's set.
 
 `epochs` counts loss evaluations: one per gradient and one per line-search
-probe; inner dual iterations touch only the surrogate and cost none. The
-gradient at the point the line search just accepted reuses that probe's
-whole loss evaluation, so a unit-step iteration makes two data products,
-A(x+d) and A'c, and evaluates each per-sample loss once. The loss chose its
-data's storage once, at construction, for every solver.
+probe; inner dual iterations touch only the surrogate and cost none. A loss
+evaluation is one pass over the data that yields both the value and the
+gradient, so a probe's value costs as much as a gradient, and a rejected
+probe drops the gradient it paid for. The gradient at the point the line
+search just accepted is that probe's evaluation, reused, so a unit-step
+iteration reads the data once and evaluates each per-sample loss once. The
+loss chose its data's storage once, at construction, for every solver.
 """
 from __future__ import annotations
 

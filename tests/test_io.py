@@ -308,6 +308,23 @@ class TestCli:
         assert handle.n == 40 and handle.p == 8
         assert os.path.exists(out + ".truth")
 
+    @pytest.mark.parametrize("argv, made", [
+        (["synth", "--n", "20", "--p", "4"], "directory"),
+        (["solve", "--synth-n", "20", "--synth-p", "4"], "file"),
+    ], ids=["synth-out-is-a-directory", "solve-out-is-a-file"])
+    def test_unwritable_output_path_is_exit_2(self, tmp_path, capsys, argv, made):
+        # both once escaped as tracebacks: IsADirectoryError from writing the
+        # dataset, FileExistsError from making the run directory
+        out = tmp_path / "taken"
+        if made == "directory":
+            out.mkdir()
+        else:
+            out.write_text("kept\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "error: bad-output" in capsys.readouterr().err
+        if made == "file":
+            assert out.read_text() == "kept\n"
+
     def test_bench_axis_p(self, tmp_path):
         out = str(tmp_path / "bench")
         rc = main(["bench", "--axis", "p", "--out", out])

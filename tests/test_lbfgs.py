@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepqn.lbfgs import LbfgsMetric
+from sepqn.lbfgs import SLACK, LbfgsMetric
 
 
 def dense_bfgs_oracle(pairs, sigma, p):
@@ -463,3 +463,25 @@ def test_restricted_view_refuses_updates(rng):
     with pytest.raises(TypeError, match="snapshot"):
         view.update(1.0, s[[0, 2, 5]], y[[0, 2, 5]])
     assert metric.update(1.0, s, y)   # the metric itself still updates
+
+
+def test_pair_window_slides_without_changing_the_metric(rng):
+    # past capacity the oldest pair leaves by moving the window; each time it
+    # reaches the buffer's end the rows are copied back in order
+    p, m = 7, 3
+    metric = LbfgsMetric(p, capacity=m, sigma=0.8)
+    pairs = []
+    for _ in range(m + 3 * (SLACK + 1) + 2):
+        s = rng.standard_normal(p)
+        y = s + 0.2 * rng.standard_normal(p)
+        pairs.append((s, y))
+        assert metric.push_pair(s, y)
+    fresh = LbfgsMetric(p, capacity=m, sigma=0.8)
+    for s, y in pairs[-m:]:
+        fresh.push_pair(s, y)
+    assert np.array_equal(metric._rows, fresh._rows)
+    for _ in range(5):
+        v = rng.standard_normal(p)
+        for product in ("apply", "inv_apply"):
+            got, want = getattr(metric, product)(v), getattr(fresh, product)(v)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import sepqn.problems as problems_mod
 from sepqn.data import synth_dataset
 from sepqn.operators import DimensionMismatch, FirstDifference, GroupSelector, Identity
 from sepqn.problems import (
@@ -43,6 +44,36 @@ def test_loss_inputs_are_fixed_at_construction(rng, loss_cls, name):
     with pytest.raises(AttributeError, match="build a new loss"):
         setattr(loss, name, 3 * kept)
     assert getattr(loss, name) is kept
+
+
+def _sparse(a):
+    return sp.csr_matrix(a * (np.abs(a) > 1.0))   # about a third nonzero: stays CSR
+
+
+@pytest.mark.parametrize("loss_cls", [LogisticLoss, LeastSquaresLoss])
+@pytest.mark.parametrize("store", [np.asarray, _sparse], ids=["dense", "csr"])
+def test_loss_arrays_are_read_only_copies(rng, loss_cls, store):
+    # a write into labels once left the cached w*y stale, so value_grad mixed
+    # old and new labels; the loss now stores copies it freezes, and the
+    # caller's arrays stay writable
+    a = store(rng.standard_normal((8, 4)))
+    y = np.where(rng.random(8) < 0.5, 1.0, -1.0)
+    w = np.full(8, 0.125)
+    loss = loss_cls(a, y, weights=w)
+    x = rng.standard_normal(4)
+    v, g = loss.value_grad(x)
+    stored = [loss.labels, loss.weights]
+    stored += ([loss.data.data, loss.data.indices, loss.data.indptr]
+               if sp.issparse(loss.data) else [loss.data])
+    copy = pickle.loads(pickle.dumps(loss))
+    for values in stored + [copy.labels, copy.weights]:
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 3
+    y[0], w[0] = 3.0, 2.0
+    (a.data if sp.issparse(a) else a)[0] = 5.0
+    for kept in (loss, copy):
+        v_after, g_after = kept.value_grad(x + 0.0)
+        assert v_after == v and np.array_equal(g_after, g)
 
 
 @pytest.mark.parametrize("data", [np.zeros((0, 3)), sp.csr_matrix((0, 3)), np.ones(4)],
@@ -676,3 +707,53 @@ def test_value_memo_is_keyed_on_everything_the_value_reads(rng, matvec_calls,
     fresh = make(a, loss.labels, loss.weights, loss.ridge)
     want_v, want_g = fresh.value_grad(x_next.copy())
     assert v == want_v and np.array_equal(g, want_g)
+
+
+def _blocked_design(rng, ridge, make):
+    # at least three row blocks, the last one ragged
+    p = 64
+    rows = problems_mod._BLOCK_BYTES // (8 * p)
+    n = 3 * rows + 37
+    a = rng.standard_normal((n, p))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    loss = make(a, y, ridge=ridge)
+    return loss, a, y, 0.1 * rng.standard_normal(p)
+
+
+@pytest.mark.parametrize("make", [LogisticLoss, LeastSquaresLoss])
+def test_blocked_pass_matches_the_one_shot_products(rng, make):
+    ridge = 0.05
+    loss, a, y, x = _blocked_design(rng, ridge, make)
+    sizes = [block.shape[0] for _, block, _ in loss._row_blocks]
+    assert len(sizes) >= 4 and sizes[-1] < sizes[0] and len(set(sizes[:-1])) == 1
+    assert all(np.shares_memory(block, loss.data) for _, block, _ in loss._row_blocks)
+    ax = a @ x
+    w = loss.weights
+    if make is LogisticLoss:
+        losses, c = _logistic_losses(y * ax), -w * y * expit(-y * ax)
+    else:
+        losses, c = (ax - y) * (ax - y), 2.0 * w * (ax - y)
+    v, g = loss.value_grad(x)
+    # the value is the unblocked one bit for bit; the gradient's blocks sum
+    # in another order
+    assert v == float(w @ losses) + 0.5 * ridge * float(x @ x)
+    want = a.T @ c + ridge * x
+    assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+    assert loss.value(x.copy()) == v
+
+
+@pytest.mark.parametrize("make", [LogisticLoss, LeastSquaresLoss])
+def test_value_then_gradient_is_one_blocked_pass(rng, matvec_calls, monkeypatch, make):
+    losses = _counting_sample_losses(monkeypatch, make)
+    loss, _, _, x = _blocked_design(rng, 0.05, make)
+    loss.value(x)
+    loss.value_grad(x.copy())
+    assert (len(matvec_calls), len(losses)) == (len(loss._row_blocks), 1)
+
+
+def test_csr_design_is_one_block(rng):
+    a = _sparse(rng.standard_normal((400, 300)))
+    loss = LogisticLoss(a, np.where(rng.random(400) < 0.5, 1.0, -1.0))
+    assert sp.issparse(loss.data)
+    ((rows, block, block_t),) = loss._row_blocks
+    assert rows == slice(0, 400) and block is loss.data and block_t is loss._transpose
