@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .lbfgs import SIGMA_FLOOR
@@ -187,6 +186,10 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     dense_ops = [t.op.to_sparse() for t in terms]
     for w_sp in dense_ops:
         q_total += (w_sp.T @ w_sp).toarray()
+
+    # imported at the first factorization: only ADMM needs scipy.linalg,
+    # and it is about 6 MB resident, so `import sepqn` leaves it out
+    import scipy.linalg
 
     rho = float(cfg.rho)
     factor = scipy.linalg.cho_factor(gram + rho * q_total)

@@ -159,17 +159,22 @@ def _pair_cases(rng):
 
 
 def check_spectral_bound():
+    # the exact top eigenvalue of H^{-1}, and the Rayleigh lower bound on
+    # lambda_max(H) that lets the dual loop skip it
     for p, metric in _pair_cases(np.random.default_rng(10)):
-        want = np.linalg.eigvalsh(np.linalg.inv(metric.materialize_dense())).max()
+        dense = metric.materialize_dense()
+        want = np.linalg.eigvalsh(np.linalg.inv(dense)).max()
         got = metric.inv_norm_estimate()
         assert abs(got - want) <= 1e-9 * want, f"p={p}: {got} vs {want}"
+        top, bound = np.linalg.eigvalsh(dense).max(), metric.top_lower_bound()
+        assert bound <= top, f"p={p}: bound {bound} above lambda_max(H) {top}"
 
 
 def check_restricted_submatrix():
     # H[J, J] as its own metric: the principal submatrix, its exact inverse
-    # (which is not H^{-1}[J, J]) and the top eigenvalue of that inverse;
-    # and the working set's two other products, the cross block H[J, off]
-    # and the form of H^{-1}[J, J]
+    # (which is not H^{-1}[J, J]), the top eigenvalue of that inverse and
+    # the lower bound on lambda_max(H_JJ); and the working set's two other
+    # products, the cross block H[J, off] and the form of H^{-1}[J, J]
     rng = np.random.default_rng(14)
     for p, metric in _pair_cases(rng):
         full = metric.materialize_dense()
@@ -187,6 +192,8 @@ def check_restricted_submatrix():
             want = np.linalg.eigvalsh(np.linalg.inv(sub)).max()
             top = view.inv_norm_estimate()
             assert abs(top - want) <= 1e-9 * want, f"p={p}, J={idx}: {top} vs {want}"
+            top, bound = np.linalg.eigvalsh(sub).max(), view.top_lower_bound()
+            assert bound <= top, f"p={p}, J={idx}: bound {bound} above {top}"
             off = np.setdiff1d(np.arange(p), idx)
             v = rng.standard_normal(off.size)
             want = full[np.ix_(idx, off)] @ v

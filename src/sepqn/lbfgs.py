@@ -8,6 +8,10 @@ copied back to its start, in order, so one push in SLACK + 1 copies them. Both
 directions use the compact form of Byrd, Nocedal & Schnabel (1994): two GEMVs
 with W around a small middle matrix that folds in sigma, is rebuilt only when
 the pairs or sigma change, and yields the exact top eigenvalue of H^{-1}.
+Next to that exact spectrum the metric keeps a free lower bound on
+lambda_max(H), the Rayleigh quotients of H at its own pair vectors, so a
+caller that only needs to know a step stays below lambda_max(H) (the dual
+loop's step cap) runs the two eigensolves only when the bound cannot tell.
 
 The seed scale sigma is adapted between outer iterations: a rejected unit step
 inflates it, and a shrink factor beta (annealed toward 1 on each inflation
@@ -32,6 +36,11 @@ __all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
 
 SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
 SLACK = 4            # spare pairs in the buffer beyond capacity
+# relative shrink of the Rayleigh bound on lambda_max(H); it exceeds the
+# rounding of the quotients and of the exact spectrum, whose lowest
+# eigenvalue of H^{-1} carries a relative error of about
+# eps * lambda_max(H) / sigma, while that ratio stays below about 1e6
+BOUND_MARGIN = 1e-9
 
 
 def _inverse(ss, sy, yy):
@@ -53,8 +62,8 @@ class LbfgsMetric:
         slots = 2 * (self.capacity + SLACK) if self.capacity else 0
         self._buffer = np.empty((slots, self.dim))   # ..., s_1, y_1, s_2, ...
         self._gram_buffer = np.empty((slots, slots))
-        self._middle = None
-        self._spectrum = None
+        self._lower = np.tri(self.capacity, k=-1, dtype=bool)   # strictly lower mask
+        self._stale()
         self._snapshot = False   # a restricted view takes no pairs and keeps its sigma
 
     @property
@@ -99,9 +108,13 @@ class LbfgsMetric:
         cross = rows @ rows[k:].T
         gram[:, k:] = cross
         gram[k:, :] = cross.T
-        self._middle = None
-        self._spectrum = None
+        self._stale()
         return True
+
+    def _stale(self):
+        """Drop what is derived from the pairs and sigma: the middles, the
+        spectrum and the bound on lambda_max(H)."""
+        self._middle = self._spectrum = self._top_bound = None
 
     def _writable(self):
         if self._snapshot:
@@ -138,9 +151,11 @@ class LbfgsMetric:
     def _pair_blocks(self):
         """S'S, S'Y, Y'Y, D = diag(S'Y) and L, the strictly lower part of
         S'Y, read from the Gram of the stored pairs."""
-        g = self._gram
+        g, k = self._gram, self._count
         sy = g[0::2, 1::2]
-        return g[0::2, 0::2], sy, g[1::2, 1::2], np.diag(np.diag(sy)), np.tril(sy, -1)
+        d = np.zeros((k, k))
+        d.flat[::k + 1] = sy.diagonal()
+        return g[0::2, 0::2], sy, g[1::2, 1::2], d, np.where(self._lower[:k, :k], sy, 0.0)
 
     def _middles(self):
         """(M_inv, M_fwd): with S'Y = L + R, L strictly lower, D = diag(S'Y),
@@ -220,8 +235,7 @@ class LbfgsMetric:
         if self.sigma < SIGMA_FLOOR:
             self.sigma = SIGMA_FLOOR
             self.floor_hits += 1
-        self._middle = None
-        self._spectrum = None
+        self._stale()
         return self
 
     def _anneal_beta(self):
@@ -265,6 +279,27 @@ class LbfgsMetric:
                     lo, hi = min(lo, 0.0), max(hi, 0.0)
             self._spectrum = (1.0 / self.sigma + lo, 1.0 / self.sigma + hi)
         return self._spectrum
+
+    def top_lower_bound(self) -> float:
+        """A lower bound on lambda_max(H), cached until the pairs or sigma
+        change, from the Gram G = W W' and the forward middle alone: the
+        largest Rayleigh quotient of H at a stored pair vector w_i,
+        sigma + (G M_fwd G)_ii / G_ii over the rows with G_ii > 0 (a
+        restricted view's gathered row can be zero), and sigma when p > 2M
+        leaves W a null space, shrunk by BOUND_MARGIN; 0 when neither
+        applies. `inv_spectrum` gives the exact 1 / lambda_max(H)."""
+        if self._top_bound is None:
+            bound = self.sigma if self.dim > 2 * self._count else 0.0
+            if self._count:
+                g = self._gram
+                norms = g.diagonal()
+                kept = norms > 0.0
+                if kept.any():
+                    # (G M G)_ii as row sums of (G M) * G, G being symmetric
+                    forms = ((g @ self._middles()[1]) * g).sum(axis=1)
+                    bound = max(bound, self.sigma + float((forms[kept] / norms[kept]).max()))
+            self._top_bound = bound * (1.0 - BOUND_MARGIN)
+        return self._top_bound
 
     def inv_norm_estimate(self) -> float:
         """Exact largest eigenvalue of H^{-1}."""

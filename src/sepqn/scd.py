@@ -53,9 +53,12 @@ delta (u_z_new - u_z)'dz <= ||dz||^2 and never evaluates -D, whose values
 near the optimum differ by less than their rounding. delta halves on a
 failed test, else grows 1.1-fold, up to lambda_max(H) / max_i ||W_i||^2:
 L >= ||W_i||^2 lambda_min(H^{-1}) for each term, so that cap,
-`step_delta_cap`, is above every step 1 / L allows. A step handed in is used
-as given, even above the cap, and only backtracking lowers it; without one
-the loop starts at `initial_step_delta`.
+`step_delta_cap`, is above every step 1 / L allows. The cap is exact, but
+`step_capper` evaluates it only when a step exceeds the metric's Rayleigh
+lower bound on lambda_max(H) over max_i ||W_i||^2, which the metric reads from
+the Gram and middle it already holds; below the bound the cap cannot bind.
+A step handed in is used as given, even above the cap, and only backtracking
+lowers it; without one the loop starts at `initial_step_delta`.
 """
 from __future__ import annotations
 
@@ -80,6 +83,7 @@ __all__ = [
     "dual_objective",
     "initial_step_delta",
     "step_delta_cap",
+    "step_capper",
     "surrogate_work",
     "solve_surrogate",
 ]
@@ -176,12 +180,38 @@ def initial_step_delta(metric: LbfgsMetric, terms) -> float:
     return 1.0 / lip
 
 
+def _top_norm(terms):
+    return max((t.op.spectral_norm for t in terms), default=0.0)
+
+
 def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     """lambda_max(H) / max ||W_i||^2, an upper bound on 1 / L for the dual
-    gradient: L >= ||W_i||^2 * lambda_min(H^{-1}) for every term."""
-    top = max((t.op.spectral_norm for t in terms), default=0.0)
+    gradient: L >= ||W_i||^2 * lambda_min(H^{-1}) for every term. It costs
+    the metric's exact spectrum, two eigensolves of order 2M; `step_capper`
+    evaluates it only for a step above the metric's Rayleigh bound."""
+    top = _top_norm(terms)
     low = top * top * metric.inv_spectrum()[0]
     return 1.0 / low if low > 0.0 else math.inf
+
+
+def step_capper(metric: LbfgsMetric, terms):
+    """The function step -> min(step, step_delta_cap(metric, terms)), bit
+    for bit where `lbfgs.BOUND_MARGIN` covers the spectrum's rounding. A step
+    with step * max ||W_i||^2 <= `metric.top_lower_bound()` is below the cap
+    and is returned as it is; only a larger one pays for the exact cap, once,
+    and the metric keeps its spectrum for later callers."""
+    top = _top_norm(terms)
+    scale, bound, cap = top * top, metric.top_lower_bound(), None
+
+    def capped(step):
+        nonlocal cap
+        if step * scale <= bound:
+            return step
+        if cap is None:
+            cap = step_delta_cap(metric, terms)
+        return min(step, cap)
+
+    return capped
 
 
 def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
@@ -257,7 +287,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
     delta_floor = delta * 1e-18
-    delta_cap = step_delta_cap(metric, terms)
+    capped = step_capper(metric, terms)
 
     best = None  # (gap, v) of the best iterate
     backtracks = 0
@@ -279,7 +309,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
                 break
             delta *= 0.5
             backtracks += 1
-        delta = min(delta * 1.1, delta_cap)
+        delta = capped(delta * 1.1)
 
         to_z = z_new - v
         v_new = v + theta * to_z

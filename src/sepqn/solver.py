@@ -8,10 +8,10 @@ length by BACKTRACK_FACTOR against the sufficient-descent test
 
 and hands the step's curvature pair to `LbfgsMetric.update`, which keeps it
 when s'y > 0 and rescales the seed matrix. Each surrogate's dual loop starts
-from the step size the previous one ended with, capped by `scd.step_delta_cap`
-of the metric it is solved over, as TFOCS (Becker, Candes & Grant 2011) keeps
-its step from one solve to the next; only the first iteration starts at
-`scd.initial_step_delta`. Besides the gamma test, the loop
+from the step size the previous one ended with, capped by `scd.step_capper` at
+the `scd.step_delta_cap` of the metric it is solved over, as TFOCS (Becker,
+Candes & Grant 2011) keeps its step from one solve to the next; only the
+first iteration starts at `scd.initial_step_delta`. Besides the gamma test, the loop
 stops after `stall_iterations` consecutive small objective changes, counted
 by `_stall_count`, the rule FISTA shares.
 
@@ -63,7 +63,7 @@ from .lbfgs import LbfgsMetric
 from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, optional, require
 from .problems import CompositeProblem, NormKind, RegularizerTerm
 from .projections import KERNELS
-from .scd import step_delta_cap
+from .scd import step_capper
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
 
@@ -277,7 +277,8 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     off J, goes to `continuation_solve`. The KKT check is the one full
     product of a round: q = grad + H d. Coordinates off J with
     |q_j| > weight join J and the restricted solve repeats, warm. Each round
-    starts from the carried dual step capped by its view's `step_delta_cap`.
+    starts from the carried dual step capped, by `step_capper`, at its view's
+    `step_delta_cap`.
     Once none join, z = q projected onto the dual box |z_j| <= weight and
     the recovery at z, dhat = H^{-1}(z - grad) = d - H^{-1}(q - z), certify
     d by the full primal-dual gap P(d) - D(z), summed as its nonnegative parts
@@ -310,7 +311,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
             work += metric.product_cost(off.size, idx.size)
         terms = (RegularizerTerm(NormKind.L1, weight, Identity(idx.size)),)
         if step_delta is not None:
-            step_delta = min(step_delta, step_delta_cap(view, terms))
+            step_delta = step_capper(view, terms)(step_delta)
         inner = continuation_solve(view, x[idx], linear, terms, warm_duals=[z[idx]],
                                    tolerance=tolerance, max_inner=max_inner,
                                    step_delta=step_delta)
@@ -370,7 +371,7 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
                                            tolerance, cfg.max_inner, step_delta)
         if inner is None:
             if step_delta is not None:
-                step_delta = min(step_delta, step_delta_cap(metric, problem.terms))
+                step_delta = step_capper(metric, problem.terms)(step_delta)
             inner = continuation_solve(
                 metric, x, grad, problem.terms, warm_duals=warm_duals,
                 tolerance=tolerance, max_inner=cfg.max_inner,

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -279,3 +285,28 @@ def test_scd_direct_without_config_runs_under_its_settings(monkeypatch, rng):
     sigma = max(prob.loss.lipschitz_bound(), SIGMA_FLOOR)
     assert configs == [SolverConfig(**{**SCD_DIRECT_SETTINGS, "sigma0": sigma}),
                        SolverConfig(max_outer=7, lbfgs_memory=0, sigma0=sigma)]
+
+
+def test_only_admm_loads_scipy_linalg():
+    # a fresh interpreter: importing the package leaves scipy.linalg out, and
+    # ADMM's first factorization brings it in
+    script = """
+import json, sys
+import numpy as np
+import sepqn
+after_import = "scipy.linalg" in sys.modules
+rng = np.random.default_rng(0)
+a, y = rng.standard_normal((40, 12)), rng.standard_normal(40)
+prob = sepqn.CompositeProblem(sepqn.LeastSquaresLoss(a, y), (
+    sepqn.RegularizerTerm(sepqn.NormKind.L1, 0.05, sepqn.Identity(12)),))
+before_admm = "scipy.linalg" in sys.modules
+sol = sepqn.admm_solve(prob)
+print(json.dumps([after_import, before_admm, "scipy.linalg" in sys.modules,
+                  sol.trace.status]))
+"""
+    src = str(Path(sepqn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, False, True, "converged"]

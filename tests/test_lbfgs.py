@@ -4,6 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepqn.lbfgs import SLACK, LbfgsMetric
+from sepqn.operators import ExplicitSparse
+from sepqn.problems import NormKind, RegularizerTerm
+from sepqn.scd import step_capper, step_delta_cap
 
 
 def dense_bfgs_oracle(pairs, sigma, p):
@@ -485,3 +488,66 @@ def test_pair_window_slides_without_changing_the_metric(rng):
         for product in ("apply", "inv_apply"):
             got, want = getattr(metric, product)(v), getattr(fresh, product)(v)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _check_top_bound_and_cap(metric, rng):
+    # the bound is below the exact lambda_max(H); the capped step is
+    # min(step, exact cap) on both sides of the bound, and a step the bound
+    # clears leaves the spectrum uncomputed
+    bound = metric.top_lower_bound()
+    top = 1.0 / metric.inv_spectrum()[0]
+    assert 0.0 <= bound <= top, (bound, top)
+    metric._spectrum = None
+    terms = (RegularizerTerm(NormKind.L1, 1.0,
+                             ExplicitSparse(rng.standard_normal((3, metric.dim)))),)
+    free = bound / terms[0].op.spectral_norm ** 2
+    if free > 0.0:
+        assert step_capper(metric, terms)(0.5 * free) == 0.5 * free
+        assert metric._spectrum is None
+    cap = step_delta_cap(metric, terms)
+    for step in (0.5 * free, free, 0.5 * (free + cap), cap, 2.0 * cap, 1e3 * cap):
+        if step > 0.0:
+            assert step_capper(metric, terms)(step) == min(step, cap)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 12),
+       st.integers(0, 4), st.integers(0, 7), st.booleans(),
+       st.floats(min_value=0.05, max_value=20.0))
+def test_top_lower_bound_never_exceeds_lambda_max(seed, p, capacity, pushes,
+                                                  proportional, sigma):
+    # full metrics of capacity 0 and more, p <= 2m and p > 2m, with
+    # rank-deficient pairs y = c s, a rejected pair and a seed change
+    rng = np.random.default_rng(seed)
+    metric = LbfgsMetric(p, capacity=capacity, sigma=sigma)
+    for _ in range(pushes):
+        s = rng.standard_normal(p)
+        y = (0.2 + 5.0 * rng.random()) * s if proportional else s + 0.5 * rng.standard_normal(p)
+        metric.push_pair(s, y)
+    _check_top_bound_and_cap(metric, rng)
+    if pushes:
+        bound = metric.top_lower_bound()
+        assert not metric.push_pair(s, -s)   # rejected, so the bound is kept
+        assert metric.top_lower_bound() == bound
+        if float(s @ y) > 0.0:
+            metric.adapt_h0(0.5 if proportional else 1.0, s, y)
+            _check_top_bound_and_cap(metric, rng)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(2, 14),
+       st.integers(1, 4), st.booleans())
+def test_top_lower_bound_of_a_view_never_exceeds_its_lambda_max(seed, p, count, hole):
+    # views with |J| <= 2m and > 2m, and with `hole` one stored pair that
+    # is zero on J, so its rows of the view's Gram are zero
+    rng = np.random.default_rng(seed)
+    metric = LbfgsMetric(p, capacity=count, sigma=0.1 + 3.0 * rng.random())
+    idx = np.sort(rng.choice(p, size=rng.integers(1, p), replace=False))
+    for i in range(count):
+        s = rng.standard_normal(p)
+        y = s + 0.5 * rng.standard_normal(p)
+        if hole and i == count // 2:
+            s[idx], y[idx] = 0.0, 0.0
+        metric.push_pair(s, y)
+    view = metric.restricted(idx)
+    if hole and metric.pair_count == count:
+        assert (view._gram.diagonal() == 0.0).any()
+    _check_top_bound_and_cap(view, rng)
