@@ -28,12 +28,11 @@ from .lbfgs import SIGMA_FLOOR
 from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, require
 from .problems import CompositeProblem, NormKind, stack
 from .projections import KERNELS
-from .solver import (Solution, SolverConfig, SolveTrace, TraceRow, _stall_count,
-                     _start_point, solve)
+from .solver import (STALL_ITERATIONS, Solution, SolverConfig, SolveTrace, TraceRow,
+                     _stall_count, _start_point, solve)
 
 __all__ = [
     "ABS_TOLERANCE",
-    "STALL_ITERATIONS",
     "SCD_DIRECT_SETTINGS",
     "BaselineConfig",
     "UnsupportedStructure",
@@ -48,7 +47,6 @@ class UnsupportedStructure(ValueError):
 
 
 ABS_TOLERANCE = 1e-12   # absolute part of admm's residual tolerances
-STALL_ITERATIONS = 3    # fista stops after this many small objective changes in a row
 # scd-direct's settings where they differ from SolverConfig's: proximal
 # gradient takes many cheap outer steps under a metric that stays fixed
 SCD_DIRECT_SETTINGS = {"outer_tolerance": 1e-10, "max_outer": 30000,

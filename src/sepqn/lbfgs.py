@@ -8,10 +8,10 @@ copied back to its start, in order, so one push in SLACK + 1 copies them. Both
 directions use the compact form of Byrd, Nocedal & Schnabel (1994): two GEMVs
 with W around a small middle matrix that folds in sigma, is rebuilt only when
 the pairs or sigma change, and yields the exact top eigenvalue of H^{-1}.
-Next to that exact spectrum the metric keeps a free lower bound on
-lambda_max(H), the Rayleigh quotients of H at its own pair vectors, so a
-caller that only needs to know a step stays below lambda_max(H) (the dual
-loop's step cap) runs the two eigensolves only when the bound cannot tell.
+An upper bound on lambda_max(H), all the dual loop's step cap needs, is read
+in closed form from the Gram's diagonal: each BFGS update of sigma I adds
+y y' / y's and subtracts a positive semidefinite term, so lambda_max(H) <=
+sigma + sum_i y_i'y_i / s_i'y_i, with no eigensolve.
 
 The seed scale sigma is adapted between outer iterations: a rejected unit step
 inflates it, and a shrink factor beta (annealed toward 1 on each inflation
@@ -36,11 +36,6 @@ __all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
 
 SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
 SLACK = 4            # spare pairs in the buffer beyond capacity
-# relative shrink of the Rayleigh bound on lambda_max(H); it exceeds the
-# rounding of the quotients and of the exact spectrum, whose lowest
-# eigenvalue of H^{-1} carries a relative error of about
-# eps * lambda_max(H) / sigma, while that ratio stays below about 1e6
-BOUND_MARGIN = 1e-9
 
 
 def _inverse(ss, sy, yy):
@@ -112,9 +107,9 @@ class LbfgsMetric:
         return True
 
     def _stale(self):
-        """Drop what is derived from the pairs and sigma: the middles, the
-        spectrum and the bound on lambda_max(H)."""
-        self._middle = self._spectrum = self._top_bound = None
+        """Drop what is derived from the pairs and sigma: the middles and
+        the spectrum."""
+        self._middle = self._spectrum = None
 
     def _writable(self):
         if self._snapshot:
@@ -131,13 +126,16 @@ class LbfgsMetric:
         where K = -M_fwd^{-1} = [[S'S / sigma, L / sigma], [L' / sigma, -D]],
         so its middle is built from the restricted Gram W_J W_J'. With idx
         every coordinate, M_J is H's M_inv. The view holds one gathered copy
-        of W_J and is a snapshot: it refuses pairs and seed changes.
+        of W_J and is a snapshot: it refuses pairs and seed changes. It
+        keeps H's `top_bound`, as lambda_max(H_JJ) <= lambda_max(H) and the
+        gathered s_J'y_J need not be positive.
         """
         idx = np.asarray(idx, dtype=np.intp)
         k, sigma = self._count, self.sigma
         # built empty, so the only pair columns it holds are the gathered ones
         view = LbfgsMetric(idx.size, capacity=0, sigma=sigma)
         view._count, view._snapshot = k, True
+        view._parent_top = self.top_bound()
         if k:
             view._buffer = np.take(self._rows, idx, axis=1)
             view._gram_buffer = sub = view._buffer @ view._buffer.T
@@ -280,26 +278,15 @@ class LbfgsMetric:
             self._spectrum = (1.0 / self.sigma + lo, 1.0 / self.sigma + hi)
         return self._spectrum
 
-    def top_lower_bound(self) -> float:
-        """A lower bound on lambda_max(H), cached until the pairs or sigma
-        change, from the Gram G = W W' and the forward middle alone: the
-        largest Rayleigh quotient of H at a stored pair vector w_i,
-        sigma + (G M_fwd G)_ii / G_ii over the rows with G_ii > 0 (a
-        restricted view's gathered row can be zero), and sigma when p > 2M
-        leaves W a null space, shrunk by BOUND_MARGIN; 0 when neither
-        applies. `inv_spectrum` gives the exact 1 / lambda_max(H)."""
-        if self._top_bound is None:
-            bound = self.sigma if self.dim > 2 * self._count else 0.0
-            if self._count:
-                g = self._gram
-                norms = g.diagonal()
-                kept = norms > 0.0
-                if kept.any():
-                    # (G M G)_ii as row sums of (G M) * G, G being symmetric
-                    forms = ((g @ self._middles()[1]) * g).sum(axis=1)
-                    bound = max(bound, self.sigma + float((forms[kept] / norms[kept]).max()))
-            self._top_bound = bound * (1.0 - BOUND_MARGIN)
-        return self._top_bound
+    def top_bound(self) -> float:
+        """An upper bound on lambda_max(H), O(M): sigma + sum_i y_i'y_i /
+        s_i'y_i over the stored pairs, read from the Gram's diagonal, as each
+        BFGS update adds y y' / y's and subtracts a positive semidefinite
+        term; sigma with no pairs. A restricted view returns its metric's."""
+        if self._snapshot:
+            return self._parent_top
+        g = self._gram
+        return self.sigma + float(np.sum(g.diagonal()[1::2] / g[0::2, 1::2].diagonal()))
 
     def inv_norm_estimate(self) -> float:
         """Exact largest eigenvalue of H^{-1}."""

@@ -51,12 +51,10 @@ delta (u_v_new - u_y)'(v_new - y) <= ||v_new - y||^2. As v_new - y = theta dz
 and u_v_new - u_y = theta (u_z_new - u_z), the loop tests
 delta (u_z_new - u_z)'dz <= ||dz||^2 and never evaluates -D, whose values
 near the optimum differ by less than their rounding. delta halves on a
-failed test, else grows 1.1-fold, up to lambda_max(H) / max_i ||W_i||^2:
-L >= ||W_i||^2 lambda_min(H^{-1}) for each term, so that cap,
-`step_delta_cap`, is above every step 1 / L allows. The cap is exact, but
-`step_capper` evaluates it only when a step exceeds the metric's Rayleigh
-lower bound on lambda_max(H) over max_i ||W_i||^2, which the metric reads from
-the Gram and middle it already holds; below the bound the cap cannot bind.
+failed test, else grows 1.1-fold, up to `step_delta_cap`, the metric's
+closed-form bound on lambda_max(H) over max_i ||W_i||^2: L >= ||W_i||^2 /
+lambda_max(H) for each term, so that cap is above every step 1 / L allows.
+It costs no eigensolve and is taken once per solve.
 A step handed in is used as given, even above the cap, and only backtracking
 lowers it; without one the loop starts at `initial_step_delta`.
 """
@@ -83,7 +81,6 @@ __all__ = [
     "dual_objective",
     "initial_step_delta",
     "step_delta_cap",
-    "step_capper",
     "surrogate_work",
     "solve_surrogate",
 ]
@@ -107,8 +104,8 @@ class InnerResult:
     @property
     def rounds(self) -> tuple:
         """((gap_estimate, inner_iterations),): one round per solve. Kept only
-        for the benchmark tracer's `scd.rounds` count; it goes when the
-        tracer counts calls instead (ROADMAP item 4)."""
+        because the benchmark tracer's `scd.rounds` count reads its length;
+        it goes when the tracer counts calls instead."""
         return ((self.gap_estimate, self.inner_iterations),)
 
 
@@ -180,38 +177,12 @@ def initial_step_delta(metric: LbfgsMetric, terms) -> float:
     return 1.0 / lip
 
 
-def _top_norm(terms):
-    return max((t.op.spectral_norm for t in terms), default=0.0)
-
-
 def step_delta_cap(metric: LbfgsMetric, terms) -> float:
-    """lambda_max(H) / max ||W_i||^2, an upper bound on 1 / L for the dual
-    gradient: L >= ||W_i||^2 * lambda_min(H^{-1}) for every term. It costs
-    the metric's exact spectrum, two eigensolves of order 2M; `step_capper`
-    evaluates it only for a step above the metric's Rayleigh bound."""
-    top = _top_norm(terms)
-    low = top * top * metric.inv_spectrum()[0]
-    return 1.0 / low if low > 0.0 else math.inf
-
-
-def step_capper(metric: LbfgsMetric, terms):
-    """The function step -> min(step, step_delta_cap(metric, terms)), bit
-    for bit where `lbfgs.BOUND_MARGIN` covers the spectrum's rounding. A step
-    with step * max ||W_i||^2 <= `metric.top_lower_bound()` is below the cap
-    and is returned as it is; only a larger one pays for the exact cap, once,
-    and the metric keeps its spectrum for later callers."""
-    top = _top_norm(terms)
-    scale, bound, cap = top * top, metric.top_lower_bound(), None
-
-    def capped(step):
-        nonlocal cap
-        if step * scale <= bound:
-            return step
-        if cap is None:
-            cap = step_delta_cap(metric, terms)
-        return min(step, cap)
-
-    return capped
+    """`metric.top_bound()` / max ||W_i||^2, an upper bound on 1 / L for the
+    dual gradient, as L >= ||W_i||^2 / lambda_max(H) for every term; inf
+    with no terms."""
+    top = max((t.op.spectral_norm for t in terms), default=0.0)
+    return metric.top_bound() / (top * top) if top > 0.0 else math.inf
 
 
 def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
@@ -287,7 +258,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     theta = 1.0
     delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
     delta_floor = delta * 1e-18
-    capped = step_capper(metric, terms)
+    cap = step_delta_cap(metric, terms)
 
     best = None  # (gap, v) of the best iterate
     backtracks = 0
@@ -309,7 +280,7 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
                 break
             delta *= 0.5
             backtracks += 1
-        delta = capped(delta * 1.1)
+        delta = min(delta * 1.1, cap)
 
         to_z = z_new - v
         v_new = v + theta * to_z

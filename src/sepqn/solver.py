@@ -8,12 +8,13 @@ length by BACKTRACK_FACTOR against the sufficient-descent test
 
 and hands the step's curvature pair to `LbfgsMetric.update`, which keeps it
 when s'y > 0 and rescales the seed matrix. Each surrogate's dual loop starts
-from the step size the previous one ended with, capped by `scd.step_capper` at
-the `scd.step_delta_cap` of the metric it is solved over, as TFOCS (Becker,
+from the step size the previous one ended with, capped at the closed-form
+`scd.step_delta_cap` of the metric it is solved over, as TFOCS (Becker,
 Candes & Grant 2011) keeps its step from one solve to the next; only the
-first iteration starts at `scd.initial_step_delta`. Besides the gamma test, the loop
-stops after `stall_iterations` consecutive small objective changes, counted
-by `_stall_count`, the rule FISTA shares.
+first iteration starts at `scd.initial_step_delta`, while the metric holds
+no pairs, so no solve runs an eigensolve. Besides the gamma test, the loop
+stops after `stall_iterations` (STALL_ITERATIONS by default) consecutive
+small objective changes, counted by `_stall_count`, the rule FISTA shares.
 
 With `inner_tolerance=None` the surrogates are solved inexactly, by the
 forcing rule of Lee, Sun & Saunders (2014, "Proximal Newton-type methods for
@@ -63,7 +64,7 @@ from .lbfgs import LbfgsMetric
 from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, optional, require
 from .problems import CompositeProblem, NormKind, RegularizerTerm
 from .projections import KERNELS
-from .scd import step_capper
+from .scd import step_delta_cap
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
 
@@ -71,6 +72,7 @@ __all__ = [
     "ARMIJO",
     "BACKTRACK_FACTOR",
     "FORCING",
+    "STALL_ITERATIONS",
     "SolverConfig",
     "TraceRow",
     "SolveTrace",
@@ -128,6 +130,7 @@ def _stall_count(stall, f_old, f_new, tolerance):
 ARMIJO = 1e-4            # sufficient-descent constant, in (0, 1/2)
 BACKTRACK_FACTOR = 0.5   # step-length shrink per rejected probe
 FORCING = 0.1            # cap of the forcing term eta_k of the default inner tolerance
+STALL_ITERATIONS = 3     # small objective changes in a row that stop a solve
 # a coordinate joins a working set when its gradient or warm dual lies within
 # this share of the l1 weight of the ball's edge, where a nonzero's dual sits
 WORKING_SET_MARGIN = 1e-3
@@ -146,7 +149,7 @@ class SolverConfig:
     inner_tolerance: float = None       # None: the forcing rule, see the module docstring
     max_inner: int = 2000
     sigma0: float = 1.0
-    stall_iterations: int = 3
+    stall_iterations: int = STALL_ITERATIONS
 
     def __post_init__(self):
         require("outer_tolerance", self.outer_tolerance, NONNEGATIVE)
@@ -277,8 +280,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     off J, goes to `continuation_solve`. The KKT check is the one full
     product of a round: q = grad + H d. Coordinates off J with
     |q_j| > weight join J and the restricted solve repeats, warm. Each round
-    starts from the carried dual step capped, by `step_capper`, at its view's
-    `step_delta_cap`.
+    starts from the carried dual step capped at its view's `step_delta_cap`.
     Once none join, z = q projected onto the dual box |z_j| <= weight and
     the recovery at z, dhat = H^{-1}(z - grad) = d - H^{-1}(q - z), certify
     d by the full primal-dual gap P(d) - D(z), summed as its nonnegative parts
@@ -311,7 +313,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
             work += metric.product_cost(off.size, idx.size)
         terms = (RegularizerTerm(NormKind.L1, weight, Identity(idx.size)),)
         if step_delta is not None:
-            step_delta = step_capper(view, terms)(step_delta)
+            step_delta = min(step_delta, step_delta_cap(view, terms))
         inner = continuation_solve(view, x[idx], linear, terms, warm_duals=[z[idx]],
                                    tolerance=tolerance, max_inner=max_inner,
                                    step_delta=step_delta)
@@ -364,14 +366,14 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
 
     def surrogate(tolerance, warm_duals, step_delta):
         # the carried step is capped by the metric solved over: a working set
-        # caps it by each view, as lambda_max(H_JJ) <= lambda_max(H)
+        # caps it by each view, which keeps its metric's bound on lambda_max
         inner = None
         if l1_term is not None:
             inner = _working_set_surrogate(metric, x, grad, l1_term, warm_duals,
                                            tolerance, cfg.max_inner, step_delta)
         if inner is None:
             if step_delta is not None:
-                step_delta = step_capper(metric, problem.terms)(step_delta)
+                step_delta = min(step_delta, step_delta_cap(metric, problem.terms))
             inner = continuation_solve(
                 metric, x, grad, problem.terms, warm_duals=warm_duals,
                 tolerance=tolerance, max_inner=cfg.max_inner,

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sepqn.lbfgs import SLACK, LbfgsMetric
-from sepqn.operators import ExplicitSparse
+from sepqn.operators import ExplicitSparse, Identity
 from sepqn.problems import NormKind, RegularizerTerm
-from sepqn.scd import step_capper, step_delta_cap
+from sepqn.scd import step_delta_cap
 
 
 def dense_bfgs_oracle(pairs, sigma, p):
@@ -490,64 +492,68 @@ def test_pair_window_slides_without_changing_the_metric(rng):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _check_top_bound_and_cap(metric, rng):
-    # the bound is below the exact lambda_max(H); the capped step is
-    # min(step, exact cap) on both sides of the bound, and a step the bound
-    # clears leaves the spectrum uncomputed
-    bound = metric.top_lower_bound()
-    top = 1.0 / metric.inv_spectrum()[0]
-    assert 0.0 <= bound <= top, (bound, top)
-    metric._spectrum = None
-    terms = (RegularizerTerm(NormKind.L1, 1.0,
-                             ExplicitSparse(rng.standard_normal((3, metric.dim)))),)
-    free = bound / terms[0].op.spectral_norm ** 2
-    if free > 0.0:
-        assert step_capper(metric, terms)(0.5 * free) == 0.5 * free
-        assert metric._spectrum is None
-    cap = step_delta_cap(metric, terms)
-    for step in (0.5 * free, free, 0.5 * (free + cap), cap, 2.0 * cap, 1e3 * cap):
-        if step > 0.0:
-            assert step_capper(metric, terms)(step) == min(step, cap)
+def _check_top_bound_and_cap(metric, pairs, sigma, rng):
+    # the bound is the closed form over the stored pairs, above the exact
+    # lambda_max(H), and the dual step cap is the bound over max ||W_i||^2
+    bound = metric.top_bound()
+    assert bound == pytest.approx(sigma + sum(float(y @ y) / float(s @ y) for s, y in pairs),
+                                  rel=1e-12)
+    top = np.linalg.eigvalsh(metric.materialize_dense()).max()
+    assert bound >= top, (bound, top)
+    terms = (RegularizerTerm(NormKind.L1, 1.0, Identity(metric.dim)),
+             RegularizerTerm(NormKind.L1, 1.0,
+                             ExplicitSparse(rng.standard_normal((3, metric.dim)))))
+    norm = max(t.op.spectral_norm for t in terms)
+    assert step_delta_cap(metric, terms) == bound / (norm * norm)
+    assert step_delta_cap(metric, ()) == math.inf
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 12),
        st.integers(0, 4), st.integers(0, 7), st.booleans(),
        st.floats(min_value=0.05, max_value=20.0))
-def test_top_lower_bound_never_exceeds_lambda_max(seed, p, capacity, pushes,
-                                                  proportional, sigma):
+def test_top_bound_is_above_lambda_max(seed, p, capacity, pushes, proportional, sigma):
     # full metrics of capacity 0 and more, p <= 2m and p > 2m, with
     # rank-deficient pairs y = c s, a rejected pair and a seed change
     rng = np.random.default_rng(seed)
     metric = LbfgsMetric(p, capacity=capacity, sigma=sigma)
+    pairs = []
     for _ in range(pushes):
         s = rng.standard_normal(p)
         y = (0.2 + 5.0 * rng.random()) * s if proportional else s + 0.5 * rng.standard_normal(p)
-        metric.push_pair(s, y)
-    _check_top_bound_and_cap(metric, rng)
+        if metric.push_pair(s, y):
+            pairs = (pairs + [(s, y)])[-capacity:]
+    assert metric.pair_count == len(pairs)
+    _check_top_bound_and_cap(metric, pairs, sigma, rng)
+    if not capacity:
+        assert metric.top_bound() == sigma
     if pushes:
-        bound = metric.top_lower_bound()
+        bound = metric.top_bound()
         assert not metric.push_pair(s, -s)   # rejected, so the bound is kept
-        assert metric.top_lower_bound() == bound
+        assert metric.top_bound() == bound
         if float(s @ y) > 0.0:
             metric.adapt_h0(0.5 if proportional else 1.0, s, y)
-            _check_top_bound_and_cap(metric, rng)
+            _check_top_bound_and_cap(metric, pairs, metric.sigma, rng)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(2, 14),
-       st.integers(1, 4), st.booleans())
-def test_top_lower_bound_of_a_view_never_exceeds_its_lambda_max(seed, p, count, hole):
+       st.integers(0, 4), st.booleans())
+def test_top_bound_of_a_view_is_its_metrics(seed, p, count, hole):
     # views with |J| <= 2m and > 2m, and with `hole` one stored pair that
-    # is zero on J, so its rows of the view's Gram are zero
+    # is zero on J, so its gathered s_J'y_J is zero: the view keeps the
+    # bound of the metric it was taken from, which holds for H_JJ too
     rng = np.random.default_rng(seed)
-    metric = LbfgsMetric(p, capacity=count, sigma=0.1 + 3.0 * rng.random())
+    metric = LbfgsMetric(p, capacity=max(count, 1), sigma=0.1 + 3.0 * rng.random())
     idx = np.sort(rng.choice(p, size=rng.integers(1, p), replace=False))
+    pairs = []
     for i in range(count):
         s = rng.standard_normal(p)
         y = s + 0.5 * rng.standard_normal(p)
         if hole and i == count // 2:
             s[idx], y[idx] = 0.0, 0.0
-        metric.push_pair(s, y)
+        if metric.push_pair(s, y):
+            pairs.append((s, y))
     view = metric.restricted(idx)
-    if hole and metric.pair_count == count:
+    if hole and count and metric.pair_count == count:
         assert (view._gram.diagonal() == 0.0).any()
-    _check_top_bound_and_cap(view, rng)
+    assert view.top_bound() == metric.top_bound()
+    _check_top_bound_and_cap(view, pairs, metric.sigma, rng)

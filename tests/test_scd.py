@@ -602,7 +602,7 @@ def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
 def test_surrogate_work_charges_failed_stop_checks(monkeypatch):
     # at tolerance 0 a carried gap <= 0 can hide an exact gap just above it:
     # each such check costs one more recovery, and the work model charges it
-    res = _assert_work_charges_events(monkeypatch, np.random.default_rng(17),
+    res = _assert_work_charges_events(monkeypatch, np.random.default_rng(0),
                                       tolerance=0.0, step_delta=64.0)
     assert res.converged and res.failed_checks > 0
 

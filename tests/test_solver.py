@@ -916,18 +916,20 @@ def test_a_working_set_row_reuses_its_kkt_product_for_dir_h_dir(monkeypatch, see
 
 
 def test_a_working_set_row_never_computes_the_full_spectrum(monkeypatch):
-    # a restricted round caps its step by its view, and lambda_max(H_JJ) <=
-    # lambda_max(H), so only the full loop needs the full metric's spectrum
+    # the step cap is closed form, so a default solve computes a spectrum
+    # only for the first surrogate's initial_step_delta, at zero pairs, with
+    # no eigensolve: not on the working-set toy, whose rows are restricted,
+    # nor on the full loop of a fused and a sparse-group toy
     import sepqn.solver as solver_mod
 
-    prob = _sparse_toy(4)
-    rows = [[]]   # per metric state: the sizes solved over, and "spectrum"
+    rows = [[]]   # per metric state: the sizes solved over
+    computed = []   # the pair count of each spectrum computed
     real_spectrum, real_update = LbfgsMetric.inv_spectrum, LbfgsMetric.update
     real_solve = solver_mod.continuation_solve
 
     def spectrum(metric):
-        if metric._spectrum is None and metric.dim == prob.dim:
-            rows[-1].append("spectrum")
+        if metric._spectrum is None:
+            computed.append(metric.pair_count)
         return real_spectrum(metric)
 
     def update(metric, *args):
@@ -941,11 +943,23 @@ def test_a_working_set_row_never_computes_the_full_spectrum(monkeypatch):
     monkeypatch.setattr(LbfgsMetric, "inv_spectrum", spectrum)
     monkeypatch.setattr(LbfgsMetric, "update", update)
     monkeypatch.setattr(solver_mod, "continuation_solve", record)
+    prob = _sparse_toy(4)
     sol = solve(prob, SolverConfig(max_outer=200))
     restricted = [r for r in rows if r and prob.dim not in r]
     assert len(restricted) >= sol.trace.iterations - 2
-    assert not any("spectrum" in r for r in restricted)
-    assert all("spectrum" in r for r in rows if prob.dim in r)
+    assert computed == [0]
+
+    handle, _ = sepqn.synth_dataset(seed=3, n=200, p=30, sparsity=0.5)
+    lam = 2.0 / handle.n
+    for model, kw in (("fused-sparse-logistic", {"fused_weight": lam}),
+                      ("sparse-group-logistic", {"group_weight": lam, "groups": 6})):
+        prob = make_builtin(model, handle.matrix, handle.labels, lam=lam, **kw)
+        rows[:], computed[:] = [[]], []
+        sol = solve(prob, SolverConfig(max_outer=100))
+        assert sol.trace.status == "converged"
+        assert sum(r.curvature_accepted for r in sol.trace.rows) > 1
+        assert all(size == prob.dim for r in rows for size in r)
+        assert computed == [0]
 
 
 def test_solution_duals_are_the_last_surrogates(monkeypatch):
