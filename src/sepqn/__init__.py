@@ -9,7 +9,6 @@ from .operators import (
     GroupSelector,
     Identity,
     LinearOperator,
-    RowStack,
     as_csr,
     spectral_norm_estimate,
 )

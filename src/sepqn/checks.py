@@ -12,9 +12,7 @@ from scipy.special import expit
 from .baselines import BaselineConfig, fista_solve
 from .data import synth_dataset
 from .lbfgs import LbfgsMetric
-from .operators import (
-    ExplicitSparse, FirstDifference, GroupSelector, Identity, RowStack, as_csr,
-)
+from .operators import ExplicitSparse, FirstDifference, GroupSelector, Identity, as_csr
 from .problems import (
     _BLOCK_BYTES, LogisticLoss, NormKind, RegularizerTerm, make_builtin, term_blocks,
 )
@@ -32,7 +30,6 @@ def _operators_pool(rng, p=23):
         FirstDifference(p),
         GroupSelector(sorted(rng.choice(p, size=6, replace=False)), p),
         ExplicitSparse(mat * (rng.random((9, p)) < 0.4)),
-        RowStack([Identity(p), FirstDifference(p)]),
     ]
 
 

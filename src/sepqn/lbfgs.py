@@ -28,14 +28,20 @@ needs over its own coordinates, not over all of them.
 """
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
-from .operators import FINITE_POSITIVE, integer, require
+from .operators import FINITE_POSITIVE, Rule, integer, require, require_finite
 
 __all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
 
 SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
 SLACK = 4            # spare pairs in the buffer beyond capacity
+# the rule an outer step length t_k meets
+STEP_LENGTH = Rule(lambda v: isinstance(v, numbers.Real) and 0.0 < v <= 1.0,
+                   "in (0, 1]")
 
 
 def _inverse(ss, sy, yy):
@@ -78,12 +84,16 @@ class LbfgsMetric:
         return self._gram_buffer[lo:lo + 2 * self._count, lo:lo + 2 * self._count]
 
     def push_pair(self, s, y) -> bool:
-        """Store (s, y) iff s'y > 0, evicting the oldest pair at capacity."""
+        """Store (s, y) iff s'y is finite and > 0, evicting the oldest pair
+        at capacity. A non-finite entry raises ValueError; an overflowing
+        s'y, such as entries of 1e200 give, is refused like s'y <= 0."""
         s, y = np.asarray(s, dtype=np.float64), np.asarray(y, dtype=np.float64)
         if s.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("pair vectors must have the metric's dimension")
         self._writable()
-        if self.capacity == 0 or float(s @ y) <= 0.0:
+        require_finite("s", s)
+        require_finite("y", y)
+        if self.capacity == 0 or not 0.0 < float(s @ y) < math.inf:
             return False
         if self._count == self.capacity:
             self._start += 1
@@ -219,10 +229,9 @@ class LbfgsMetric:
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         sy = float(s @ y)
-        if sy <= 0.0:
+        if not sy > 0.0:
             raise ValueError("adapt_h0 requires s'y > 0")
-        if not (0.0 < t_k <= 1.0):
-            raise ValueError(f"step length must lie in (0, 1], got {t_k}")
+        require("t_k", t_k, STEP_LENGTH)
         self._writable()
         if t_k < 1.0:
             self.sigma /= t_k
@@ -243,7 +252,9 @@ class LbfgsMetric:
         """Store the pair of a step of length t_k, rescale the seed from it
         if stored, and on a unit step anneal beta toward 1, so the seed decay
         tapers off once steps stop being rejected; a fixed metric (capacity
-        0) keeps its beta. Returns whether the pair was stored."""
+        0) keeps its beta. Returns whether the pair was stored. A t_k outside
+        (0, 1] raises ValueError before anything changes."""
+        require("t_k", t_k, STEP_LENGTH)
         stored = self.push_pair(s, y)   # via the instance, which a tracer may wrap
         if stored:
             self.adapt_h0(t_k, s, y)

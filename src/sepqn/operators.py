@@ -28,7 +28,6 @@ __all__ = [
     "FirstDifference",
     "GroupSelector",
     "ExplicitSparse",
-    "RowStack",
     "as_csr",
     "as_index",
     "Rule",
@@ -38,6 +37,7 @@ __all__ = [
     "NONNEGATIVE",
     "optional",
     "require",
+    "require_finite",
     "POWER_ITERATIONS",
     "EIGEN_TOLERANCE",
     "spectral_norm_estimate",
@@ -136,6 +136,13 @@ def require(name, value, rule):
     if not rule.holds(value):
         raise ValueError(f"{name} must be {rule.text}, got {value!r}")
     return value
+
+
+def require_finite(name, values):
+    """values, an array, if every entry is finite; else a ValueError naming name."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite; found nan or inf")
+    return values
 
 
 def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
@@ -316,34 +323,3 @@ class ExplicitSparse(LinearOperator):
     def apply_cost(self):
         return 2 * self.matrix.nnz
 
-
-class RowStack(LinearOperator):
-    """Vertical stack [W_1; ...; W_m]; the transpose sums child pull-backs."""
-
-    def __init__(self, children):
-        children = list(children)
-        if not children:
-            raise ValueError("RowStack needs at least one child operator")
-        dims = {c.input_dim for c in children}
-        if len(dims) != 1:
-            raise ValueError(f"children disagree on input_dim: {sorted(dims)}")
-        self.children = children
-        self.input_dim = children[0].input_dim
-        self.output_dim = sum(c.output_dim for c in children)
-        self._offsets = np.cumsum([0] + [c.output_dim for c in children])
-
-    def _apply(self, x):
-        return np.concatenate([c._apply(x) for c in self.children])
-
-    def _apply_transpose(self, u):
-        out = np.zeros(self.input_dim)
-        for c, lo, hi in zip(self.children, self._offsets[:-1], self._offsets[1:]):
-            out += c._apply_transpose(u[lo:hi])
-        return out
-
-    def to_sparse(self):
-        return as_csr(sp.vstack([c.to_sparse() for c in self.children]))
-
-    @property
-    def apply_cost(self):
-        return sum(c.apply_cost for c in self.children)

@@ -54,9 +54,10 @@ near the optimum differ by less than their rounding. delta halves on a
 failed test, else grows 1.1-fold, up to `step_delta_cap`, the metric's
 closed-form bound on lambda_max(H) over max_i ||W_i||^2: L >= ||W_i||^2 /
 lambda_max(H) for each term, so that cap is above every step 1 / L allows.
-It costs no eigensolve and is taken once per solve.
-A step handed in is used as given, even above the cap, and only backtracking
-lowers it; without one the loop starts at `initial_step_delta`.
+It costs no eigensolve and is taken once per solve, before the first step,
+so it also caps a step handed in: the loop starts at min(step_delta, cap),
+or at `initial_step_delta` without one. A caller hands on the step a
+previous solve ended with, unchanged, whatever metric it solves over next.
 """
 from __future__ import annotations
 
@@ -66,7 +67,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbfgs import LbfgsMetric
-from .operators import FINITE_POSITIVE, NONNEGATIVE, integer, optional, require
+from .operators import (
+    FINITE_POSITIVE, NONNEGATIVE, integer, optional, require, require_finite,
+)
 from .problems import stack as _stack, term_blocks as _term_blocks
 from .projections import KERNELS, projection_cost
 
@@ -111,7 +114,8 @@ class InnerResult:
 
 def _warm_stack(warm, terms):
     """The warm duals, one array per term, as one stacked vector; zeros when
-    there are none."""
+    there are none. Raises ValueError on a block that does not fit its term
+    or holds a non-finite entry."""
     if warm is None:
         return np.zeros(sum(t.op.output_dim for t in terms))
     zs = [np.asarray(z, dtype=np.float64) for z in warm]
@@ -120,7 +124,7 @@ def _warm_stack(warm, terms):
     shapes = [z.shape for z in zs]
     if shapes != [(t.op.output_dim,) for t in terms]:
         raise ValueError(f"dual blocks of shapes {shapes} do not fit the terms")
-    return np.concatenate(zs) if zs else np.zeros(0)
+    return require_finite("warm_duals", np.concatenate(zs) if zs else np.zeros(0))
 
 
 def _block_slices(terms):
@@ -219,16 +223,18 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     recovers once, at z_new, and only an exact recovery's gap stops the loop.
     Hitting max_inner is not an error: the best iterate seen is recovered once
     and returned with its exact gap, and converged=False unless that gap meets
-    the tolerance. `step_delta` must be finite and > 0; None starts the loop
-    at `initial_step_delta`. `blocks`, when given, must be
+    the tolerance. `step_delta` must be finite and > 0, and the loop starts at
+    min(step_delta, `step_delta_cap(metric, terms)`); None starts it at
+    `initial_step_delta`. `blocks`, when given, must be
     `problems.term_blocks(terms)`, such as a problem's `blocks`; it is built
-    from the terms otherwise.
+    from the terms otherwise. A non-finite entry of `x_k`, `grad_k` or
+    `warm_duals` raises ValueError naming it, as no dual step could mend it.
     """
     require("tolerance", tolerance, NONNEGATIVE)
     require("max_inner", max_inner, integer(1))
     require("step_delta", step_delta, optional(FINITE_POSITIVE))
-    x_k = np.asarray(x_k, dtype=np.float64)
-    grad_k = np.asarray(grad_k, dtype=np.float64)
+    x_k = require_finite("x_k", np.asarray(x_k, dtype=np.float64))
+    grad_k = require_finite("grad_k", np.asarray(grad_k, dtype=np.float64))
     terms = tuple(terms)
 
     # the dual blocks live stacked in one vector, so the elementwise steps
@@ -256,9 +262,10 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
     # the entry recovery; from here on the images at z and v are carried
     u_z = u_v = recover(z)[1]
     theta = 1.0
-    delta = step_delta if step_delta is not None else initial_step_delta(metric, terms)
-    delta_floor = delta * 1e-18
     cap = step_delta_cap(metric, terms)
+    delta = (initial_step_delta(metric, terms) if step_delta is None
+             else min(step_delta, cap))
+    delta_floor = delta * 1e-18
 
     best = None  # (gap, v) of the best iterate
     backtracks = 0

@@ -7,14 +7,15 @@ length by BACKTRACK_FACTOR against the sufficient-descent test
     f(x + t*d) <= f(x) + ARMIJO * t * gamma,    gamma = grad'd + Psi(x+d) - Psi(x),
 
 and hands the step's curvature pair to `LbfgsMetric.update`, which keeps it
-when s'y > 0 and rescales the seed matrix. Each surrogate's dual loop starts
-from the step size the previous one ended with, capped at the closed-form
-`scd.step_delta_cap` of the metric it is solved over, as TFOCS (Becker,
-Candes & Grant 2011) keeps its step from one solve to the next; only the
-first iteration starts at `scd.initial_step_delta`, while the metric holds
-no pairs, so no solve runs an eigensolve. Besides the gamma test, the loop
-stops after `stall_iterations` (STALL_ITERATIONS by default) consecutive
-small objective changes, counted by `_stall_count`, the rule FISTA shares.
+when s'y > 0 and rescales the seed matrix. Each surrogate's dual loop is
+handed the step size the previous one ended with, unchanged, as TFOCS
+(Becker, Candes & Grant 2011) keeps its step from one solve to the next, and
+the loop caps it at the closed-form `scd.step_delta_cap` of the metric it
+solves over; only the first iteration starts at `scd.initial_step_delta`,
+while the metric holds no pairs, so no solve runs an eigensolve. Besides the
+gamma test, the loop stops after `stall_iterations` (STALL_ITERATIONS by
+default) consecutive small objective changes, counted by `_stall_count`,
+the rule FISTA shares.
 
 With `inner_tolerance=None` the surrogates are solved inexactly, by the
 forcing rule of Lee, Sun & Saunders (2014, "Proximal Newton-type methods for
@@ -64,7 +65,6 @@ from .lbfgs import LbfgsMetric
 from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, optional, require
 from .problems import CompositeProblem, NormKind, RegularizerTerm
 from .projections import KERNELS
-from .scd import step_delta_cap
 # the one dual-loop entry; the benchmark's tracer wraps this module global
 from .scd import solve_surrogate as continuation_solve
 
@@ -280,7 +280,8 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     off J, goes to `continuation_solve`. The KKT check is the one full
     product of a round: q = grad + H d. Coordinates off J with
     |q_j| > weight join J and the restricted solve repeats, warm. Each round
-    starts from the carried dual step capped at its view's `step_delta_cap`.
+    hands on the carried dual step, which the loop caps at its view's
+    `step_delta_cap`.
     Once none join, z = q projected onto the dual box |z_j| <= weight and
     the recovery at z, dhat = H^{-1}(z - grad) = d - H^{-1}(q - z), certify
     d by the full primal-dual gap P(d) - D(z), summed as its nonnegative parts
@@ -312,8 +313,6 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
             linear = linear + metric.cross_apply(view, off, d[off])
             work += metric.product_cost(off.size, idx.size)
         terms = (RegularizerTerm(NormKind.L1, weight, Identity(idx.size)),)
-        if step_delta is not None:
-            step_delta = min(step_delta, step_delta_cap(view, terms))
         inner = continuation_solve(view, x[idx], linear, terms, warm_duals=[z[idx]],
                                    tolerance=tolerance, max_inner=max_inner,
                                    step_delta=step_delta)
@@ -360,20 +359,16 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
     adaptive = cfg.inner_tolerance is None
     tol = eps_inner   # this surrogate's tolerance; the first is at the floor
     duals = None
-    step = None   # the dual step the last surrogate ended with, uncapped
+    step = None   # the dual step the last surrogate ended with
     stall = 0
     reason = "max_outer"
 
     def surrogate(tolerance, warm_duals, step_delta):
-        # the carried step is capped by the metric solved over: a working set
-        # caps it by each view, which keeps its metric's bound on lambda_max
         inner = None
         if l1_term is not None:
             inner = _working_set_surrogate(metric, x, grad, l1_term, warm_duals,
                                            tolerance, cfg.max_inner, step_delta)
         if inner is None:
-            if step_delta is not None:
-                step_delta = min(step_delta, step_delta_cap(metric, problem.terms))
             inner = continuation_solve(
                 metric, x, grad, problem.terms, warm_duals=warm_duals,
                 tolerance=tolerance, max_inner=cfg.max_inner,

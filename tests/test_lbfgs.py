@@ -53,6 +53,27 @@ def test_push_rejects_negative_curvature():
     assert m.pair_count == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_push_refuses_a_non_finite_entry(bad):
+    # a nan pair used to be stored, and the next inverse apply raised
+    # LinAlgError on its singular middle
+    m = LbfgsMetric(3)
+    s = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        m.push_pair(s, np.array([1.0, bad, 0.0]))
+    assert m.pair_count == 0
+
+
+def test_push_refuses_an_overflowing_curvature():
+    # entries of 1e200 give s'y = inf; stored, they made inverse applies nan
+    m = LbfgsMetric(3)
+    big = np.full(3, 1e200)
+    with np.errstate(over="ignore"):
+        assert not m.push_pair(big, big)
+    assert m.pair_count == 0
+    assert np.isfinite(m.inv_apply(np.ones(3))).all()
+
+
 def test_ring_buffer_eviction(rng):
     m = LbfgsMetric(4, capacity=2)
     for _ in range(3):
@@ -189,6 +210,26 @@ def test_adapt_rejects_bad_inputs():
         m.adapt_h0(1.0, s, -s)
     with pytest.raises(ValueError):
         m.adapt_h0(1.5, s, s)
+
+
+def test_adapt_refuses_a_nan_curvature():
+    m = LbfgsMetric(2)
+    s = np.array([1.0, np.nan])
+    with pytest.raises(ValueError):
+        m.adapt_h0(1.0, s, s)
+    assert m.sigma == 1.0
+
+
+@pytest.mark.parametrize("t", [1.5, 0.0, np.nan])
+@pytest.mark.parametrize("capacity, sign", [(2, 1.0), (0, 1.0), (2, -1.0)])
+def test_a_refused_update_changes_nothing(t, capacity, sign):
+    # a bad step length used to be read only after the pair was stored, and
+    # only when it was: a half-applied update, or none refused at all
+    m = LbfgsMetric(2, capacity=capacity, sigma=3.0)
+    s = np.array([1.0, 0.5])
+    with pytest.raises(ValueError, match="t_k"):
+        m.update(t, s, sign * s)
+    assert (m.pair_count, m.sigma, m.beta) == (0, 3.0, 2.0)
 
 
 def test_sigma_floor_counted():

@@ -16,7 +16,6 @@ from sepqn.operators import (
     GroupSelector,
     Identity,
     LinearOperator,
-    RowStack,
     as_csr,
     integer,
     optional,
@@ -32,7 +31,6 @@ def make_pool(rng, p=23):
         FirstDifference(p),
         GroupSelector(rng.choice(p, size=6, replace=False), p),
         ExplicitSparse(mat),
-        RowStack([Identity(p), FirstDifference(p), ExplicitSparse(mat)]),
     ]
 
 
@@ -157,20 +155,6 @@ def test_adjoint_identity_100_pairs(rng):
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_rowstack_matches_children(rng):
-    p = 14
-    children = [Identity(p), FirstDifference(p), GroupSelector([0, 3, 9], p)]
-    stack = RowStack(children)
-    x = rng.standard_normal(p)
-    assert np.array_equal(
-        stack.apply(x), np.concatenate([c.apply(x) for c in children])
-    )
-    u = rng.standard_normal(stack.output_dim)
-    parts = np.split(u, np.cumsum([c.output_dim for c in children])[:-1])
-    want = sum(c.apply_transpose(piece) for c, piece in zip(children, parts))
-    assert np.allclose(stack.apply_transpose(u), want, atol=1e-14)
-
-
 def test_sparse_matvec_matches_dense_oracle(rng):
     dense = rng.standard_normal((20, 30)) * (rng.random((20, 30)) < 0.35)
     op = ExplicitSparse(dense)
@@ -194,11 +178,6 @@ def test_as_csr_canonical_form(rng):
         cols = c.indices[c.indptr[i]:c.indptr[i + 1]]
         assert np.all(np.diff(cols) > 0)
     assert c.nnz == len(c.data)
-
-
-def test_rowstack_rejects_mismatched_children():
-    with pytest.raises(ValueError):
-        RowStack([Identity(3), Identity(4)])
 
 
 def test_group_selector_validates_indices():

@@ -320,15 +320,45 @@ def test_warm_start_reduces_total_inner_iterations():
     assert warm_total < cold_total
 
 
-def test_step_delta_backtracks_into_curvature_window():
-    # quadratic dual with exactly known curvature: H = sigma I and one
-    # identity-map term make the dual Lipschitz constant L = 1/sigma, and the
-    # quadratic-bound test accepts exactly the deltas <= 1/L
+def doubled_cap_metric(p, sigma):
+    """sigma I held as the one pair (e_1, sigma e_1): H stays exactly sigma I,
+    but its closed-form top bound sigma + y'y / s'y reads 2 sigma, so for one
+    identity term the loop's step cap is 2 / L while L = 1 / sigma."""
+    metric = LbfgsMetric(p, capacity=1, sigma=sigma)
+    s = np.eye(p)[0]
+    assert metric.push_pair(s, sigma * s)
+    return metric
+
+
+def test_a_handed_step_starts_at_the_cap():
+    # H = sigma I and one identity-map term: the cap is exactly 1 / L, so a
+    # handed step of 64 / L starts there, is never halved, and ends there
     rng = np.random.default_rng(3)
     p = 25
     sigma = 0.37
     lips = 1.0 / sigma
     metric = LbfgsMetric(p, capacity=0, sigma=sigma)
+    x = rng.standard_normal(p)
+    grad = rng.standard_normal(p)
+    terms = l1_terms(p, 0.15)
+    cap = scd.step_delta_cap(metric, terms)
+    assert cap == pytest.approx(1.0 / lips, rel=1e-15)
+    res = solve_surrogate(metric, x, grad, terms, tolerance=1e-11,
+                          max_inner=4000, step_delta=64.0 / lips)
+    assert res.backtracks == 0
+    assert res.step_delta == cap
+
+
+def test_step_delta_backtracks_into_curvature_window():
+    # quadratic dual with exactly known curvature: H = sigma I and one
+    # identity-map term make the dual Lipschitz constant L = 1/sigma, and the
+    # quadratic-bound test accepts exactly the deltas <= 1/L; held as a pair,
+    # H caps the handed step at 2/L, above that window
+    rng = np.random.default_rng(3)
+    p = 25
+    sigma = 0.37
+    lips = 1.0 / sigma
+    metric = doubled_cap_metric(p, sigma)
     x = rng.standard_normal(p)
     grad = rng.standard_normal(p)
     terms = l1_terms(p, 0.15)
@@ -341,12 +371,12 @@ def test_step_delta_backtracks_into_curvature_window():
 @pytest.mark.parametrize("seed", range(4))
 def test_step_test_rejects_a_long_step_at_the_optimum(seed):
     # from duals already converged, -D barely moves along any step, so a
-    # test on its values accepts 3/L within their rounding; the product form
-    # sees the curvature and backtracks below 1/L
+    # test on its values accepts the handed 3/L, capped at 2/L, within their
+    # rounding; the product form sees the curvature and backtracks below 1/L
     rng = np.random.default_rng(seed)
     p = 25
     sigma = 0.37
-    metric = LbfgsMetric(p, capacity=0, sigma=sigma)
+    metric = doubled_cap_metric(p, sigma)
     x = rng.standard_normal(p)
     grad = rng.standard_normal(p)
     terms = l1_terms(p, 0.15)
@@ -547,6 +577,18 @@ def test_solve_surrogate_rejects_bad_settings(setting):
     with pytest.raises(ValueError, match=name):
         solve_surrogate(LbfgsMetric(p), np.zeros(p), np.ones(p), l1_terms(p, 0.3),
                         **setting)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["x_k", "grad_k", "warm_duals"])
+def test_solve_surrogate_refuses_non_finite_inputs(name, bad):
+    # one such entry used to run out max_inner and return a nan direction
+    # with converged=False
+    p = 5
+    x, grad, warm = np.zeros(p), np.ones(p), np.zeros(p)
+    {"x_k": x, "grad_k": grad, "warm_duals": warm}[name][2] = bad
+    with pytest.raises(ValueError, match=name):
+        solve_surrogate(LbfgsMetric(p), x, grad, l1_terms(p, 0.3), warm_duals=[warm])
 
 
 def _assert_work_charges_events(monkeypatch, rng, **kwargs):
