@@ -172,6 +172,14 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         )
     loss = problem.loss
     terms = problem.terms
+    sparse_ops = []
+    for t in terms:
+        try:
+            sparse_ops.append(t.op.to_sparse())
+        except NotImplementedError:
+            raise UnsupportedStructure(
+                f"admm needs each term's map as a sparse matrix; a "
+                f"{type(t.op).__name__} has no to_sparse") from None
     t0 = time.perf_counter()
     x, grad, f_val = _start_point(problem, x0)
     epochs = 1
@@ -181,8 +189,7 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
         gram[np.diag_indices_from(gram)] += loss.ridge
 
     q_total = np.zeros((p, p))
-    dense_ops = [t.op.to_sparse() for t in terms]
-    for w_sp in dense_ops:
+    for w_sp in sparse_ops:
         q_total += (w_sp.T @ w_sp).toarray()
 
     # imported at the first factorization: only ADMM needs scipy.linalg,

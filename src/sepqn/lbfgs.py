@@ -302,10 +302,3 @@ class LbfgsMetric:
     def inv_norm_estimate(self) -> float:
         """Exact largest eigenvalue of H^{-1}."""
         return self.inv_spectrum()[1]
-
-    def product_cost(self, n_in, n_out) -> int:
-        """Modeled multiply-adds of one compact product that reads n_in
-        coordinates and writes n_out: W over the inputs, the middle, W' over
-        the outputs and one scaled add per output. A quadratic form writes 1."""
-        k = self._count
-        return 2 * k * (n_in + n_out) + 4 * k * k + 2 * n_out

@@ -177,7 +177,11 @@ def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
 
 
 class LinearOperator:
-    """Base class; subclasses set input_dim/output_dim and the raw kernels."""
+    """Base class. A subclass sets input_dim and output_dim and defines the
+    raw kernels `_apply` (W x) and `_apply_transpose` (W' u), which get
+    checked float vectors; that is all `solve` and scd-direct need. It may
+    set `exact_norm` to spare the power iteration, and ADMM alone needs
+    `to_sparse`."""
 
     input_dim: int
     output_dim: int
@@ -211,12 +215,8 @@ class LinearOperator:
         return self.norm_estimate()
 
     def to_sparse(self) -> sp.csr_matrix:
-        raise NotImplementedError
-
-    @property
-    def apply_cost(self) -> int:
-        """Rough flop count of one apply; used by the benchmark counters."""
-        raise NotImplementedError
+        """W as a CSR matrix; only ADMM's factorization needs one."""
+        raise NotImplementedError(f"{type(self).__name__} has no sparse form")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.output_dim}x{self.input_dim})"
@@ -237,10 +237,6 @@ class Identity(LinearOperator):
 
     def to_sparse(self):
         return sp.eye(self.input_dim, format="csr")
-
-    @property
-    def apply_cost(self):
-        return self.input_dim
 
 
 class FirstDifference(LinearOperator):
@@ -265,10 +261,6 @@ class FirstDifference(LinearOperator):
         main = -np.ones(p - 1)
         upper = np.ones(p - 1)
         return as_csr(sp.diags([main, upper], [0, 1], shape=(p - 1, p)))
-
-    @property
-    def apply_cost(self):
-        return 2 * self.output_dim
 
 
 class GroupSelector(LinearOperator):
@@ -299,10 +291,6 @@ class GroupSelector(LinearOperator):
             (np.ones(q), (np.arange(q), self.indices)), shape=(q, self.input_dim)
         )
 
-    @property
-    def apply_cost(self):
-        return self.output_dim
-
 
 class ExplicitSparse(LinearOperator):
     def __init__(self, matrix):
@@ -318,8 +306,4 @@ class ExplicitSparse(LinearOperator):
 
     def to_sparse(self):
         return self.matrix
-
-    @property
-    def apply_cost(self):
-        return 2 * self.matrix.nnz
 

@@ -101,12 +101,6 @@ def _check_design(data):
         raise ValueError(f"data must be 2-D with at least one row, got shape {data.shape}")
 
 
-def _nnz(data) -> int:
-    if sp.issparse(data):
-        return int(data.nnz)
-    return int(data.shape[0] * data.shape[1])
-
-
 class SmoothLoss:
     """Shared plumbing for the differentiable part g.
 
@@ -183,11 +177,6 @@ class SmoothLoss:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def pass_cost(self) -> int:
-        """Flops of one data pass, 2*nnz plus per-sample overhead."""
-        return 2 * _nnz(self.data) + 4 * self.n_samples
 
     def value(self, x) -> float:
         return self._evaluate(x)[0]

@@ -31,7 +31,6 @@ __all__ = [
     "project_box",
     "project_l2_ball",
     "project_l1_ball",
-    "projection_cost",
 ]
 
 
@@ -167,9 +166,3 @@ KERNELS = {
 # per segment, so sup-norm terms keep one kernel call each
 SEGMENTED = frozenset({NormKind.L1, NormKind.L2})
 
-
-def projection_cost(kind: NormKind, q: int) -> int:
-    """Flop estimate of one dual step on a block of size q (bench counters)."""
-    if kind is NormKind.LINF:
-        return q * max(1, int(np.ceil(np.log2(max(q, 2)))))
-    return q

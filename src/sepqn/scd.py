@@ -42,11 +42,8 @@ v_new and stops only if the exact gap still holds, else it resyncs u_v to
 the exact images and goes on. At max_inner one recovery at the best v gives
 the direction and the gap. So a returned gap is always an exact recovery's,
 and a solve makes iterations + backtracks + 2 recoveries, one more per
-failed stop check (`InnerResult.failed_checks`). The loop keeps no flop
-ledger: at return, `surrogate_work` models the solve's cost from its
-counts, as `InnerResult.work`. -D is
-exactly quadratic with gradient u(z), so
-the upper quadratic bound at step delta holds exactly when
+failed stop check (`InnerResult.failed_checks`). -D is exactly quadratic
+with gradient u(z), so the upper quadratic bound at step delta holds exactly when
 delta (u_v_new - u_y)'(v_new - y) <= ||v_new - y||^2. As v_new - y = theta dz
 and u_v_new - u_y = theta (u_z_new - u_z), the loop tests
 delta (u_z_new - u_z)'dz <= ||dz||^2 and never evaluates -D, whose values
@@ -71,7 +68,7 @@ from .operators import (
     FINITE_POSITIVE, NONNEGATIVE, integer, optional, require, require_finite,
 )
 from .problems import stack as _stack, term_blocks as _term_blocks
-from .projections import KERNELS, projection_cost
+from .projections import KERNELS
 
 # the hot loop's per-kind kernels, read on every solve_surrogate call; kept as
 # tables of their own so a wrapper installed here sees only this loop's calls
@@ -84,7 +81,6 @@ __all__ = [
     "dual_objective",
     "initial_step_delta",
     "step_delta_cap",
-    "surrogate_work",
     "solve_surrogate",
 ]
 
@@ -100,7 +96,6 @@ class InnerResult:
     backtracks: int
     momentum_resets: int
     failed_checks: int     # stop checks whose exact gap missed the tolerance
-    work: float            # modeled multiply-adds of the solve, from its counts
     working_set: int       # coordinates the surrogate was solved over
     h_direction: np.ndarray   # H d, where the solve formed it; None from the dual loop
 
@@ -187,27 +182,6 @@ def step_delta_cap(metric: LbfgsMetric, terms) -> float:
     with no terms."""
     top = max((t.op.spectral_norm for t in terms), default=0.0)
     return metric.top_bound() / (top * top) if top > 0.0 else math.inf
-
-
-def surrogate_work(metric: LbfgsMetric, terms, iterations, backtracks,
-                   failed_checks=0) -> float:
-    """Modeled multiply-adds of a dual loop run: each of the iterations +
-    backtracks step attempts makes one projection P and one recovery R, the
-    run adds one P of its warm duals and two R, at entry and at its last stop
-    check (or at max_inner), plus one R per failed stop check, and each
-    iteration forms two carried image combinations and the restart dot
-    product over the S stacked duals;
-    (attempts + 2 + failed_checks) R + (attempts + 1) P + 3 iterations S,
-    where R is the terms' pull-back and images, one inverse metric apply and
-    the stacked images' offsets. `solve_surrogate` charges each run on its
-    own counts, as its `InnerResult.work`."""
-    stack_len = sum(t.op.output_dim for t in terms)
-    recover = (metric.product_cost(metric.dim, metric.dim)
-               + sum(2 * t.op.apply_cost for t in terms) + metric.dim + stack_len)
-    project = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
-    attempts = iterations + backtracks
-    return float((attempts + 2 + failed_checks) * recover + (attempts + 1) * project
-                 + 3 * iterations * stack_len)
 
 
 def _next_theta(theta):
@@ -326,7 +300,5 @@ def solve_surrogate(metric, x_k, grad_k, terms, warm_duals=None, tolerance=1e-10
         direction=xhat - x_k, duals=tuple(v[sl] for sl in _block_slices(terms)),
         inner_iterations=iterations, gap_estimate=gap, converged=gap <= tolerance,
         step_delta=delta, backtracks=backtracks, momentum_resets=resets,
-        failed_checks=failed_checks,
-        work=surrogate_work(metric, terms, iterations, backtracks, failed_checks),
-        working_set=metric.dim, h_direction=None,
+        failed_checks=failed_checks, working_set=metric.dim, h_direction=None,
     )

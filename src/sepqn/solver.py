@@ -30,11 +30,12 @@ that surrogate is re-solved at eps, warm from its own duals and final step,
 and tested again; when the stall count is reached on a looser one, the next
 surrogate is solved at eps before the stall may stop the solve. An explicit
 `inner_tolerance` fixes every surrogate's tolerance. `SolveTrace.stop_reason`
-names the exit that fired. Every surrogate solve returns an `InnerResult`
-that carries its own modeled `work`. A row's `inner_iterations` and `work`
-sum every solve made for it, the guard's and the retry's re-solves included;
-its gap, `inner_converged` and `working_set` are the last solve's, and so
-are the duals a `Solution` returns.
+names the exit that fired. A row counts every surrogate solve made for it,
+the guard's and the retry's re-solves included, as `surrogate_solves`, and
+sums their `inner_iterations`, `dual_backtracks` and `failed_checks`; its
+gap, `inner_converged` and `working_set` are the last solve's, and so are
+the duals a `Solution` returns. A working-set solve counts as one solve,
+with its rounds' counts summed.
 
 A penalty that is one l1 term over the identity (l1-logistic) may solve its
 surrogate over a working set of coordinates instead, the proximal Newton
@@ -179,7 +180,9 @@ class TraceRow:
     sigma: float
     beta: float
     # the surrogate's fields below keep their defaults on the baselines' rows
-    work: float = 0.0         # cumulative-free: flops attributed to this iteration
+    surrogate_solves: int = 0     # surrogate solves made for this row
+    dual_backtracks: int = 0      # their summed dual step backtracks
+    failed_checks: int = 0        # their summed failed stop checks
     gap_estimate: float = 0.0
     dir_h_dir: float = 0.0    # d' H d for the accepted direction
     curvature_accepted: bool = False
@@ -287,13 +290,11 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     d by the full primal-dual gap P(d) - D(z), summed as its nonnegative parts
     weight ||x + d||_1 + z'(x + d) + (d - dhat)'(q - z) / 2,
     where q - z is zero off J, so `metric.inv_form` takes its form over J
-    from the last view's columns. Each product is charged at the size it is
-    computed at.
+    from the last view's columns.
 
     Returns the last round's InnerResult with the full-length d, duals (z,),
-    the gap, the rounds' summed counts, `work` over every round and product,
-    and `h_direction`, the H d of the last KKT check; its `working_set` is
-    the last round's |J|.
+    the gap, the rounds' summed counts and `h_direction`, the H d of the
+    last KKT check; its `working_set` is the last round's |J|.
     """
     p, weight = metric.dim, term.weight
     z = np.zeros(p) if warm_duals is None else warm_duals[0]
@@ -301,7 +302,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
     member = (np.abs(grad) >= edge) | (np.abs(z) >= edge)
     if not 0 < np.count_nonzero(member) <= WORKING_SET_SHARE * p:
         return None
-    rounds, work = [], 0.0
+    rounds = []
     while True:
         idx = np.flatnonzero(member)
         d = -x
@@ -311,17 +312,14 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         off = np.flatnonzero(d)
         if off.size:
             linear = linear + metric.cross_apply(view, off, d[off])
-            work += metric.product_cost(off.size, idx.size)
         terms = (RegularizerTerm(NormKind.L1, weight, Identity(idx.size)),)
         inner = continuation_solve(view, x[idx], linear, terms, warm_duals=[z[idx]],
                                    tolerance=tolerance, max_inner=max_inner,
                                    step_delta=step_delta)
         rounds.append(inner)
-        work += inner.work
         d[idx] = inner.direction
         h_d = metric.apply(d)
         q = grad + h_d
-        work += metric.product_cost(p, p)
         z = KERNELS[NormKind.L1].project(q, weight)
         joining = np.abs(q) > weight
         joining[idx] = False
@@ -331,7 +329,6 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         step_delta = inner.step_delta
         del view   # one gathered copy of the pair columns at a time
     w, clipped = x + d, q - z
-    work += metric.product_cost(idx.size, 1)
     gap = (float(np.sum(weight * np.abs(w) + z * w))
            + 0.5 * metric.inv_form(view, clipped[idx]))
     return replace(
@@ -341,8 +338,7 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
         gap_estimate=gap, converged=gap <= tolerance,
         backtracks=sum(r.backtracks for r in rounds),
         momentum_resets=sum(r.momentum_resets for r in rounds),
-        failed_checks=sum(r.failed_checks for r in rounds),
-        work=work, h_direction=h_d)
+        failed_checks=sum(r.failed_checks for r in rounds), h_direction=h_d)
 
 
 def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> Solution:
@@ -384,8 +380,8 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
             inner.converged and -gam <= 2.0 * inner.gap_estimate)
 
     for k in range(cfg.max_outer):
-        # every surrogate solved for this row; the row sums their inner
-        # iterations and work, and reads the rest from the last one
+        # every surrogate solved for this row; the row counts them, sums
+        # their counts, and reads the rest from the last one
         solves = []
         inner, gam = surrogate(tol, duals, step)
         scale = max(1.0, abs(f_val))
@@ -415,7 +411,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         delta = inner.direction
         h_delta = metric.apply(delta) if inner.h_direction is None else inner.h_direction
         dir_h_dir = float(delta @ h_delta)
-        work = sum(s.work for s in solves) + (probes + 1) * problem.loss.pass_cost
 
         x_new = x + t * delta
         g_new, grad_new = problem.loss.value_grad(x_new)
@@ -426,9 +421,11 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         trace.rows.append(TraceRow(
             iteration=k + 1, objective=f_new, step=t, gamma=gam,
             inner_iterations=sum(s.inner_iterations for s in solves), epochs=epochs,
-            seconds=time.perf_counter() - t0, sigma=metric.sigma,
-            beta=metric.beta, work=work, gap_estimate=inner.gap_estimate,
-            dir_h_dir=dir_h_dir,
+            seconds=time.perf_counter() - t0, sigma=metric.sigma, beta=metric.beta,
+            surrogate_solves=len(solves),
+            dual_backtracks=sum(s.backtracks for s in solves),
+            failed_checks=sum(s.failed_checks for s in solves),
+            gap_estimate=inner.gap_estimate, dir_h_dir=dir_h_dir,
             curvature_accepted=accepted, inner_converged=inner.converged,
             inner_tolerance=tol, working_set=inner.working_set,
         ))

@@ -191,6 +191,24 @@ def test_admm_guard_rejects_huge_p():
         admm_solve(prob)
 
 
+def test_admm_refuses_a_map_with_no_sparse_form(rng):
+    # ADMM factors W'W, so a map given by its kernels alone is outside its
+    # contract; the refusal names the map's type
+    class KernelsOnly(sepqn.LinearOperator):
+        input_dim = output_dim = 4
+
+        def _apply(self, x):
+            return 2.0 * x
+
+        def _apply_transpose(self, u):
+            return 2.0 * u
+
+    loss = LeastSquaresLoss(rng.standard_normal((10, 4)), rng.standard_normal(10))
+    prob = CompositeProblem(loss, (RegularizerTerm(NormKind.L1, 0.1, KernelsOnly()),))
+    with pytest.raises(UnsupportedStructure, match="KernelsOnly"):
+        admm_solve(prob)
+
+
 def test_admm_handles_linf_terms(rng):
     # prox of the sup-norm via Moreau: v minus the l1-ball projection
     p = 6

@@ -8,7 +8,7 @@ from sepqn import scd
 from sepqn.lbfgs import LbfgsMetric
 from sepqn.operators import ExplicitSparse, FirstDifference, GroupSelector, Identity
 from sepqn.problems import NormKind, RegularizerTerm, make_builtin
-from sepqn.projections import KERNELS, projection_cost
+from sepqn.projections import KERNELS
 from sepqn.scd import (
     dual_objective,
     initial_step_delta,
@@ -591,11 +591,12 @@ def test_solve_surrogate_refuses_non_finite_inputs(name, bad):
         solve_surrogate(LbfgsMetric(p), x, grad, l1_terms(p, 0.3), warm_duals=[warm])
 
 
-def _assert_work_charges_events(monkeypatch, rng, **kwargs):
+def _assert_counts_match_events(monkeypatch, rng, **kwargs):
     """Count recoveries (one per step attempt, one at entry, one at the last
     stop check, one per failed check) and projections (one per step attempt,
-    one of the warm duals) in one solve_surrogate run, and check the work
-    model's formula over its counts against them. Returns the result."""
+    one of the warm duals) in one solve_surrogate run, and check them
+    against the counts the result reports, which the benchmark's flop model
+    charges. Returns the result."""
     p = 15
     metric = metric_with_pairs(rng, p, 0.5, 3)
     x = rng.standard_normal(p)
@@ -618,33 +619,21 @@ def _assert_work_charges_events(monkeypatch, rng, **kwargs):
     assert len(recoveries) == res.inner_iterations + res.backtracks + 2 + res.failed_checks
     attempts = len(projections) // len(terms) - 1
     assert attempts == res.inner_iterations + res.backtracks
-    stack_len = sum(t.op.output_dim for t in terms)
-    recover = (metric.product_cost(p, p) + sum(2 * t.op.apply_cost for t in terms)
-               + p + stack_len)
-    proj = sum(projection_cost(t.kind, t.op.output_dim) for t in terms)
-    # two carried image combinations and one restart dot product over the
-    # stack per iteration
-    want = (len(recoveries) * recover + (attempts + 1) * proj
-            + 3 * res.inner_iterations * stack_len)
-    assert scd.surrogate_work(metric, terms, res.inner_iterations,
-                              res.backtracks, res.failed_checks) == want
-    # the solve carries its own account, at the size it was solved at
-    assert res.work == want
     assert res.working_set == metric.dim and res.h_direction is None
     return res
 
 
 @pytest.mark.parametrize("step_delta", [None, 64.0])
 def test_surrogate_work_charges_the_loops_events(monkeypatch, rng, step_delta):
-    res = _assert_work_charges_events(monkeypatch, rng, tolerance=1e-10,
+    res = _assert_counts_match_events(monkeypatch, rng, tolerance=1e-10,
                                       step_delta=step_delta)
     assert (res.backtracks > 0) == (step_delta is not None)
 
 
 def test_surrogate_work_charges_failed_stop_checks(monkeypatch):
     # at tolerance 0 a carried gap <= 0 can hide an exact gap just above it:
-    # each such check costs one more recovery, and the work model charges it
-    res = _assert_work_charges_events(monkeypatch, np.random.default_rng(0),
+    # each such check costs one more recovery, and the count reports it
+    res = _assert_counts_match_events(monkeypatch, np.random.default_rng(0),
                                       tolerance=0.0, step_delta=64.0)
     assert res.converged and res.failed_checks > 0
 

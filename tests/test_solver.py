@@ -287,7 +287,7 @@ def test_unit_step_tail_reports():
     def row(i, t):
         return TraceRow(iteration=i, objective=1.0, step=t, gamma=-1.0,
                         inner_iterations=1, epochs=i, seconds=0.0, sigma=1.0,
-                        beta=1.0, work=0.0, gap_estimate=0.0, dir_h_dir=0.0,
+                        beta=1.0, gap_estimate=0.0, dir_h_dir=0.0,
                         curvature_accepted=True, inner_converged=True)
 
     clean = SolveTrace(rows=[row(i, 1.0) for i in range(8)])
@@ -342,14 +342,18 @@ def test_solution_carries_duals_for_warm_start():
     assert len(sol.duals) == prob.n_terms
 
 
-def test_trace_records_sigma_beta_and_work():
+def test_trace_records_sigma_beta_and_work(monkeypatch):
+    # each row records the counts of the surrogate solves made for it, from
+    # which the benchmark models the row's work
+    calls = _row_solves(monkeypatch)
     prob = logistic_toy(seed=11, n=80, p=12)
     sol = solve(prob, SolverConfig(max_outer=40))
     for r in sol.trace.rows:
         assert r.sigma > 0
         assert r.beta >= 1.0
-        assert r.work > 0
+        assert r.surrogate_solves >= 1
         assert r.epochs > 0
+    _assert_rows_count_every_solve(sol, calls)
 
 
 @pytest.mark.parametrize("model, extra", [
@@ -582,8 +586,7 @@ def test_loose_gamma_stop_is_resolved_at_the_floor(monkeypatch):
 
 
 def _row_solves(monkeypatch):
-    """Record (x handed in, result, its modeled work at the call's metric)
-    for every continuation_solve call."""
+    """Record (x handed in, result) for every continuation_solve call."""
     import sepqn.solver as solver_mod
 
     calls = []
@@ -591,28 +594,28 @@ def _row_solves(monkeypatch):
 
     def spy(metric, x_k, grad_k, terms, **kwargs):
         result = real(metric, x_k, grad_k, terms, **kwargs)
-        work = scd.surrogate_work(metric, terms, result.inner_iterations,
-                                  result.backtracks, result.failed_checks)
-        calls.append((x_k, result, work))
+        calls.append((x_k, result))
         return result
 
     monkeypatch.setattr(solver_mod, "continuation_solve", spy)
     return calls
 
 
-def _assert_rows_count_every_solve(prob, sol, calls):
-    # the calls made from one point belong to one row; a row's inner
-    # iterations and work sum them, plus one pass per loss evaluation
-    points = [x for i, (x, _, _) in enumerate(calls)
+def _assert_rows_count_every_solve(sol, calls):
+    # the calls made from one point belong to one row, but those of a
+    # gamma or retry stop, which makes none; a row counts them and sums
+    # their inner iterations, backtracks and failed stop checks
+    points = [x for i, (x, _) in enumerate(calls)
               if i == 0 or x is not calls[i - 1][0]]
-    epochs = 1
+    stopped = sol.trace.stop_reason in ("gamma", "retry")
+    assert len(points) == len(sol.trace.rows) + stopped
     for row, x in zip(sol.trace.rows, points):
-        mine = [c for c in calls if c[0] is x]
-        assert row.inner_iterations == sum(c[1].inner_iterations for c in mine)
-        passes = (row.epochs - epochs) * prob.loss.pass_cost
-        assert row.work == sum(c[2] for c in mine) + passes
-        assert row.gap_estimate == mine[-1][1].gap_estimate
-        epochs = row.epochs
+        mine = [r for y, r in calls if y is x]
+        assert row.surrogate_solves == len(mine)
+        assert row.inner_iterations == sum(r.inner_iterations for r in mine)
+        assert row.dual_backtracks == sum(r.backtracks for r in mine)
+        assert row.failed_checks == sum(r.failed_checks for r in mine)
+        assert row.gap_estimate == mine[-1].gap_estimate
 
 
 def test_a_resolved_row_counts_the_loose_solve(monkeypatch):
@@ -629,7 +632,8 @@ def test_a_resolved_row_counts_the_loose_solve(monkeypatch):
     assert tolerances[floor][0] == eps
     assert sol.trace.rows[2].inner_iterations == (
         calls[loose][1].inner_iterations + calls[floor][1].inner_iterations)
-    _assert_rows_count_every_solve(prob, sol, calls)
+    assert sol.trace.rows[2].surrogate_solves == 2
+    _assert_rows_count_every_solve(sol, calls)
 
 
 def test_a_retried_row_counts_the_failed_solve(monkeypatch):
@@ -651,7 +655,8 @@ def test_a_retried_row_counts_the_failed_solve(monkeypatch):
     assert calls[0][0] is calls[1][0]
     assert sol.trace.rows[0].inner_iterations == (
         calls[0][1].inner_iterations + calls[1][1].inner_iterations)
-    _assert_rows_count_every_solve(prob, sol, calls)
+    assert sol.trace.rows[0].surrogate_solves == 2
+    _assert_rows_count_every_solve(sol, calls)
 
 
 @pytest.mark.parametrize("model, seed", [
@@ -841,40 +846,32 @@ def test_dense_support_keeps_the_full_loop(monkeypatch):
 
 
 def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
-    # a working set is charged each restricted round at its own size, each
-    # full KKT apply, each cross product at the sizes it reads and writes,
-    # and the certificate's form at the set's size; a row sums its solves,
-    # full or restricted, plus its passes
+    # a working-set surrogate counts as one solve whose inner iterations,
+    # backtracks and failed stop checks sum its restricted rounds'; a row
+    # counts its solves, full or restricted
     import sepqn.solver as solver_mod
 
-    solves, rounds, inside = [], [], []   # (x, work) per solve; work per round
+    solves, rounds, inside = [], [], []   # (x, result) per solve; result per round
     real_solve, real_ws = solver_mod.continuation_solve, solver_mod._working_set_surrogate
 
     def spy(metric, x_k, grad_k, terms, **kwargs):
         result = real_solve(metric, x_k, grad_k, terms, **kwargs)
-        work = scd.surrogate_work(metric, terms, result.inner_iterations,
-                                  result.backtracks, result.failed_checks)
-        (rounds.append(work) if inside else solves.append((x_k, work)))
+        (rounds.append(result) if inside else solves.append((x_k, result)))
         return result
 
     def working_set(metric, x, grad, term, *args):
-        products, start = [], len(rounds)
-        apply, cross, form = metric.apply, metric.cross_apply, metric.inv_form
-        metric.apply = lambda v: products.append(
-            metric.product_cost(metric.dim, metric.dim)) or apply(v)
-        metric.cross_apply = lambda view, cols, v: products.append(
-            metric.product_cost(len(cols), view.dim)) or cross(view, cols, v)
-        metric.inv_form = lambda view, v: products.append(
-            metric.product_cost(view.dim, 1)) or form(view, v)
+        start = len(rounds)
         inside.append(1)
         try:
             out = real_ws(metric, x, grad, term, *args)
         finally:
-            del metric.apply, metric.cross_apply, metric.inv_form
             inside.pop()
         if out is not None:
-            assert out.work == sum(rounds[start:]) + sum(products)
-            solves.append((x, out.work))
+            mine = rounds[start:]
+            assert mine and out.working_set == mine[-1].working_set
+            for name in ("inner_iterations", "backtracks", "failed_checks"):
+                assert getattr(out, name) == sum(getattr(r, name) for r in mine)
+            solves.append((x, out))
         return out
 
     monkeypatch.setattr(solver_mod, "continuation_solve", spy)
@@ -882,12 +879,7 @@ def test_a_working_set_row_charges_its_restricted_solves(monkeypatch):
     prob = _sparse_toy(4)
     sol = solve(prob, SolverConfig(max_outer=200))
     assert any(r.working_set < prob.dim for r in sol.trace.rows)
-    points = [x for i, (x, _) in enumerate(solves) if i == 0 or x is not solves[i - 1][0]]
-    epochs = 1
-    for row, x in zip(sol.trace.rows, points):
-        passes = (row.epochs - epochs) * prob.loss.pass_cost
-        assert row.work == sum(w for y, w in solves if y is x) + passes
-        epochs = row.epochs
+    _assert_rows_count_every_solve(sol, solves)
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -986,3 +978,35 @@ def test_solution_duals_are_the_last_surrogates(monkeypatch):
     assert (again.trace.iterations, again.trace.stop_reason) == (0, "gamma")
     assert len(results) == 1 and again.duals is results[0].duals
     assert len(again.duals) == prob.n_terms
+
+
+class _KernelsOnly(sepqn.LinearOperator):
+    """A map given by its dims and its two kernels alone."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.output_dim, self.input_dim = matrix.shape
+
+    def _apply(self, x):
+        return self.matrix @ x
+
+    def _apply_transpose(self, u):
+        return self.matrix.T @ u
+
+
+@pytest.mark.parametrize("solver", [solve, sepqn.scd_direct_solve])
+def test_an_operator_with_only_its_kernels_solves(solver):
+    # dims, _apply and _apply_transpose are all a term's map must supply:
+    # the solve converges where the same map as an ExplicitSparse does
+    handle, _ = sepqn.synth_dataset(seed=2, n=120, p=15, sparsity=0.5)
+    w = np.random.default_rng(2).standard_normal((8, 15))
+    loss = LogisticLoss(handle.matrix, handle.labels)
+
+    def problem(op):
+        return CompositeProblem(loss, (RegularizerTerm(NormKind.L1, 0.02, Identity(15)),
+                                       RegularizerTerm(NormKind.L2, 0.01, op)))
+
+    sols = [solver(problem(op)) for op in (_KernelsOnly(w), sepqn.ExplicitSparse(w))]
+    assert [s.trace.status for s in sols] == ["converged", "converged"]
+    assert abs(sols[0].objective - sols[1].objective) <= 1e-9 * abs(sols[1].objective)
+    assert np.abs(sols[0].x - sols[1].x).max() <= 1e-9
