@@ -1,13 +1,12 @@
 """Limited-memory BFGS metric with an adaptive scalar seed matrix.
 
 The curvature pairs (s, y) with s'y > 0 are kept once, as the rows of W =
-(s_1, y_1, s_2, y_2, ...), oldest first, next to their Gram matrix W W'. W is
-a window of a buffer with SLACK spare pairs: at capacity a push moves the
-window up by one pair, and only when it reaches the buffer's end are the rows
-copied back to its start, in order, so one push in SLACK + 1 copies them. Both
-directions use the compact form of Byrd, Nocedal & Schnabel (1994): two GEMVs
-with W around a small middle matrix that folds in sigma, is rebuilt only when
-the pairs or sigma change, and yields the exact top eigenvalue of H^{-1}.
+(s_1, y_1, s_2, y_2, ...), oldest first, in a 2m x p array next to their
+2m x 2m Gram matrix W W'; at capacity a push shifts both by one pair, in
+place, to evict the oldest. Both directions use the compact form of Byrd,
+Nocedal & Schnabel (1994): two GEMVs with W around a small middle matrix that
+folds in sigma and is rebuilt only when the pairs or sigma change. The exact
+spectrum of H^{-1} is computed from that middle on each call.
 An upper bound on lambda_max(H), all the dual loop's step cap needs, is read
 in closed form from the Gram's diagonal: each BFGS update of sigma I adds
 y y' / y's and subtracts a positive semidefinite term, so lambda_max(H) <=
@@ -38,7 +37,6 @@ from .operators import FINITE_POSITIVE, Rule, integer, require, require_finite
 __all__ = ["LbfgsMetric", "SIGMA_FLOOR"]
 
 SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
-SLACK = 4            # spare pairs in the buffer beyond capacity
 # the rule an outer step length t_k meets
 STEP_LENGTH = Rule(lambda v: isinstance(v, numbers.Real) and 0.0 < v <= 1.0,
                    "in (0, 1]")
@@ -59,12 +57,9 @@ class LbfgsMetric:
         self.beta = 2.0
         self.floor_hits = 0
         self._count = 0
-        self._start = 0   # the oldest stored pair's slot in the buffer
-        slots = 2 * (self.capacity + SLACK) if self.capacity else 0
-        self._buffer = np.empty((slots, self.dim))   # ..., s_1, y_1, s_2, ...
-        self._gram_buffer = np.empty((slots, slots))
-        self._lower = np.tri(self.capacity, k=-1, dtype=bool)   # strictly lower mask
-        self._stale()
+        self._buffer = np.empty((2 * self.capacity, self.dim))   # s_1, y_1, s_2, ...
+        self._gram_buffer = np.empty((2 * self.capacity, 2 * self.capacity))
+        self._middle = None
         self._snapshot = False   # a restricted view takes no pairs and keeps its sigma
 
     @property
@@ -74,14 +69,12 @@ class LbfgsMetric:
     @property
     def _rows(self):
         """W, the stored pairs' rows, oldest first: a view of the buffer."""
-        lo = 2 * self._start
-        return self._buffer[lo:lo + 2 * self._count]
+        return self._buffer[:2 * self._count]
 
     @property
     def _gram(self):
         """W W', a view of the Gram buffer."""
-        lo = 2 * self._start
-        return self._gram_buffer[lo:lo + 2 * self._count, lo:lo + 2 * self._count]
+        return self._gram_buffer[:2 * self._count, :2 * self._count]
 
     def push_pair(self, s, y) -> bool:
         """Store (s, y) iff s'y is finite and > 0, evicting the oldest pair
@@ -96,30 +89,19 @@ class LbfgsMetric:
         if self.capacity == 0 or not 0.0 < float(s @ y) < math.inf:
             return False
         if self._count == self.capacity:
-            self._start += 1
-            self._count -= 1
-        lo, k = 2 * self._start, 2 * self._count
-        if lo + k + 2 > len(self._buffer):
-            # slide the window back to the buffer's start, order kept; a 1-d
-            # shift runs in place, without a temporary
+            # evict the oldest pair; a 1-d shift runs in place, without a temporary
             flat = self._buffer.reshape(-1)
-            flat[:k * self.dim] = flat[lo * self.dim:(lo + k) * self.dim]
-            gram = self._gram_buffer
-            gram[:k, :k] = gram[lo:lo + k, lo:lo + k]
-            self._start = 0
-        self._count += 1
+            flat[:-2 * self.dim] = flat[2 * self.dim:]
+            self._gram_buffer[:-2, :-2] = self._gram_buffer[2:, 2:]
+        self._count = min(self._count + 1, self.capacity)
         rows, gram = self._rows, self._gram
+        k = len(rows) - 2   # the new pair's rows
         rows[k], rows[k + 1] = s, y
         cross = rows @ rows[k:].T
         gram[:, k:] = cross
         gram[k:, :] = cross.T
-        self._stale()
+        self._middle = None
         return True
-
-    def _stale(self):
-        """Drop what is derived from the pairs and sigma: the middles and
-        the spectrum."""
-        self._middle = self._spectrum = None
 
     def _writable(self):
         if self._snapshot:
@@ -159,11 +141,9 @@ class LbfgsMetric:
     def _pair_blocks(self):
         """S'S, S'Y, Y'Y, D = diag(S'Y) and L, the strictly lower part of
         S'Y, read from the Gram of the stored pairs."""
-        g, k = self._gram, self._count
+        g = self._gram
         sy = g[0::2, 1::2]
-        d = np.zeros((k, k))
-        d.flat[::k + 1] = sy.diagonal()
-        return g[0::2, 0::2], sy, g[1::2, 1::2], d, np.where(self._lower[:k, :k], sy, 0.0)
+        return g[0::2, 0::2], sy, g[1::2, 1::2], np.diag(sy.diagonal()), np.tril(sy, -1)
 
     def _middles(self):
         """(M_inv, M_fwd): with S'Y = L + R, L strictly lower, D = diag(S'Y),
@@ -242,7 +222,7 @@ class LbfgsMetric:
         if self.sigma < SIGMA_FLOOR:
             self.sigma = SIGMA_FLOOR
             self.floor_hits += 1
-        self._stale()
+        self._middle = None
         return self
 
     def _anneal_beta(self):
@@ -270,24 +250,22 @@ class LbfgsMetric:
         return np.column_stack(cols)
 
     def inv_spectrum(self):
-        """(lowest, highest) eigenvalue of H^{-1}, exact, cached until the
-        pairs or sigma change: W' M_inv W shares its nonzero eigenvalues with
-        C' M_inv C for any C C' = W W', and past p = 2M, W has a null space,
-        where H^{-1} is 1 / sigma."""
-        if self._spectrum is None:
-            lo = hi = 0.0
-            if self._count:
-                if self.dim <= 2 * self._count:
-                    factor, null = self._rows, False
-                else:
-                    lam, vec = np.linalg.eigh(self._gram)
-                    factor, null = vec * np.sqrt(np.maximum(lam, 0.0)), True
-                eig = np.linalg.eigh(factor.T @ self._middles()[0] @ factor)[0]
-                lo, hi = float(eig[0]), float(eig[-1])
-                if null:
-                    lo, hi = min(lo, 0.0), max(hi, 0.0)
-            self._spectrum = (1.0 / self.sigma + lo, 1.0 / self.sigma + hi)
-        return self._spectrum
+        """(lowest, highest) eigenvalue of H^{-1}, exact, computed on each
+        call: W' M_inv W shares its nonzero eigenvalues with C' M_inv C for
+        any C C' = W W', and past p = 2M, W has a null space, where H^{-1} is
+        1 / sigma. With no pairs it is 1 / sigma, with no eigensolve."""
+        lo = hi = 0.0
+        if self._count:
+            if self.dim <= 2 * self._count:
+                factor, null = self._rows, False
+            else:
+                lam, vec = np.linalg.eigh(self._gram)
+                factor, null = vec * np.sqrt(np.maximum(lam, 0.0)), True
+            eig = np.linalg.eigh(factor.T @ self._middles()[0] @ factor)[0]
+            lo, hi = float(eig[0]), float(eig[-1])
+            if null:
+                lo, hi = min(lo, 0.0), max(hi, 0.0)
+        return (1.0 / self.sigma + lo, 1.0 / self.sigma + hi)
 
     def top_bound(self) -> float:
         """An upper bound on lambda_max(H), O(M): sigma + sum_i y_i'y_i /

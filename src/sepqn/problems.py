@@ -223,31 +223,25 @@ class SmoothLoss:
 
         A dense design is split into row-slice views of about _BLOCK_BYTES,
         in multiples of _ROW_GROUP rows, the last block ragged; no row is
-        copied. A CSR design is one block with the cached transpose:
-        blocking CSR measured slower per pass.
+        copied. A CSR design is one block with its transpose, taken once, as
+        a sparse .T builds a new view object on every access; blocking CSR
+        measured slower per pass.
         """
         data = self.data
         n = self.n_samples
         if sp.issparse(data):
-            return ((slice(0, n), data, self._transpose),)
+            return ((slice(0, n), data, data.T),)
         fit = _BLOCK_BYTES // (data.itemsize * max(self.dim, 1))
         step = max(fit // _ROW_GROUP * _ROW_GROUP, _ROW_GROUP)
         return tuple((slice(lo, min(lo + step, n)), data[lo:lo + step], data[lo:lo + step].T)
                      for lo in range(0, n, step))
 
     @cached_property
-    def _transpose(self):
-        # A sparse matrix's .T builds a new view object on every access,
-        # which with its dispatch costs about a sixth of the matvec itself at
-        # n=2000, p=200; the loss keeps one
-        return self.data.T
-
-    @cached_property
     def _weighted_norm_sq(self):
         # sigma_max(diag(sqrt(w)) A)^2 via power iteration
-        rw = np.sqrt(self.weights)
+        rw, data_t = np.sqrt(self.weights), self.data.T
         est = spectral_norm_estimate(lambda v: rw * _matvec(self.data, v),
-                                     lambda u: self._transpose @ (rw * u), self.dim)
+                                     lambda u: data_t @ (rw * u), self.dim)
         return est * est
 
 

@@ -47,13 +47,14 @@ certificate. Every solve, restricted or full, is one call of the dual loop
 row's `working_set` is the size of its last surrogate's set.
 
 `epochs` counts loss evaluations: one per gradient and one per line-search
-probe; inner dual iterations touch only the surrogate and cost none. A loss
-evaluation is one pass over the data that yields both the value and the
-gradient, so a probe's value costs as much as a gradient, and a rejected
-probe drops the gradient it paid for. The gradient at the point the line
-search just accepted is that probe's evaluation, reused, so a unit-step
-iteration reads the data once and evaluates each per-sample loss once. The
-loss chose its data's storage once, at construction, for every solver.
+probe, a failed search's probes included; inner dual iterations touch only
+the surrogate and cost none. A loss evaluation is one pass over the data
+that yields both the value and the gradient, so a probe's value costs as
+much as a gradient, and a rejected probe drops the gradient it paid for.
+The gradient at the point the line search just accepted is that probe's
+evaluation, reused, so a unit-step iteration reads the data once and
+evaluates each per-sample loss once. The loss chose its data's storage
+once, at construction, for every solver.
 """
 from __future__ import annotations
 
@@ -395,8 +396,9 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
 
         try:
             t, f_new, probes = line_search(problem, x, inner.direction, gam, f_value=f_val)
-        except LineSearchFailure:
+        except LineSearchFailure as failure:
             # dominant cause is an under-solved surrogate: tighten once, retry
+            epochs += failure.probes
             tol = eps_inner * 0.01
             inner, gam = surrogate(tol, inner.duals, step)
             if gam >= -1e-14 * scale:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepqn.lbfgs import SLACK, LbfgsMetric
+from sepqn.lbfgs import LbfgsMetric
 from sepqn.operators import ExplicitSparse, Identity
 from sepqn.problems import NormKind, RegularizerTerm
 from sepqn.scd import step_delta_cap
@@ -511,22 +511,26 @@ def test_restricted_view_refuses_updates(rng):
     assert metric.update(1.0, s, y)   # the metric itself still updates
 
 
-def test_pair_window_slides_without_changing_the_metric(rng):
-    # past capacity the oldest pair leaves by moving the window; each time it
-    # reaches the buffer's end the rows are copied back in order
-    p, m = 7, 3
-    metric = LbfgsMetric(p, capacity=m, sigma=0.8)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 12),
+       st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, 3 * m))))
+def test_eviction_at_capacity_keeps_the_metric_of_the_last_pairs(seed, p, capacity_past):
+    # each push past capacity evicts the oldest pair, so the stored rows are
+    # bitwise those of a fresh metric fed only the last `capacity` pairs, and
+    # both directions agree with it
+    capacity, past = capacity_past
+    rng = np.random.default_rng(seed)
+    metric = LbfgsMetric(p, capacity=capacity, sigma=0.8)
     pairs = []
-    for _ in range(m + 3 * (SLACK + 1) + 2):
+    for _ in range(capacity + past):
         s = rng.standard_normal(p)
-        y = s + 0.2 * rng.standard_normal(p)
+        y = s * rng.uniform(0.5, 2.0, p)   # s'y > 0
         pairs.append((s, y))
         assert metric.push_pair(s, y)
-    fresh = LbfgsMetric(p, capacity=m, sigma=0.8)
-    for s, y in pairs[-m:]:
+    fresh = LbfgsMetric(p, capacity=capacity, sigma=0.8)
+    for s, y in pairs[-capacity:]:
         fresh.push_pair(s, y)
     assert np.array_equal(metric._rows, fresh._rows)
-    for _ in range(5):
+    for _ in range(3):
         v = rng.standard_normal(p)
         for product in ("apply", "inv_apply"):
             got, want = getattr(metric, product)(v), getattr(fresh, product)(v)

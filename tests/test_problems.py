@@ -756,4 +756,7 @@ def test_csr_design_is_one_block(rng):
     loss = LogisticLoss(a, np.where(rng.random(400) < 0.5, 1.0, -1.0))
     assert sp.issparse(loss.data)
     ((rows, block, block_t),) = loss._row_blocks
-    assert rows == slice(0, 400) and block is loss.data and block_t is loss._transpose
+    assert rows == slice(0, 400) and block is loss.data and block_t.shape == (300, 400)
+    # the transpose is a view: it shares the stored design's arrays, no copy
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(block_t, name), getattr(loss.data, name))

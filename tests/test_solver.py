@@ -659,6 +659,32 @@ def test_a_retried_row_counts_the_failed_solve(monkeypatch):
     _assert_rows_count_every_solve(sol, calls)
 
 
+def test_a_failed_line_search_counts_its_probes_in_epochs(monkeypatch):
+    # a first search run at gamma * 1e30 backtracks until it fails; its
+    # probes are loss evaluations like any other, so the value and value_grad
+    # calls add up to the trace's epochs, the identity the benchmark's traced
+    # pass reconciles
+    import sepqn.solver as solver_mod
+    from sepqn.solver import line_search as real_line_search
+
+    searches, evaluations = [], []
+
+    def inflated_once(problem, x_k, delta, gamma_k, f_value):
+        searches.append(gamma_k)
+        scale = 1e30 if len(searches) == 1 else 1.0
+        return real_line_search(problem, x_k, delta, scale * gamma_k, f_value=f_value)
+
+    for name in ("value", "value_grad"):
+        def spy(loss, x, _real=getattr(LogisticLoss, name)):
+            evaluations.append(x)
+            return _real(loss, x)
+        monkeypatch.setattr(LogisticLoss, name, spy)
+    monkeypatch.setattr(solver_mod, "line_search", inflated_once)
+    sol = solve(logistic_toy(seed=12, n=80, p=10), SolverConfig(max_outer=1))
+    assert len(searches) == 2 and sol.trace.iterations == 1
+    assert len(evaluations) == sol.trace.epochs > 40
+
+
 @pytest.mark.parametrize("model, seed", [
     ("fused-sparse-group-logistic", 0),
     ("fused-sparse-logistic", 3),
@@ -909,20 +935,20 @@ def test_a_working_set_row_reuses_its_kkt_product_for_dir_h_dir(monkeypatch, see
 
 
 def test_a_working_set_row_never_computes_the_full_spectrum(monkeypatch):
-    # the step cap is closed form, so a default solve computes a spectrum
-    # only for the first surrogate's initial_step_delta, at zero pairs, with
-    # no eigensolve: not on the working-set toy, whose rows are restricted,
-    # nor on the full loop of a fused and a sparse-group toy
+    # the step cap is closed form, so a default solve asks for a spectrum
+    # only in the first surrogate's initial_step_delta, at zero pairs, where
+    # it is 1 / sigma with no eigensolve: not on the working-set toy, whose
+    # rows are restricted, nor on the full loop of a fused and a sparse-group
+    # toy
     import sepqn.solver as solver_mod
 
     rows = [[]]   # per metric state: the sizes solved over
-    computed = []   # the pair count of each spectrum computed
+    computed = []   # the pair count at each inv_spectrum call
     real_spectrum, real_update = LbfgsMetric.inv_spectrum, LbfgsMetric.update
     real_solve = solver_mod.continuation_solve
 
     def spectrum(metric):
-        if metric._spectrum is None:
-            computed.append(metric.pair_count)
+        computed.append(metric.pair_count)
         return real_spectrum(metric)
 
     def update(metric, *args):
