@@ -143,7 +143,7 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
             status = "converged"
             break
 
-    trace.status = status
+    trace.status, trace.epochs = status, epochs
     return Solution(x=x, objective=f_x, trace=trace, duals=None)
 
 
@@ -271,7 +271,7 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             continue
         factor = scipy.linalg.cho_factor(gram + rho * q_total)
 
-    trace.status = status
+    trace.status, trace.epochs = status, epochs
     return Solution(x=x, objective=f_val, trace=trace, duals=None)
 
 

@@ -171,12 +171,13 @@ def check_restricted_submatrix():
     # H[J, J] as its own metric: the principal submatrix, its exact inverse
     # (which is not H^{-1}[J, J]), the top eigenvalue of that inverse and
     # the upper bound on lambda_max(H_JJ); and the working set's two other
-    # products, the cross block H[J, off] and the form of H^{-1}[J, J]
+    # products, the cross block H[J, off] and the form of H^{-1}[J, J]; with
+    # J every coordinate the view is H itself, up to its Gram's rounding
     rng = np.random.default_rng(14)
     for p, metric in _pair_cases(rng):
         full = metric.materialize_dense()
         full_inv = np.column_stack([metric.inv_apply(e) for e in np.eye(p)])
-        for size in (1, (p + 1) // 2, p - 1):
+        for size in (1, (p + 1) // 2, p - 1, p):
             idx = np.sort(rng.choice(p, size=size, replace=False))
             view = metric.restricted(idx)
             sub = full[np.ix_(idx, idx)]
@@ -192,10 +193,12 @@ def check_restricted_submatrix():
             top, bound = np.linalg.eigvalsh(sub).max(), view.top_bound()
             assert bound >= top, f"p={p}, J={idx}: bound {bound} below {top}"
             off = np.setdiff1d(np.arange(p), idx)
-            v = rng.standard_normal(off.size)
-            want = full[np.ix_(idx, off)] @ v
-            err = np.abs(metric.cross_apply(view, off, v) - want).max()
-            assert err <= 1e-12 * np.abs(want).max(), f"p={p}, J={idx}: H[J, off] off by {err}"
+            if off.size:
+                v = rng.standard_normal(off.size)
+                want = full[np.ix_(idx, off)] @ v
+                err = np.abs(metric.cross_apply(view, off, v) - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), \
+                    f"p={p}, J={idx}: H[J, off] off by {err}"
             u = rng.standard_normal(size)
             want = float(u @ full_inv[np.ix_(idx, idx)] @ u)
             got = metric.inv_form(view, u)

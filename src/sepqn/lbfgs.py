@@ -4,9 +4,11 @@ The curvature pairs (s, y) with s'y > 0 are kept once, as the rows of W =
 (s_1, y_1, s_2, y_2, ...), oldest first, in a 2m x p array next to their
 2m x 2m Gram matrix W W'; at capacity a push shifts both by one pair, in
 place, to evict the oldest. Both directions use the compact form of Byrd,
-Nocedal & Schnabel (1994): two GEMVs with W around a small middle matrix that
-folds in sigma and is rebuilt only when the pairs or sigma change. The exact
-spectrum of H^{-1} is computed from that middle on each call.
+Nocedal & Schnabel (1994), H = sigma I - W' K^{-1} W: two GEMVs with W
+around a middle matrix rebuilt only when the pairs or sigma change. Every
+middle comes from one kernel sigma K and one Woodbury rule (see
+`_inverse_middle`), for the metric and its working-set views alike. The
+exact spectrum of H^{-1} is computed from the middle on each call.
 An upper bound on lambda_max(H), all the dual loop's step cap needs, is read
 in closed form from the Gram's diagonal: each BFGS update of sigma I adds
 y y' / y's and subtracts a positive semidefinite term, so lambda_max(H) <=
@@ -40,13 +42,6 @@ SIGMA_FLOOR = 1e-8   # lowest seed scale, keeps H uniformly positive definite
 # the rule an outer step length t_k meets
 STEP_LENGTH = Rule(lambda v: isinstance(v, numbers.Real) and 0.0 < v <= 1.0,
                    "in (0, 1]")
-
-
-def _inverse(ss, sy, yy):
-    """Inverse of [[ss, sy], [sy', yy]], rows and columns in the s/y row order."""
-    a = np.empty((2 * len(ss), 2 * len(ss)))
-    a[0::2, 0::2], a[0::2, 1::2], a[1::2, 0::2], a[1::2, 1::2] = ss, sy, sy.T, yy
-    return np.linalg.inv(a)
 
 
 class LbfgsMetric:
@@ -113,49 +108,50 @@ class LbfgsMetric:
 
         H_JJ = sigma I + W_J' M_fwd W_J is H's compact form over the
         gathered columns W_J of the pair rows, with H's own forward middle.
-        Its inverse is not H^{-1}[idx, idx]: by Woodbury it is
-        I / sigma + W_J' M_J W_J with M_J = (sigma K - W_J W_J')^{-1} / sigma,
-        where K = -M_fwd^{-1} = [[S'S / sigma, L / sigma], [L' / sigma, -D]],
-        so its middle is built from the restricted Gram W_J W_J'. With idx
-        every coordinate, M_J is H's M_inv. The view holds one gathered copy
-        of W_J and is a snapshot: it refuses pairs and seed changes. It
-        keeps H's `top_bound`, as lambda_max(H_JJ) <= lambda_max(H) and the
-        gathered s_J'y_J need not be positive.
+        Its inverse is not H^{-1}[idx, idx]; its middle is the one Woodbury
+        rule of `_inverse_middle` applied to the gathered Gram W_J W_J', so
+        with idx every coordinate the view is H itself. The view holds one
+        gathered copy of W_J and is a snapshot: it refuses pairs and seed
+        changes. It keeps H's `top_bound`, as lambda_max(H_JJ) <=
+        lambda_max(H) and the gathered s_J'y_J need not be positive.
         """
         idx = np.asarray(idx, dtype=np.intp)
-        k, sigma = self._count, self.sigma
         # built empty, so the only pair columns it holds are the gathered ones
-        view = LbfgsMetric(idx.size, capacity=0, sigma=sigma)
-        view._count, view._snapshot = k, True
+        view = LbfgsMetric(idx.size, capacity=0, sigma=self.sigma)
+        view._count, view._snapshot = self._count, True
         view._parent_top = self.top_bound()
-        if k:
+        if self._count:
             view._buffer = np.take(self._rows, idx, axis=1)
-            view._gram_buffer = sub = view._buffer @ view._buffer.T
-            ss, _, _, d, low = self._pair_blocks()
-            view._middle = (
-                _inverse(ss - sub[0::2, 0::2], low - sub[0::2, 1::2],
-                         -sigma * d - sub[1::2, 1::2]) / sigma,
-                self._middles()[1])
+            view._gram_buffer = view._buffer @ view._buffer.T
+            view._middle = self._inverse_middle(view._gram_buffer)
         return view
 
-    def _pair_blocks(self):
-        """S'S, S'Y, Y'Y, D = diag(S'Y) and L, the strictly lower part of
-        S'Y, read from the Gram of the stored pairs."""
+    def _kernel(self):
+        """sigma K = [[S'S, L], [L', -sigma D]] in the s/y row order, read
+        from the Gram: S'Y = L + R, L strictly lower, D = diag(S'Y)."""
         g = self._gram
-        sy = g[0::2, 1::2]
-        return g[0::2, 0::2], sy, g[1::2, 1::2], np.diag(sy.diagonal()), np.tril(sy, -1)
+        low = np.tril(g[0::2, 1::2], -1)
+        kernel = g.copy()
+        kernel[0::2, 1::2], kernel[1::2, 0::2] = low, low.T
+        kernel[1::2, 1::2] = np.diag(-self.sigma * g[0::2, 1::2].diagonal())
+        return kernel
+
+    def _inverse_middle(self, gram):
+        """(M, M_fwd), from one inversion of the stacked pair: by Woodbury,
+        (sigma I - V' K^{-1} V)^{-1} = I / sigma + V' M V with M = (sigma
+        (sigma K - gram))^{-1} for pair columns V of Gram gram = V V', and
+        M_fwd = -K^{-1} = -sigma (sigma K)^{-1}. The metric's M_inv takes its
+        own Gram, a restricted view's middle the gathered one."""
+        kernel = self._kernel()
+        middle, kernel_inv = np.linalg.inv(np.stack((self.sigma * (kernel - gram), kernel)))
+        return middle, -self.sigma * kernel_inv
 
     def _middles(self):
-        """(M_inv, M_fwd): with S'Y = L + R, L strictly lower, D = diag(S'Y),
-        M_fwd = -[[S'S / sigma, L / sigma], [L' / sigma, -D]]^{-1} and its
-        Woodbury counterpart M_inv = [[0, -sigma R], [-sigma R', -sigma^2 D -
-        sigma Y'Y]]^{-1}."""
+        """(M_inv, M_fwd), so that H^{-1} = I / sigma + W' M_inv W and H =
+        sigma I + W' M_fwd W: `_inverse_middle` of the stored pairs' Gram,
+        cached until the pairs or sigma change."""
         if self._middle is None:
-            k, sigma = self._count, self.sigma
-            ss, sy, yy, d, low = self._pair_blocks()
-            self._middle = (
-                _inverse(np.zeros((k, k)), sigma * (low - sy), -sigma * (sigma * d + yy)),
-                -_inverse(ss / sigma, low / sigma, -d))
+            self._middle = self._inverse_middle(self._gram)
         return self._middle
 
     def _compact(self, v, inverse):

@@ -199,6 +199,7 @@ class SolveTrace:
     status: str = "running"
     stop_reason: str = None   # sepqn's exit: "gamma", "stall", "retry" or "max_outer"
     initial_objective: float = float("nan")
+    epochs: int = 0   # loss evaluations the whole solve made, set at its exit
 
     def objectives(self):
         return np.array([r.objective for r in self.rows])
@@ -206,10 +207,6 @@ class SolveTrace:
     @property
     def iterations(self) -> int:
         return len(self.rows)
-
-    @property
-    def epochs(self) -> int:
-        return self.rows[-1].epochs if self.rows else 0
 
 
 @dataclass
@@ -446,6 +443,6 @@ def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> So
         else:
             tol = eps_inner
 
-    trace.stop_reason = reason
+    trace.stop_reason, trace.epochs = reason, epochs
     trace.status = "max_outer" if reason == "max_outer" else "converged"
     return Solution(x=x, objective=f_val, trace=trace, duals=inner.duals)

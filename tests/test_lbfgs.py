@@ -460,6 +460,26 @@ def test_restricted_view_is_the_principal_submatrix(rng):
     assert view.inv_spectrum() == pytest.approx((lo, hi), rel=1e-11)
 
 
+def test_every_middle_is_one_inversion_of_one_kernel(rng, monkeypatch):
+    # a refresh of the metric's middles and a view's middles each make one
+    # np.linalg.inv call; over every coordinate the view keeps the metric's
+    # forward middle bit for bit and its inverse middle to rounding, as it
+    # forms its Gram in one product
+    p = 12
+    metric = LbfgsMetric(p, capacity=3, sigma=0.6)
+    for s, y in random_pairs(rng, p, 4):
+        metric.push_pair(s, y)
+    shapes, real_inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or real_inv(a))
+    m_inv, m_fwd = metric._middles()
+    view = metric.restricted(np.arange(p))
+    view_inv, view_fwd = view._middles()
+    metric.inv_apply(np.ones(p)), view.inv_apply(np.ones(p))
+    assert shapes == [(2, 6, 6), (2, 6, 6)]
+    np.testing.assert_array_equal(view_fwd, m_fwd)
+    assert np.abs(view_inv - m_inv).max() <= 1e-10 * np.abs(m_inv).max()
+
+
 @pytest.mark.parametrize("p, count", [(30, 4), (7, 5)])
 def test_cross_product_and_inverse_form_match_the_full_products(rng, p, count):
     # H[J, off] v from the view's columns is the J-part of the full apply,

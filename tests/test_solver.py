@@ -659,6 +659,17 @@ def test_a_retried_row_counts_the_failed_solve(monkeypatch):
     _assert_rows_count_every_solve(sol, calls)
 
 
+def _spy_loss_evaluations(monkeypatch):
+    """The points of every LogisticLoss.value and value_grad call, in order."""
+    evaluations = []
+    for name in ("value", "value_grad"):
+        def spy(loss, x, _real=getattr(LogisticLoss, name)):
+            evaluations.append(x)
+            return _real(loss, x)
+        monkeypatch.setattr(LogisticLoss, name, spy)
+    return evaluations
+
+
 def test_a_failed_line_search_counts_its_probes_in_epochs(monkeypatch):
     # a first search run at gamma * 1e30 backtracks until it fails; its
     # probes are loss evaluations like any other, so the value and value_grad
@@ -667,22 +678,46 @@ def test_a_failed_line_search_counts_its_probes_in_epochs(monkeypatch):
     import sepqn.solver as solver_mod
     from sepqn.solver import line_search as real_line_search
 
-    searches, evaluations = [], []
+    searches, evaluations = [], _spy_loss_evaluations(monkeypatch)
 
     def inflated_once(problem, x_k, delta, gamma_k, f_value):
         searches.append(gamma_k)
         scale = 1e30 if len(searches) == 1 else 1.0
         return real_line_search(problem, x_k, delta, scale * gamma_k, f_value=f_value)
 
-    for name in ("value", "value_grad"):
-        def spy(loss, x, _real=getattr(LogisticLoss, name)):
-            evaluations.append(x)
-            return _real(loss, x)
-        monkeypatch.setattr(LogisticLoss, name, spy)
     monkeypatch.setattr(solver_mod, "line_search", inflated_once)
     sol = solve(logistic_toy(seed=12, n=80, p=10), SolverConfig(max_outer=1))
     assert len(searches) == 2 and sol.trace.iterations == 1
     assert len(evaluations) == sol.trace.epochs > 40
+
+
+@pytest.mark.parametrize("stop", ["gamma", "retry"])
+def test_trace_epochs_count_a_solve_that_stops_before_its_first_row(monkeypatch, stop):
+    # a solve can stop before it appends a row: at its first surrogate, when
+    # the penalty pins x at 0, or by the retry after a failed search; its
+    # epochs are still every loss evaluation it made, the identity the
+    # benchmark's traced pass reconciles
+    import sepqn.solver as solver_mod
+    from sepqn.solver import line_search as real_line_search
+
+    evaluations, searches = _spy_loss_evaluations(monkeypatch), []
+    if stop == "gamma":
+        sol = solve(logistic_toy(seed=12, n=80, p=10, lam=10.0), SolverConfig())
+    else:
+        # the first search runs at gamma * 1e30 and fails; the retry's
+        # surrogate then reads gamma = 0, so the solve stops without a row
+        def inflated(problem, x_k, delta, gamma_k, f_value):
+            searches.append(gamma_k)
+            return real_line_search(problem, x_k, delta, 1e30 * gamma_k, f_value=f_value)
+
+        def zero_after_search(problem, x_k, delta, grad_k, _real=solver_mod.gamma):
+            return 0.0 if searches else _real(problem, x_k, delta, grad_k)
+
+        monkeypatch.setattr(solver_mod, "line_search", inflated)
+        monkeypatch.setattr(solver_mod, "gamma", zero_after_search)
+        sol = solve(logistic_toy(seed=12, n=80, p=10), SolverConfig(max_outer=5))
+    assert sol.trace.stop_reason == stop and sol.trace.iterations == 0
+    assert len(evaluations) == sol.trace.epochs
 
 
 @pytest.mark.parametrize("model, seed", [
