@@ -1,20 +1,24 @@
 """Reference solvers used to cross-check optima and convergence behaviour.
 
 fista_solve handles the single simple-prox case (one penalty term over the
-identity map) with backtracking on the loss curvature and a monotone restart
-scheme. admm_solve handles the general multi-term case by consensus splitting
-u_i = W_i x + b_i; its x-update solves a cached dense factorization of a fixed
-quadratic majorizer, the loss's CURVATURE times A' diag(w) A (exact for least
-squares). scd_direct_solve runs the accelerated dual machinery on the
-original problem with the metric frozen at the loss's Lipschitz bound, i.e.
-proximal gradient with a dual-computed prox.
+identity map with a zero offset) with backtracking on the loss curvature and
+a monotone restart scheme. admm_solve handles the general multi-term case by
+consensus splitting u_i = W_i x + b_i; its x-update solves a cached dense
+factorization of a fixed quadratic majorizer, the loss's CURVATURE times
+A' diag(w) A (exact for least squares), plus rho sum_i W_i'W_i, which it
+builds from the term blocks' kernels. Like `solve`, then, every baseline
+needs of a term's map only its dims and its two kernels. scd_direct_solve
+runs the accelerated dual machinery on the original problem with the metric
+frozen at the loss's Lipschitz bound, i.e. proximal gradient with a
+dual-computed prox.
 Every solver here runs its data passes on the storage the loss chose at
 construction (a dense array for a design whose CSR arrays are no smaller), so
 the baselines and `solve` multiply through the same matrix.
 
 Trace column reuse: FISTA records sigma = current curvature estimate and
 beta = momentum; ADMM records sigma = primal residual and beta = dual
-residual, with step = the penalty parameter.
+residual, the stationarity residual grad g(x) + rho W'd of its linearized
+x-update, with step = the penalty parameter.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lbfgs import SIGMA_FLOOR
-from .operators import FINITE_POSITIVE, NONNEGATIVE, Identity, integer, require
+from .operators import FINITE_POSITIVE, NONNEGATIVE, integer, require
 from .problems import CompositeProblem, NormKind, stack
 from .projections import KERNELS
 from .solver import (STALL_ITERATIONS, Solution, SolverConfig, SolveTrace, TraceRow,
@@ -70,21 +74,18 @@ def fista_solve(problem: CompositeProblem, config: BaselineConfig = None,
                 x0=None) -> Solution:
     """Accelerated proximal gradient, monotone-restart variant.
 
-    Requires a single penalty term over the identity map with an l1 or group
-    l2 norm, whose prox is one projection.
+    Requires a single penalty term over the identity map with a zero offset
+    and an l1 or group l2 norm, whose prox is one projection.
     """
     cfg = config if config is not None else BaselineConfig(kind="fista")
-    if problem.n_terms != 1:
+    term = problem.sole_identity_term()
+    if term is None:
         raise UnsupportedStructure(
-            f"fista needs exactly one penalty term, got {problem.n_terms}"
+            f"fista needs one penalty term, over the identity map with a zero "
+            f"offset; got {problem.n_terms} term(s)"
         )
-    term = problem.terms[0]
-    if not isinstance(term.op, Identity):
-        raise UnsupportedStructure("fista needs the penalty over the identity map")
     if term.kind not in (NormKind.L1, NormKind.L2):
         raise UnsupportedStructure(f"fista does not support norm kind {term.kind}")
-    if np.any(term.offset):
-        raise UnsupportedStructure("fista needs a zero penalty offset")
 
     t0 = time.perf_counter()
     x, _, f_x = _start_point(problem, x0)
@@ -160,9 +161,10 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
 
     The x-update minimizes a fixed quadratic majorizer of the loss plus the
     augmented coupling terms through a cached dense factorization; for least
-    squares the majorizer is the loss itself, so the update is exact. The
-    penalty parameter is rebalanced x2 whenever the primal/dual residual ratio
-    exceeds 10.
+    squares the majorizer is the loss itself, so the update is exact. It
+    stops when the primal residual W x + b - u and the dual residual
+    grad g(x) + rho W'd both fall within tolerance. The penalty parameter is
+    rebalanced x2 whenever the primal/dual residual ratio exceeds 10.
     """
     cfg = config if config is not None else BaselineConfig(kind="admm")
     p = problem.dim
@@ -171,15 +173,6 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             f"admm's dense factorization is guarded to p <= 5000, got {p}"
         )
     loss = problem.loss
-    terms = problem.terms
-    sparse_ops = []
-    for t in terms:
-        try:
-            sparse_ops.append(t.op.to_sparse())
-        except NotImplementedError:
-            raise UnsupportedStructure(
-                f"admm needs each term's map as a sparse matrix; a "
-                f"{type(t.op).__name__} has no to_sparse") from None
     t0 = time.perf_counter()
     x, grad, f_val = _start_point(problem, x0)
     epochs = 1
@@ -188,9 +181,28 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     if loss.ridge:
         gram[np.diag_indices_from(gram)] += loss.ridge
 
-    q_total = np.zeros((p, p))
-    for w_sp in sparse_ops:
-        q_total += (w_sp.T @ w_sp).toarray()
+    # the blocks u_i and d_i live stacked in one vector, so the elementwise
+    # updates run once over all terms; the kernels see one slice per term block
+    blocks = problem.blocks
+    offset = stack([b.offset for b in blocks])
+
+    def images_of(x):
+        return stack([b.image(x) for b in blocks]) + offset
+
+    def pull_back(vec, out=None):
+        # sum_i W_i' vec_i, added into out when one is given
+        out = np.zeros(p) if out is None else out
+        for b in blocks:
+            out += b.transpose(vec[b.sl])
+        return out
+
+    # sum_i W_i'W_i by columns, W'W e_j, from one unit vector at a time
+    q_total = np.empty((p, p))
+    unit = np.zeros(p)
+    for j in range(p):
+        unit[j] = 1.0
+        q_total[:, j] = pull_back(stack([b.image(unit) for b in blocks]))
+        unit[j] = 0.0
 
     # imported at the first factorization: only ADMM needs scipy.linalg,
     # and it is about 6 MB resident, so `import sepqn` leaves it out
@@ -199,59 +211,38 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
     rho = float(cfg.rho)
     factor = scipy.linalg.cho_factor(gram + rho * q_total)
 
-    # the blocks u_i and d_i live stacked in one vector, so the elementwise
-    # updates run once over all terms; the kernels see one slice per term block
-    blocks = problem.blocks
-    q_dims = sum(t.op.output_dim for t in terms)
-    offset = stack([b.offset for b in blocks])
-
-    def images_of(x):
-        return stack([b.image(x) for b in blocks]) + offset
-
-    def sq_norm(vec):
-        # summed per block, as the residuals are defined
-        return sum(float(vec[b.sl] @ vec[b.sl]) for b in blocks)
-
-    def pull_back(vec):
-        out = np.zeros(p)
-        for b in blocks:
-            out += b.transpose(vec[b.sl])
-        return out
-
     u = images_of(x)
-    d = np.zeros(q_dims)
+    d = np.zeros(offset.size)
     trace = SolveTrace(initial_objective=f_val)
     status = "max_iterations"
 
     for k in range(cfg.max_iterations):
-        rhs = gram @ x - grad
-        target = u - d - offset
-        for b in blocks:
-            rhs += rho * b.transpose(target[b.sl])
+        x_old, grad_old, u_old = x, grad, u
+        rhs = pull_back(rho * (u - d - offset), gram @ x - grad)
         x = scipy.linalg.cho_solve(factor, rhs)
 
         images = images_of(x)
-        u_old = u
         shifted = images + d
         u = stack([KERNELS[b.kind].prox(shifted[b.sl], b.weight / rho, *b.seg)
                    for b in blocks])
         r_vec = images - u
         d = d + r_vec
 
-        r_norm = float(np.sqrt(sq_norm(r_vec)))
-        s_norm = rho * float(np.linalg.norm(pull_back(u - u_old)))
-
         g_val, grad = loss.value_grad(x)
         epochs += 1
         f_val = g_val + problem.penalty(x)
 
-        img_norm = float(np.sqrt(sq_norm(images)))
-        u_norm = float(np.sqrt(sq_norm(u)))
-        dual_agg = pull_back(d)
-        eps_pri = np.sqrt(max(q_dims, 1)) * ABS_TOLERANCE \
-            + cfg.tolerance * max(img_norm, u_norm)
+        r_norm = float(np.linalg.norm(r_vec))
+        # the stationarity residual grad g(x) + rho W'd of the linearized
+        # x-update: rho W'(u - u_old) plus the majorizer's error, which is
+        # zero for least squares, whose majorizer is exact
+        s_norm = float(np.linalg.norm(grad - grad_old - gram @ (x - x_old)
+                                      - rho * pull_back(u - u_old)))
+
+        eps_pri = np.sqrt(max(offset.size, 1)) * ABS_TOLERANCE \
+            + cfg.tolerance * max(np.linalg.norm(images), np.linalg.norm(u))
         eps_dual = np.sqrt(p) * ABS_TOLERANCE \
-            + cfg.tolerance * rho * float(np.linalg.norm(dual_agg))
+            + cfg.tolerance * rho * np.linalg.norm(pull_back(d))
 
         trace.rows.append(TraceRow(
             iteration=k + 1, objective=f_val, step=rho, gamma=0.0,
@@ -263,9 +254,9 @@ def admm_solve(problem: CompositeProblem, config: BaselineConfig = None,
             status = "converged"
             break
 
-        if terms and s_norm > 0 and r_norm > 10.0 * s_norm:
+        if s_norm > 0 and r_norm > 10.0 * s_norm:
             rho, d = rho * 2.0, d / 2.0
-        elif terms and r_norm > 0 and s_norm > 10.0 * r_norm:
+        elif r_norm > 0 and s_norm > 10.0 * r_norm:
             rho, d = rho / 2.0, d * 2.0
         else:
             continue

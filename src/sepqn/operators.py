@@ -4,7 +4,9 @@ Every operator stands for some W in R^{q x p} and supports matrix-free
 apply (W x) and transpose-apply (W' u). The structured kinds (identity,
 first difference, group selector) cost O(q) per application, which is what
 keeps the dual solver's per-iteration work linear in the problem size; an
-explicit sparse operator costs O(nnz). `spectral_norm` is estimated once,
+explicit sparse operator costs O(nnz). Every solver reads an operator through
+these two kernels alone; `to_sparse` gives the built-in ones as a matrix,
+for checks that need an unfused copy. `spectral_norm` is estimated once,
 by `norm_estimate`, which reads an operator's `exact_norm` when it has one
 (the identity's 1) and runs a power iteration otherwise.
 
@@ -179,9 +181,9 @@ def spectral_norm_estimate(apply_fn, transpose_fn, input_dim):
 class LinearOperator:
     """Base class. A subclass sets input_dim and output_dim and defines the
     raw kernels `_apply` (W x) and `_apply_transpose` (W' u), which get
-    checked float vectors; that is all `solve` and scd-direct need. It may
-    set `exact_norm` to spare the power iteration, and ADMM alone needs
-    `to_sparse`."""
+    checked float vectors: dims and two kernels, for every solver. It may
+    set `exact_norm` to spare the power iteration, and `to_sparse` for the
+    tests' and checks' explicit copies."""
 
     input_dim: int
     output_dim: int
@@ -215,7 +217,7 @@ class LinearOperator:
         return self.norm_estimate()
 
     def to_sparse(self) -> sp.csr_matrix:
-        """W as a CSR matrix; only ADMM's factorization needs one."""
+        """W as a CSR matrix, the explicit copy checks compare against."""
         raise NotImplementedError(f"{type(self).__name__} has no sparse form")
 
     def __repr__(self):

@@ -437,6 +437,15 @@ class CompositeProblem:
     def n_terms(self) -> int:
         return len(self.terms)
 
+    def sole_identity_term(self):
+        """The penalty's term if it is one term over the identity map with a
+        zero offset, whose prox is its norm's own; else None."""
+        if len(self.terms) == 1:
+            (term,) = self.terms
+            if isinstance(term.op, Identity) and not term.offset.any():
+                return term
+        return None
+
     def penalty(self, x) -> float:
         # an Identity block's image does not check its input, so x is checked here
         x = np.asarray(x, dtype=np.float64)

@@ -257,17 +257,6 @@ def unit_step_tail(trace: SolveTrace) -> bool:
     return all(r.step == 1.0 for r in rows[-tail:])
 
 
-def _l1_term(problem):
-    """The penalty's term if it is one l1 term over the identity with zero
-    offset, the penalty a working set can restrict; else None."""
-    if len(problem.terms) != 1:
-        return None
-    (term,) = problem.terms
-    if term.kind is NormKind.L1 and isinstance(term.op, Identity) and not term.offset.any():
-        return term
-    return None
-
-
 def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inner,
                            step_delta):
     """Solve the surrogate of the l1 `term` over a working set J, or return None.
@@ -342,7 +331,10 @@ def _working_set_surrogate(metric, x, grad, term, warm_duals, tolerance, max_inn
 def solve(problem: CompositeProblem, config: SolverConfig = None, x0=None) -> Solution:
     cfg = config if config is not None else SolverConfig()
     metric = LbfgsMetric(problem.dim, capacity=cfg.lbfgs_memory, sigma=cfg.sigma0)
-    l1_term = _l1_term(problem)
+    # the penalty a working set can restrict: one l1 term over the identity
+    l1_term = problem.sole_identity_term()
+    if l1_term is not None and l1_term.kind is not NormKind.L1:
+        l1_term = None
     eps_inner = cfg.resolved_inner_tolerance()
     t0 = time.perf_counter()
 

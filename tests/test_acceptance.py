@@ -3,9 +3,9 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete. Shared solver runs are computed once per session.
 """
-import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,8 +351,8 @@ def test_criterion_8_determinism_and_format(tmp_path):
         assert run(RunSpec(out_dir=a, **spec)) == 0
         assert run(RunSpec(out_dir=b, **spec)) == 0
         for name in ("trace.csv", "solution.txt", "summary.txt"):
-            one = open(os.path.join(a, name), "rb").read()
-            two = open(os.path.join(b, name), "rb").read()
+            one = Path(a, name).read_bytes()
+            two = Path(b, name).read_bytes()
             assert one == two, f"{name} differs between identical runs"
 
         # LIBSVM roundtrip is exact
@@ -365,6 +365,6 @@ def test_criterion_8_determinism_and_format(tmp_path):
         assert np.array_equal(back.matrix.toarray(), handle.matrix.toarray())
 
         # monotone objective column in every written sepqn trace
-        rows = open(os.path.join(a, "trace.csv")).read().strip().splitlines()
+        rows = Path(a, "trace.csv").read_text().strip().splitlines()
         objs = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(y <= x for x, y in zip(objs, objs[1:]))

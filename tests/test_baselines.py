@@ -191,22 +191,15 @@ def test_admm_guard_rejects_huge_p():
         admm_solve(prob)
 
 
-def test_admm_refuses_a_map_with_no_sparse_form(rng):
-    # ADMM factors W'W, so a map given by its kernels alone is outside its
-    # contract; the refusal names the map's type
-    class KernelsOnly(sepqn.LinearOperator):
-        input_dim = output_dim = 4
-
-        def _apply(self, x):
-            return 2.0 * x
-
-        def _apply_transpose(self, u):
-            return 2.0 * u
-
-    loss = LeastSquaresLoss(rng.standard_normal((10, 4)), rng.standard_normal(10))
-    prob = CompositeProblem(loss, (RegularizerTerm(NormKind.L1, 0.1, KernelsOnly()),))
-    with pytest.raises(UnsupportedStructure, match="KernelsOnly"):
-        admm_solve(prob)
+def test_admm_with_no_terms_stops_at_the_losss_minimum():
+    # with no terms both residuals once read 0, so admm stopped after one
+    # x-update, 0.9% above the minimum; the dual residual now carries the
+    # majorizer's error, and the ridge logistic loss has a unique minimum
+    h, _ = sepqn.synth_dataset(seed=1, n=200, p=10)
+    prob = CompositeProblem(LogisticLoss(h.matrix, h.labels, ridge=0.1), ())
+    sol, ref = admm_solve(prob), solve(prob)
+    assert sol.trace.status == "converged"
+    assert abs(sol.objective - ref.objective) <= 1e-8 * abs(ref.objective)
 
 
 def test_admm_handles_linf_terms(rng):

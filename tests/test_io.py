@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestCli:
         assert rc == 0
         for name in ("solution.txt", "trace.csv", "summary.txt"):
             assert os.path.exists(os.path.join(out, name))
-        header = open(os.path.join(out, "trace.csv")).readline().strip()
+        header = Path(out, "trace.csv").read_text().splitlines()[0].strip()
         assert header == "iter,objective,step,inner_iters,epochs,seconds,sigma,beta"
 
     def test_solve_reads_libsvm(self, tmp_path):
@@ -194,7 +195,7 @@ class TestCli:
         rc = main(["solve", "--data", str(data), "--lambda", "0.02",
                    "--out", out])
         assert rc == 0
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "n: 50" in summary and "p: 10" in summary
 
     def test_missing_data_file_is_exit_2(self, tmp_path):
@@ -229,7 +230,7 @@ class TestCli:
                    "--synth-n", "80", "--synth-p", "15", "--out", out,
                    "--baseline-tol", "1e-11"])
         assert rc == 0
-        consensus = open(os.path.join(out, "consensus.txt")).read()
+        consensus = Path(out, "consensus.txt").read_text()
         assert "sepqn vs fista" in consensus
         worst = [ln for ln in consensus.splitlines() if "worst" in ln][0]
         assert float(worst.split(":")[1]) <= 1e-6
@@ -244,14 +245,13 @@ class TestCli:
         assert run(RunSpec(out_dir=a, **spec)) == 0
         assert run(RunSpec(out_dir=b, **spec)) == 0
         for name in ("trace.csv", "solution.txt", "summary.txt"):
-            assert open(os.path.join(a, name), "rb").read() == \
-                open(os.path.join(b, name), "rb").read()
+            assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
     def test_trace_rows_match_summary_iterations(self, tmp_path):
         out = str(tmp_path / "run")
         assert run(RunSpec(out_dir=out, lam=0.01, synth_n=60, synth_p=12)) == 0
-        rows = open(os.path.join(out, "trace.csv")).read().strip().splitlines()
-        summary = open(os.path.join(out, "summary.txt")).read()
+        rows = Path(out, "trace.csv").read_text().strip().splitlines()
+        summary = Path(out, "summary.txt").read_text()
         iters = int([ln for ln in summary.splitlines()
                      if ln.startswith("iterations:")][0].split(":")[1])
         assert len(rows) - 1 == iters
@@ -273,11 +273,11 @@ class TestCli:
                      "--synth-n", "80", "--synth-p", "15", "--max-inner", "10",
                      "--out", out]) == 0
         for name, sol in solved.items():
-            summary = open(os.path.join(out, f"{name}_summary.txt")).read()
+            summary = Path(out, f"{name}_summary.txt").read_text()
             count = sum(not r.inner_converged for r in sol.trace.rows)
             assert 0 < count < sol.trace.iterations
             assert f"inner_unconverged: {count}\n" in summary
-        admm = open(os.path.join(out, "admm_summary.txt")).read()
+        admm = Path(out, "admm_summary.txt").read_text()
         assert "inner_unconverged" not in admm
 
     def test_summary_names_the_stop_reason(self, tmp_path, monkeypatch):
@@ -293,10 +293,10 @@ class TestCli:
                      "--model", "l1-logistic", "--lambda", "0.01",
                      "--synth-n", "80", "--synth-p", "15", "--out", out]) == 0
         for name, sol in solved.items():
-            summary = open(os.path.join(out, f"{name}_summary.txt")).read()
+            summary = Path(out, f"{name}_summary.txt").read_text()
             assert sol.trace.stop_reason in ("gamma", "stall")
             assert f"stop_reason: {sol.trace.stop_reason}\n" in summary
-        fista = open(os.path.join(out, "fista_summary.txt")).read()
+        fista = Path(out, "fista_summary.txt").read_text()
         assert "stop_reason" not in fista
 
     def test_synth_subcommand(self, tmp_path):
@@ -418,7 +418,7 @@ class TestCli:
         out = str(tmp_path / "run")
         assert main(["solve", "--solver", "scd-direct", "--max-outer", "5",
                      "--synth-n", "150", "--synth-p", "30", "--out", out]) == 0
-        rows = open(os.path.join(out, "trace.csv")).read().strip().splitlines()
+        rows = Path(out, "trace.csv").read_text().strip().splitlines()
         assert 1 <= len(rows) - 1 <= 5
         # an absent flag keeps scd-direct's own setting
         specs = []
@@ -454,6 +454,6 @@ class TestCli:
         rc = main(["solve", "--lambda", "0.01", "--synth-n", "60",
                    "--synth-p", "12", "--out", out, "--timing"])
         assert rc == 0
-        rows = open(os.path.join(out, "trace.csv")).read().strip().splitlines()
+        rows = Path(out, "trace.csv").read_text().strip().splitlines()
         seconds = [float(r.split(",")[5]) for r in rows[1:]]
         assert seconds[-1] > 0.0

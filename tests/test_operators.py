@@ -115,6 +115,20 @@ def test_identity_norm_is_read_inside_the_base_method(monkeypatch):
     assert len(applies) == 2 + 101 and seen == ops
 
 
+def test_sparse_form_is_the_matrix_the_kernels_apply():
+    # the tests' and `sepqn check`'s unfused ExplicitSparse copies are built
+    # from to_sparse, so it must be the map the two kernels apply
+    rng = np.random.default_rng(9)
+    for op in make_pool(rng):
+        w = op.to_sparse()
+        assert w.shape == (op.output_dim, op.input_dim)
+        for _ in range(5):
+            x = rng.standard_normal(op.input_dim)
+            u = rng.standard_normal(op.output_dim)
+            assert np.abs(w @ x - op.apply(x)).max() <= 1e-14, repr(op)
+            assert np.abs(w.T @ u - op.apply_transpose(u)).max() <= 1e-14, repr(op)
+
+
 def test_norm_estimate_diagonal():
     op = ExplicitSparse(np.diag([3.0, 1.0]))
     assert op.norm_estimate() == pytest.approx(3.0, abs=1e-10)

@@ -1055,10 +1055,10 @@ class _KernelsOnly(sepqn.LinearOperator):
         return self.matrix.T @ u
 
 
-@pytest.mark.parametrize("solver", [solve, sepqn.scd_direct_solve])
+@pytest.mark.parametrize("solver", [solve, sepqn.scd_direct_solve, sepqn.admm_solve])
 def test_an_operator_with_only_its_kernels_solves(solver):
-    # dims, _apply and _apply_transpose are all a term's map must supply:
-    # the solve converges where the same map as an ExplicitSparse does
+    # dims, _apply and _apply_transpose are all a term's map must supply to
+    # any solver: it converges where the same map as an ExplicitSparse does
     handle, _ = sepqn.synth_dataset(seed=2, n=120, p=15, sparsity=0.5)
     w = np.random.default_rng(2).standard_normal((8, 15))
     loss = LogisticLoss(handle.matrix, handle.labels)
